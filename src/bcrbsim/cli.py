@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Single-point queries (stability, spot, power, comms), loss-scale calibration,
-built-in figure datasets, and generic one-variable sweeps.  Numeric output
-lines carry a bracketed unit; CSV files have one header row with units in
-brackets, '#'-prefixed metadata lines, 9 significant digits, LF endings.
+built-in figure datasets, and generic one-variable sweeps.  `power` and
+`comms` print views of the one model chain in sweep_search: `power` its
+power branch, `comms` the power branch followed by the data branch.  Numeric
+output lines carry a bracketed unit; CSV files have one header row with units
+in brackets, '#'-prefixed metadata lines, 9 significant digits, LF endings.
 
 Exit codes: 0 success, 1 domain/validation error, 2 infeasible search.
 """
@@ -15,11 +17,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .comms import data_signal, shot_noise, spectral_efficiency, thermal_noise, total_noise
 from .errors import BeamSimError, InfeasibleSearchError, NoStableRegionError
 from .gaussian_beam import cavity_spot_radii
-from .link_budget import beam_power, effective_aperture, pv_output, transmission_loss
-from .ray_matrix import round_trip_bcrb, round_trip_original
+from .link_budget import effective_aperture
+from .ray_matrix import is_stable, round_trip
 from .scenario import Scenario, default_scenario, load_scenario
 from .sweep_search import (
     ANCHOR_BEAM_POWER,
@@ -28,6 +29,8 @@ from .sweep_search import (
     FIGURE_IDS,
     FigureDataset,
     SweepSpec,
+    _data_branch,
+    _power_branch,
     calibrate_loss_scale,
     generate_figure,
     max_stable_distance,
@@ -75,10 +78,10 @@ def write_dataset(ds: FigureDataset, path) -> None:
 def _cmd_stability(s: Scenario, args) -> int:
     d = args.d if args.d is not None else s.geometry.d
     g = replace(s.geometry, d=d)
-    m = round_trip_bcrb(g) if args.system == "bcrb" else round_trip_original(g)
+    m = round_trip(g, args.system)
     _emit("d", d, "m")
     _emit("A*D", m.a * m.d, "-")
-    print(f"stable = {'true' if 0.0 < m.a * m.d < 1.0 else 'false'}")
+    print(f"stable = {'true' if is_stable(m) else 'false'}")
     bands = scan_stability_bands(g, args.d_hi, system=args.system)
     print(f"stability_bands = {len(bands)} [-]")
     d_max = max_stable_distance(g, args.d_hi, system=args.system)
@@ -97,47 +100,41 @@ def _cmd_spot(s: Scenario, args) -> int:
     return 0
 
 
-def _cmd_power(s: Scenario, args) -> int:
+def _power_point(s: Scenario, args):
+    """The point the flags select (scenario values fill the rest) and its power branch."""
     d = args.d if args.d is not None else s.geometry.d
     p_in = args.p_in if args.p_in is not None else s.pump_input_power
     mu = args.mu if args.mu is not None else s.receiver.split_ratio
     g = replace(s.geometry, d=d)
     link = resolve_link_params(s)
-    clamp = s.model_choices.clamp_negative_power
-    delta = transmission_loss(d, effective_aperture(g, args.system), g.wavelength, link.loss_scale)
-    p_beam = beam_power(p_in, delta, link, clamp=clamp)
-    p_out = pv_output(max(p_beam, 0.0), mu, link, clamp=clamp)
+    return d, p_in, mu, link, _power_branch(s, g, args.system, p_in, mu, link)
+
+
+def _cmd_power(s: Scenario, args) -> int:
+    d, p_in, mu, link, power = _power_point(s, args)
     _emit("d", d, "m")
     _emit("P_in", p_in, "W")
     _emit("mu", mu, "-")
     _emit("N", link.loss_scale, "-")
-    _emit("delta_t", delta, "-")
-    _emit("P_beam", p_beam, "W")
-    _emit("P_out", p_out, "W")
+    _emit("delta_t", power["delta_t"], "-")
+    _emit("P_beam", power["beam_power"], "W")
+    _emit("P_out", power["pv_output"], "W")
     return 0
 
 
 def _cmd_comms(s: Scenario, args) -> int:
-    d = args.d if args.d is not None else s.geometry.d
-    p_in = args.p_in if args.p_in is not None else s.pump_input_power
-    mu = args.mu if args.mu is not None else s.receiver.split_ratio
-    g = replace(s.geometry, d=d)
-    link = resolve_link_params(s)
-    receiver = replace(s.receiver, split_ratio=mu)
-    delta = transmission_loss(d, effective_aperture(g, args.system), g.wavelength, link.loss_scale)
-    p_beam = max(beam_power(p_in, delta, link, clamp=s.model_choices.clamp_negative_power), 0.0)
-    p_data = data_signal(p_beam, receiver)
-    n2_total = total_noise(p_data, receiver)
+    d, p_in, mu, _, power = _power_point(s, args)
+    data = _data_branch(s, power["p_beam_floor"], mu)
     _emit("d", d, "m")
     _emit("P_in", p_in, "W")
     _emit("mu", mu, "-")
-    _emit("P_beam", p_beam, "W")
-    _emit("P_data", p_data, "a.u.")
-    _emit("n2_shot", shot_noise(p_data, receiver), "a.u.^2")
-    _emit("n2_thermal", thermal_noise(receiver), "a.u.^2")
-    _emit("n2_total", n2_total, "a.u.^2")
+    _emit("P_beam", power["p_beam_floor"], "W")
+    _emit("P_data", data["data_signal"], "a.u.")
+    _emit("n2_shot", data["shot_noise"], "a.u.^2")
+    _emit("n2_thermal", data["thermal_noise"], "a.u.^2")
+    _emit("n2_total", data["total_noise"], "a.u.^2")
     _emit("log_base", s.model_choices.log_base, "-")
-    _emit("spectral_efficiency", spectral_efficiency(p_data, n2_total, s.model_choices.log_base), "bit/s/Hz")
+    _emit("spectral_efficiency", data["spectral_efficiency"], "bit/s/Hz")
     return 0
 
 

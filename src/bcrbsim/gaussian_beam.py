@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import UnstableCavityError
-from .ray_matrix import CavityGeometry, TransferMatrix, is_stable, round_trip_bcrb, round_trip_original
+from .ray_matrix import CavityGeometry, TransferMatrix, is_stable, round_trip
 
 
 @dataclass(frozen=True)
@@ -63,14 +63,12 @@ def propagate_spot(omega1: float, rho1: float, L1: float, wavelength: float) -> 
     return omega1 * math.sqrt(geometric * geometric + diffractive * diffractive)
 
 
+def _spot_radii(m: TransferMatrix, g: CavityGeometry) -> SpotRadii:
+    """All three spot radii of geometry g from its already-built round trip m."""
+    omega1, omega2 = mirror_spot_radii(m, g.wavelength)
+    return SpotRadii(omega1, omega2, propagate_spot(omega1, g.rho1, g.L1, g.wavelength))
+
+
 def cavity_spot_radii(g: CavityGeometry, system: str = "bcrb") -> SpotRadii:
     """All three spot radii for a geometry, for either cavity layout."""
-    if system == "bcrb":
-        m = round_trip_bcrb(g)
-    elif system == "original":
-        m = round_trip_original(g)
-    else:
-        raise ValueError(f"system must be 'bcrb' or 'original', got {system!r}")
-    omega1, omega2 = mirror_spot_radii(m, g.wavelength)
-    omega3 = propagate_spot(omega1, g.rho1, g.L1, g.wavelength)
-    return SpotRadii(omega1, omega2, omega3)
+    return _spot_radii(round_trip(g, system), g)

@@ -251,6 +251,15 @@ def round_trip_original(g: CavityGeometry) -> TransferMatrix:
     ])
 
 
+def round_trip(g: CavityGeometry, system: str) -> TransferMatrix:
+    """Round-trip matrix of the named cavity layout, 'bcrb' or 'original'."""
+    if system == "bcrb":
+        return round_trip_bcrb(g)
+    if system == "original":
+        return round_trip_original(g)
+    raise ValueError(f"system must be 'bcrb' or 'original', got {system!r}")
+
+
 def is_stable(m: TransferMatrix) -> bool:
     """Stability test 0 < a*d < 1 (strict) on a round-trip matrix."""
     product = m.a * m.d

@@ -15,6 +15,7 @@ import warnings
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .comms import ReceiverParams
 from .errors import ScenarioError
@@ -70,58 +71,18 @@ def _shift_decimal(value: float, places: int) -> float:
     return float(Decimal(repr(value)).scaleb(places))
 
 
-def _mm_to_m(v: float) -> float:
-    return _shift_decimal(v, -3)
+def _to_external(value: float, exponent: int) -> float:
+    """SI value -> external units, as a fixed point of load-then-save.
 
-
-def _m_to_mm(v: float) -> float:
-    return _shift_decimal(v, 3)
-
-
-def _nm_to_m(v: float) -> float:
-    return _shift_decimal(v, -9)
-
-
-def _m_to_nm(v: float) -> float:
-    return _shift_decimal(v, 9)
-
-
-# JSON key -> (dataclass field, converter to SI)
-_GEOMETRY_KEYS = {
-    "rho1_mm": ("rho1", _mm_to_m),
-    "rho2_mm": ("rho2", _mm_to_m),
-    "f_gain_mm": ("f_gain", _mm_to_m),
-    "f1_mm": ("f1", _mm_to_m),
-    "magnification": ("magnification", float),
-    "L1_mm": ("L1", _mm_to_m),
-    "L2_mm": ("L2", _mm_to_m),
-    "d_m": ("d", float),
-    "aperture_gain_mm": ("aperture_gain", _mm_to_m),
-    "aperture_tim_mm": ("aperture_tim", _mm_to_m),
-}
-
-_LINK_KEYS = {
-    "reflectivity": "reflectivity",
-    "conversion_efficiency": "conversion_efficiency",
-    "intercept_w": "intercept",
-    "loss_scale": "loss_scale",
-    "pv_slope": "pv_slope",
-    "pv_intercept_w": "pv_intercept",
-}
-
-_RECEIVER_KEYS = {
-    "responsivity_a_per_w": "responsivity",
-    "split_ratio": "split_ratio",
-    "electron_charge_c": "electron_charge",
-    "background_current_a": "background_current",
-    "bandwidth_hz": "bandwidth",
-    "boltzmann_j_per_k": "boltzmann",
-    "temperature_k": "temperature",
-    "load_resistance_ohm": "load_resistance",
-}
-
-_MODEL_KEYS = ("log_base", "lambda_nm", "N_source", "clamp_negative_power")
-_TOP_KEYS = ("geometry", "link", "receiver", "model_choices", "pump_input_power_w")
+    A full-precision SI value can shift by an ulp on the way to external
+    units and back, so saving a loaded file could change its bytes; starting
+    from the direct conversion, load+save is repeated until it stops moving
+    (at most a few ulps).  Round values are fixed points from the start.
+    """
+    external = _shift_decimal(value, exponent)
+    while (again := _shift_decimal(_shift_decimal(external, -exponent), exponent)) != external:
+        external = again
+    return external
 
 
 def _complain(message: str, strict: bool) -> None:
@@ -136,6 +97,67 @@ def _number(path: str, value) -> float:
     if not math.isfinite(float(value)):
         raise ScenarioError(f"{path}: must be finite, got {value!r}")
     return float(value)
+
+
+def _string(path: str, value) -> str:
+    if not isinstance(value, str):
+        raise ScenarioError(f"{path}: expected a string, got {value!r}")
+    return value
+
+
+def _boolean(path: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{path}: expected a boolean, got {value!r}")
+    return value
+
+
+class _Key(NamedTuple):
+    """One JSON key of the scenario file and the dataclass field it maps to."""
+
+    section: str        # JSON object holding the key; "" for the top level
+    key: str
+    owner: str          # Scenario attribute holding the field; "" for the Scenario itself
+    field: str
+    exponent: int = 0   # external value = SI value * 10**exponent
+    check: Callable[[str, object], object] = _number
+
+
+# Both directions of the file format, in file order (CSV metadata and the
+# bytes of save_scenario follow it).
+_KEYS = (
+    _Key("geometry", "rho1_mm", "geometry", "rho1", 3),
+    _Key("geometry", "rho2_mm", "geometry", "rho2", 3),
+    _Key("geometry", "f_gain_mm", "geometry", "f_gain", 3),
+    _Key("geometry", "f1_mm", "geometry", "f1", 3),
+    _Key("geometry", "magnification", "geometry", "magnification"),
+    _Key("geometry", "L1_mm", "geometry", "L1", 3),
+    _Key("geometry", "L2_mm", "geometry", "L2", 3),
+    _Key("geometry", "d_m", "geometry", "d"),
+    _Key("geometry", "aperture_gain_mm", "geometry", "aperture_gain", 3),
+    _Key("geometry", "aperture_tim_mm", "geometry", "aperture_tim", 3),
+    _Key("link", "reflectivity", "link", "reflectivity"),
+    _Key("link", "conversion_efficiency", "link", "conversion_efficiency"),
+    _Key("link", "intercept_w", "link", "intercept"),
+    _Key("link", "loss_scale", "link", "loss_scale"),
+    _Key("link", "pv_slope", "link", "pv_slope"),
+    _Key("link", "pv_intercept_w", "link", "pv_intercept"),
+    _Key("receiver", "responsivity_a_per_w", "receiver", "responsivity"),
+    _Key("receiver", "split_ratio", "receiver", "split_ratio"),
+    _Key("receiver", "electron_charge_c", "receiver", "electron_charge"),
+    _Key("receiver", "background_current_a", "receiver", "background_current"),
+    _Key("receiver", "bandwidth_hz", "receiver", "bandwidth"),
+    _Key("receiver", "boltzmann_j_per_k", "receiver", "boltzmann"),
+    _Key("receiver", "temperature_k", "receiver", "temperature"),
+    _Key("receiver", "load_resistance_ohm", "receiver", "load_resistance"),
+    _Key("", "pump_input_power_w", "", "pump_input_power"),
+    _Key("model_choices", "log_base", "model_choices", "log_base"),
+    _Key("model_choices", "lambda_nm", "geometry", "wavelength", 9),
+    _Key("model_choices", "N_source", "model_choices", "n_source", check=_string),
+    _Key("model_choices", "clamp_negative_power", "model_choices", "clamp_negative_power", check=_boolean),
+)
+_BY_KEY = {(k.section, k.key): k for k in _KEYS}
+_TOP_KEYS = tuple(dict.fromkeys(k.section or k.key for k in _KEYS))
+_OWNERS = tuple(dict.fromkeys(k.owner for k in _KEYS if k.owner))
 
 
 def _section(raw: dict, name: str) -> dict:
@@ -153,121 +175,39 @@ def scenario_from_dict(raw: dict, strict: bool = False) -> Scenario:
         if key not in _TOP_KEYS:
             _complain(f"unknown scenario key {key!r}", strict)
 
+    kwargs: dict[str, dict] = {owner: {} for owner in _OWNERS + ("",)}
+    for section in dict.fromkeys(k.section for k in _KEYS):
+        for key, value in (_section(raw, section) if section else raw).items():
+            k = _BY_KEY.get((section, key))
+            if k is None:
+                if section:
+                    _complain(f"unknown key {section}.{key!r}", strict)
+                continue
+            value = k.check(f"{section}.{key}" if section else key, value)
+            kwargs[k.owner][k.field] = _shift_decimal(value, -k.exponent) if k.exponent else value
+
     base = default_scenario()
-
-    geom_kwargs = {}
-    section = _section(raw, "geometry")
-    for key, value in section.items():
-        if key not in _GEOMETRY_KEYS:
-            _complain(f"unknown key geometry.{key!r}", strict)
-            continue
-        field, convert = _GEOMETRY_KEYS[key]
-        geom_kwargs[field] = convert(_number(f"geometry.{key}", value))
-
-    model_kwargs = {}
-    section = _section(raw, "model_choices")
-    for key, value in section.items():
-        if key not in _MODEL_KEYS:
-            _complain(f"unknown key model_choices.{key!r}", strict)
-            continue
-        if key == "log_base":
-            model_kwargs["log_base"] = _number("model_choices.log_base", value)
-        elif key == "lambda_nm":
-            geom_kwargs["wavelength"] = _nm_to_m(_number("model_choices.lambda_nm", value))
-        elif key == "N_source":
-            if not isinstance(value, str):
-                raise ScenarioError(f"model_choices.N_source: expected a string, got {value!r}")
-            model_kwargs["n_source"] = value
-        elif key == "clamp_negative_power":
-            if not isinstance(value, bool):
-                raise ScenarioError(f"model_choices.clamp_negative_power: expected a boolean, got {value!r}")
-            model_kwargs["clamp_negative_power"] = value
-
-    link_kwargs = {}
-    section = _section(raw, "link")
-    for key, value in section.items():
-        if key not in _LINK_KEYS:
-            _complain(f"unknown key link.{key!r}", strict)
-            continue
-        link_kwargs[_LINK_KEYS[key]] = _number(f"link.{key}", value)
-
-    recv_kwargs = {}
-    section = _section(raw, "receiver")
-    for key, value in section.items():
-        if key not in _RECEIVER_KEYS:
-            _complain(f"unknown key receiver.{key!r}", strict)
-            continue
-        recv_kwargs[_RECEIVER_KEYS[key]] = _number(f"receiver.{key}", value)
-
-    pump = base.pump_input_power
-    if "pump_input_power_w" in raw:
-        pump = _number("pump_input_power_w", raw["pump_input_power_w"])
-
+    parts = {}
+    for owner in _OWNERS:
+        try:
+            parts[owner] = replace(getattr(base, owner), **kwargs[owner])
+        except ValueError as exc:
+            raise ScenarioError(f"{owner}: {exc}") from exc
     try:
-        geometry = replace(base.geometry, **geom_kwargs)
-    except ValueError as exc:
-        raise ScenarioError(f"geometry: {exc}") from exc
-    try:
-        link = replace(base.link, **link_kwargs)
-    except ValueError as exc:
-        raise ScenarioError(f"link: {exc}") from exc
-    try:
-        receiver = replace(base.receiver, **recv_kwargs)
-    except ValueError as exc:
-        raise ScenarioError(f"receiver: {exc}") from exc
-    try:
-        model = replace(base.model_choices, **model_kwargs)
-    except ValueError as exc:
-        raise ScenarioError(f"model_choices: {exc}") from exc
-    try:
-        return Scenario(geometry=geometry, link=link, receiver=receiver,
-                        model_choices=model, pump_input_power=pump)
+        return replace(base, **parts, **kwargs[""])
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
 
 
 def scenario_to_dict(s: Scenario) -> dict:
     """External-unit dict representation (inverse of scenario_from_dict)."""
-    g, link, r, m = s.geometry, s.link, s.receiver, s.model_choices
-    return {
-        "geometry": {
-            "rho1_mm": _m_to_mm(g.rho1),
-            "rho2_mm": _m_to_mm(g.rho2),
-            "f_gain_mm": _m_to_mm(g.f_gain),
-            "f1_mm": _m_to_mm(g.f1),
-            "magnification": g.magnification,
-            "L1_mm": _m_to_mm(g.L1),
-            "L2_mm": _m_to_mm(g.L2),
-            "d_m": g.d,
-            "aperture_gain_mm": _m_to_mm(g.aperture_gain),
-            "aperture_tim_mm": _m_to_mm(g.aperture_tim),
-        },
-        "link": {
-            "reflectivity": link.reflectivity,
-            "conversion_efficiency": link.conversion_efficiency,
-            "intercept_w": link.intercept,
-            "loss_scale": link.loss_scale,
-            "pv_slope": link.pv_slope,
-            "pv_intercept_w": link.pv_intercept,
-        },
-        "receiver": {
-            "responsivity_a_per_w": r.responsivity,
-            "split_ratio": r.split_ratio,
-            "electron_charge_c": r.electron_charge,
-            "background_current_a": r.background_current,
-            "bandwidth_hz": r.bandwidth,
-            "boltzmann_j_per_k": r.boltzmann,
-            "temperature_k": r.temperature,
-            "load_resistance_ohm": r.load_resistance,
-        },
-        "pump_input_power_w": s.pump_input_power,
-        "model_choices": {
-            "log_base": m.log_base,
-            "lambda_nm": _m_to_nm(g.wavelength),
-            "N_source": m.n_source,
-            "clamp_negative_power": m.clamp_negative_power,
-        },
-    }
+    out: dict = {}
+    for k in _KEYS:
+        value = getattr(getattr(s, k.owner) if k.owner else s, k.field)
+        if k.exponent:
+            value = _to_external(value, k.exponent)
+        (out.setdefault(k.section, {}) if k.section else out)[k.key] = value
+    return out
 
 
 def load_scenario(path, strict: bool = False) -> Scenario:

@@ -1,4 +1,13 @@
-"""Boundary searches, loss-model calibration, and figure dataset generation.
+"""Model chain, boundary searches, loss-model calibration, and figure datasets.
+
+The link model is written once here and every caller reads it from here.  A
+point is the cavity part (one round trip, its stability and spot radii) plus
+two branches: the power branch (aperture loss -> beam power -> floor at 0 ->
+PV output) and the data branch (APD signal -> shot/thermal noise -> spectral
+efficiency).  operating_point evaluates all three; the power-only figures and
+the CLI `power` command read the power branch alone, because the data branch
+needs a positive total noise, which a dark, cold receiver lacks at zero
+signal.
 
 The stability boundary in distance is located by a fixed-stride scan followed
 by bisection; disconnected stability bands are reported, not silently merged.
@@ -22,9 +31,9 @@ import numpy as np
 
 from .comms import data_signal, shot_noise, spectral_efficiency, thermal_noise, total_noise
 from .errors import InfeasibleSearchError, NoStableRegionError, UnstableCavityError
-from .gaussian_beam import cavity_spot_radii
+from .gaussian_beam import SpotRadii, _spot_radii, cavity_spot_radii
 from .link_budget import LinkBudgetParams, beam_power, effective_aperture, pv_output, transmission_loss
-from .ray_matrix import CavityGeometry, is_stable, round_trip_bcrb, round_trip_original
+from .ray_matrix import CavityGeometry, is_stable, round_trip, round_trip_bcrb
 from .scenario import Scenario, default_scenario, scenario_to_dict
 
 log = logging.getLogger(__name__)
@@ -81,8 +90,7 @@ class FigureDataset:
 
 
 def _stable_at(g: CavityGeometry, d: float, system: str = "bcrb") -> bool:
-    probe = round_trip_bcrb if system == "bcrb" else round_trip_original
-    return is_stable(probe(replace(g, d=d)))
+    return is_stable(round_trip(replace(g, d=d), system))
 
 
 def _scan_grid(d_hi: float, stride: float) -> list[float]:
@@ -246,6 +254,35 @@ def resolve_link_params(s: Scenario) -> LinkBudgetParams:
     return replace(s.link, loss_scale=n)
 
 
+def _power_branch(s: Scenario, g: CavityGeometry, system: str, p_in: float, mu: float,
+                  link: LinkBudgetParams) -> dict:
+    """Aperture loss -> beam power -> PV output at one point.
+
+    Stages downstream of the beam power see it floored at 0 (p_beam_floor),
+    also when the scenario leaves negative powers unclamped.
+    """
+    clamp = s.model_choices.clamp_negative_power
+    delta_t = transmission_loss(g.d, effective_aperture(g, system), g.wavelength, link.loss_scale)
+    p_beam = beam_power(p_in, delta_t, link, clamp=clamp)
+    p_beam_floor = max(p_beam, 0.0)
+    return {"delta_t": delta_t, "beam_power": p_beam, "p_beam_floor": p_beam_floor,
+            "pv_output": pv_output(p_beam_floor, mu, link, clamp=clamp)}
+
+
+def _data_branch(s: Scenario, p_beam_floor: float, mu: float) -> dict:
+    """APD signal -> noise variances -> spectral efficiency for a floored beam power."""
+    receiver = replace(s.receiver, split_ratio=mu)
+    p_data = data_signal(p_beam_floor, receiver)
+    n2_total = total_noise(p_data, receiver)
+    return {
+        "data_signal": p_data,
+        "shot_noise": shot_noise(p_data, receiver),
+        "thermal_noise": thermal_noise(receiver),
+        "total_noise": n2_total,
+        "spectral_efficiency": spectral_efficiency(p_data, n2_total, s.model_choices.log_base),
+    }
+
+
 def operating_point(s: Scenario, system: str = "bcrb",
                     d: Optional[float] = None, p_in: Optional[float] = None,
                     mu: Optional[float] = None,
@@ -253,11 +290,9 @@ def operating_point(s: Scenario, system: str = "bcrb",
     """Evaluate the full model chain at one distance; fixed key order.
 
     Spot radii are NaN when the cavity is unstable at this distance.  The
-    power/comms chain does not depend on the cavity matrix and is always
-    evaluated; stages downstream of the beam power see it floored at 0.
+    power/data branches do not depend on the cavity matrix and are always
+    evaluated.
     """
-    if system not in ("bcrb", "original"):
-        raise ValueError(f"system must be 'bcrb' or 'original', got {system!r}")
     g = s.geometry if d is None else replace(s.geometry, d=d)
     if p_in is None:
         p_in = s.pump_input_power
@@ -265,44 +300,24 @@ def operating_point(s: Scenario, system: str = "bcrb",
         mu = s.receiver.split_ratio
     if link is None:
         link = resolve_link_params(s)
-    clamp = s.model_choices.clamp_negative_power
 
-    m = round_trip_bcrb(g) if system == "bcrb" else round_trip_original(g)
+    m = round_trip(g, system)
     stable = is_stable(m)
-    if stable:
-        spots = cavity_spot_radii(g, system)
-        omega1, omega2, omega3 = spots.omega1, spots.omega2, spots.omega3
-    else:
-        omega1 = omega2 = omega3 = math.nan
-
-    delta_t = transmission_loss(g.d, effective_aperture(g, system), g.wavelength, link.loss_scale)
-    p_beam = beam_power(p_in, delta_t, link, clamp=clamp)
-    p_beam_floor = max(p_beam, 0.0)
-    p_out = pv_output(p_beam_floor, mu, link, clamp=clamp)
-    receiver = replace(s.receiver, split_ratio=mu)
-    p_data = data_signal(p_beam_floor, receiver)
-    n2_shot = shot_noise(p_data, receiver)
-    n2_thermal = thermal_noise(receiver)
-    n2_total = total_noise(p_data, receiver)
-    c_tilde = spectral_efficiency(p_data, n2_total, s.model_choices.log_base)
-
+    spots = _spot_radii(m, g) if stable else SpotRadii(math.nan, math.nan, math.nan)
+    power = _power_branch(s, g, system, p_in, mu, link)
     return {
         "d": g.d,
         "p_in": p_in,
         "mu": mu,
         "stable": stable,
         "stability_product": m.a * m.d,
-        "omega1": omega1,
-        "omega2": omega2,
-        "omega3": omega3,
-        "delta_t": delta_t,
-        "beam_power": p_beam,
-        "pv_output": p_out,
-        "data_signal": p_data,
-        "shot_noise": n2_shot,
-        "thermal_noise": n2_thermal,
-        "total_noise": n2_total,
-        "spectral_efficiency": c_tilde,
+        "omega1": spots.omega1,
+        "omega2": spots.omega2,
+        "omega3": spots.omega3,
+        "delta_t": power["delta_t"],
+        "beam_power": power["beam_power"],
+        "pv_output": power["pv_output"],
+        **_data_branch(s, power["p_beam_floor"], mu),
     }
 
 
@@ -335,7 +350,7 @@ def _fmt(value: float) -> str:
 def _fig6(s: Scenario, link: LinkBudgetParams) -> FigureDataset:
     # Spot radius on the gain module and beam power vs distance, both systems.
     grid = np.linspace(1.5, 6.0, 91)
-    p_in = s.pump_input_power
+    p_in, mu = s.pump_input_power, s.receiver.split_ratio
     rows = []
     for d in grid:
         g = replace(s.geometry, d=float(d))
@@ -343,8 +358,7 @@ def _fig6(s: Scenario, link: LinkBudgetParams) -> FigureDataset:
         for system in ("bcrb", "original"):
             row.append(cavity_spot_radii(g, system).omega3)
         for system in ("bcrb", "original"):
-            delta = transmission_loss(g.d, effective_aperture(g, system), g.wavelength, link.loss_scale)
-            row.append(beam_power(p_in, delta, link, clamp=s.model_choices.clamp_negative_power))
+            row.append(_power_branch(s, g, system, p_in, mu, link)["beam_power"])
         rows.append(tuple(row))
     columns = ["d [m]", "omega3_bcrb [m]", "omega3_original [m]",
                "beam_power_bcrb [W]", "beam_power_original [W]"]
@@ -356,18 +370,12 @@ def _fig6(s: Scenario, link: LinkBudgetParams) -> FigureDataset:
 def _fig7(s: Scenario, link: LinkBudgetParams) -> FigureDataset:
     # Beam power and pump-to-beam efficiency vs input power at the reference distance.
     grid = np.linspace(150.0, 300.0, 151)
-    g = s.geometry
+    g, mu = s.geometry, s.receiver.split_ratio
     rows = []
     for p_in in grid:
-        row = [float(p_in)]
-        powers = {}
-        for system in ("bcrb", "original"):
-            delta = transmission_loss(g.d, effective_aperture(g, system), g.wavelength, link.loss_scale)
-            powers[system] = beam_power(float(p_in), delta, link, clamp=s.model_choices.clamp_negative_power)
-            row.append(powers[system])
-        row.append(powers["bcrb"] / float(p_in))
-        row.append(powers["original"] / float(p_in))
-        rows.append(tuple(row))
+        p_in = float(p_in)
+        powers = [_power_branch(s, g, system, p_in, mu, link)["beam_power"] for system in ("bcrb", "original")]
+        rows.append((p_in, *powers, *(power / p_in for power in powers)))
     columns = ["P_in [W]", "beam_power_bcrb [W]", "beam_power_original [W]",
                "efficiency_bcrb [-]", "efficiency_original [-]"]
     return _dataset("fig7", s, link, columns, rows,
@@ -430,22 +438,20 @@ def _fig10(s: Scenario, link: LinkBudgetParams,
                      "series.d_hi_m": ", ".join(_fmt(d) for d in d_values)})
 
 
-def _distance_grid() -> np.ndarray:
-    return np.linspace(1.0, 250.0, 250)
+def _distance_rows(s: Scenario, series: Sequence[tuple[float, float]],
+                   cell: Callable[[CavityGeometry, float, float], float]) -> list[tuple[float, ...]]:
+    # One row per distance on 1..250 m; series: (p_in, mu) pairs, one output column each.
+    rows = []
+    for d in np.linspace(1.0, 250.0, 250):
+        g = replace(s.geometry, d=float(d))
+        rows.append(tuple([float(d)] + [cell(g, p_in, mu) for p_in, mu in series]))
+    return rows
 
 
 def _fig11(s: Scenario, link: LinkBudgetParams, p_in_values: Sequence[float]) -> FigureDataset:
     # PV output vs distance at full power split, one series per input power.
-    rows = []
-    clamp = s.model_choices.clamp_negative_power
-    for d in _distance_grid():
-        g = replace(s.geometry, d=float(d))
-        delta = transmission_loss(g.d, effective_aperture(g, "bcrb"), g.wavelength, link.loss_scale)
-        row = [float(d)]
-        for p_in in p_in_values:
-            p_beam = beam_power(float(p_in), delta, link, clamp=clamp)
-            row.append(pv_output(max(p_beam, 0.0), 1.0, link, clamp=clamp))
-        rows.append(tuple(row))
+    rows = _distance_rows(s, [(float(p_in), 1.0) for p_in in p_in_values],
+                          lambda g, p_in, mu: _power_branch(s, g, "bcrb", p_in, mu, link)["pv_output"])
     columns = ["d [m]"] + [f"P_out_Pin{_fmt(p)} [W]" for p in p_in_values]
     return _dataset("fig11", s, link, columns, rows,
                     {"sweep.variable": "d", "sweep.lo_m": 1.0, "sweep.hi_m": 250.0,
@@ -455,20 +461,10 @@ def _fig11(s: Scenario, link: LinkBudgetParams, p_in_values: Sequence[float]) ->
 
 def _spectral_efficiency_rows(s: Scenario, link: LinkBudgetParams,
                               series: Sequence[tuple[float, float]]) -> list[tuple[float, ...]]:
-    # series: (p_in, mu) pairs, one output column each.
-    rows = []
-    clamp = s.model_choices.clamp_negative_power
-    for d in _distance_grid():
-        g = replace(s.geometry, d=float(d))
-        delta = transmission_loss(g.d, effective_aperture(g, "bcrb"), g.wavelength, link.loss_scale)
-        row = [float(d)]
-        for p_in, mu in series:
-            p_beam = max(beam_power(p_in, delta, link, clamp=clamp), 0.0)
-            receiver = replace(s.receiver, split_ratio=mu)
-            p_data = data_signal(p_beam, receiver)
-            row.append(spectral_efficiency(p_data, total_noise(p_data, receiver), s.model_choices.log_base))
-        rows.append(tuple(row))
-    return rows
+    def cell(g: CavityGeometry, p_in: float, mu: float) -> float:
+        power = _power_branch(s, g, "bcrb", p_in, mu, link)
+        return _data_branch(s, power["p_beam_floor"], mu)["spectral_efficiency"]
+    return _distance_rows(s, series, cell)
 
 
 def _fig12(s: Scenario, link: LinkBudgetParams, mu_values: Sequence[float]) -> FigureDataset:
@@ -542,20 +538,14 @@ def run_sweep(spec: SweepSpec, s: Optional[Scenario] = None) -> FigureDataset:
     rows = []
     for value in grid:
         value = float(value)
-        point_scenario = s
-        kwargs = {}
-        if spec.variable == "d":
-            kwargs["d"] = value
-        elif spec.variable == "p_in":
-            kwargs["p_in"] = value
-        elif spec.variable == "mu":
-            kwargs["mu"] = value
+        point_s, point_link, kwargs = s, link, {}
+        if spec.variable in ("d", "p_in", "mu"):
+            kwargs[spec.variable] = value
         elif spec.variable == "loss_scale":
-            kwargs["link"] = replace(link, loss_scale=value)
+            point_link = replace(link, loss_scale=value)
         else:
-            geometry = replace(s.geometry, **{spec.variable: value})
-            point_scenario = replace(s, geometry=geometry)
-        point = operating_point(point_scenario, spec.system, link=kwargs.pop("link", link), **kwargs)
+            point_s = replace(s, geometry=replace(s.geometry, **{spec.variable: value}))
+        point = operating_point(point_s, spec.system, link=point_link, **kwargs)
         rows.append(tuple([value] + [float(point[name]) for name, _ in _POINT_COLUMNS]))
     columns = [f"{spec.variable} [{_SWEEP_UNITS[spec.variable]}]"] + \
               [f"{name} [{unit}]" for name, unit in _POINT_COLUMNS]

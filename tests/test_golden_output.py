@@ -1,0 +1,176 @@
+"""Golden output: CSV, CLI stdout and scenario-file bytes, pinned by sha256.
+
+The digests were recorded from the code before the model chain was folded
+into one path.  Besides the reference scenario, every output is pinned under
+a variant that alone exercises the unclamped beam power, the explicit loss
+scale, the natural-log spectral efficiency and a 1550 nm wavelength, and the
+power-side outputs under a dark, cold receiver (zero background current, 0 K),
+whose total noise is 0 wherever the data signal is 0.
+
+Print the digests of the current code with `python tests/test_golden_output.py`.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import math
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from bcrbsim import SweepSpec, generate_figure, run_sweep, save_scenario
+from bcrbsim.cli import format_dataset_csv, run_command
+from bcrbsim.scenario import scenario_from_dict
+
+SCENARIOS = {
+    "default": {},
+    "variant": {"model_choices": {"clamp_negative_power": False, "N_source": "explicit",
+                                  "log_base": math.e, "lambda_nm": 1550}},
+    "dark_cold": {"receiver": {"background_current_a": 0, "temperature_k": 0}},
+}
+
+# name -> (variable, lo, hi, system), 101 points each
+SWEEPS = {
+    "d_bcrb": ("d", 1.0, 6.0, "bcrb"),
+    "d_original": ("d", 1.0, 60.0, "original"),
+    "p_in": ("p_in", 150.0, 300.0, "bcrb"),
+    "mu": ("mu", 0.0, 1.0, "bcrb"),
+    "loss_scale": ("loss_scale", 0.5, 2.0, "bcrb"),
+    "wavelength": ("wavelength", 800e-9, 1600e-9, "bcrb"),
+    "rho2": ("rho2", 1.0, 50.0, "bcrb"),
+    "magnification": ("magnification", 1.5, 6.0, "original"),
+}
+
+CLI = {
+    "power_d2.6": ["power", "--d", "2.6"],
+    "power_d200": ["power", "--d", "200"],
+    "power_d200_pin150": ["power", "--d", "200", "--P-in", "150"],
+    "comms_d2.6": ["comms", "--d", "2.6"],
+    "comms_d200": ["comms", "--d", "200"],
+    "comms_d200_pin150": ["comms", "--d", "200", "--P-in", "150"],
+}
+
+
+def _cases():
+    cases = {}
+    for name in ("default", "variant"):
+        for fig in ("fig6", "fig7", "fig10", "fig11", "fig12", "fig13"):
+            cases[f"{name}/{fig}"] = ("figure", name, fig)
+        for sweep in SWEEPS:
+            cases[f"{name}/sweep_{sweep}"] = ("sweep", name, sweep)
+        for command in CLI:
+            cases[f"{name}/cli_{command}"] = ("cli", name, command)
+        cases[f"{name}/save_scenario"] = ("save", name, None)
+    for fig in ("fig6", "fig7", "fig11"):
+        cases[f"dark_cold/{fig}"] = ("figure", "dark_cold", fig)
+    cases["dark_cold/cli_power_d200"] = ("cli", "dark_cold", "power_d200")
+    return cases
+
+
+CASES = _cases()
+
+
+def cli_output(scenario_name, argv):
+    """Exit code, stdout and stderr of one in-process CLI run on a scenario."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "scenario.json"
+        config.write_text(json.dumps(SCENARIOS[scenario_name]), encoding="utf-8")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_command(["--config", str(config)] + argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def render(kind, scenario_name, item):
+    s = scenario_from_dict(SCENARIOS[scenario_name], strict=True)
+    if kind == "figure":
+        return format_dataset_csv(generate_figure(item, s))
+    if kind == "sweep":
+        variable, lo, hi, system = SWEEPS[item]
+        return format_dataset_csv(run_sweep(SweepSpec(variable, lo, hi, 101, system), s))
+    if kind == "cli":
+        code, out, _ = cli_output(scenario_name, CLI[item])
+        return f"exit {code}\n{out}"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        save_scenario(s, path)
+        return path.read_text(encoding="utf-8")
+
+
+def digest(case):
+    return hashlib.sha256(render(*CASES[case]).encode("utf-8")).hexdigest()
+
+
+GOLDEN = {
+    "dark_cold/cli_power_d200": "1cfb69f88b535eb29c51c02614769d090aa71d6e065457d927c3ce46c7914e22",
+    "dark_cold/fig11": "a86adc59848c9d25a3fd936724ce28b245b935b68edda20f3dcb776343411ae9",
+    "dark_cold/fig6": "9c450c228794a0e3db3dd69a37e3bb492e5afb3f20b864053a3f9f705e149ce4",
+    "dark_cold/fig7": "ebd06395f8004222b48869cb48c78922da19f52772123d259afc0fa604faa149",
+    "default/cli_comms_d2.6": "ca76c23fe01b2f3500e13f2af64c031b24c0bc092f4238885a9dfdca8b6ad852",
+    "default/cli_comms_d200": "c35e68a275ad47fb20e34dd5e3cfdcbcd590e45aaf3366e7d4bb260da0534526",
+    "default/cli_comms_d200_pin150": "fa1ea81113872b8f21967f1cc87169bb1163a807ea11808ef94a52a21437d1a6",
+    "default/cli_power_d2.6": "ee31b2f1e6dbf64bccec02a1e68ddae1a1fbc71e1af3782c2cc7adda42cfdf03",
+    "default/cli_power_d200": "1cfb69f88b535eb29c51c02614769d090aa71d6e065457d927c3ce46c7914e22",
+    "default/cli_power_d200_pin150": "200b211755f37464c3d64fda11c927ece6f8e5904797423fcf9b3f780f083fb3",
+    "default/fig10": "7757dfbbe51a626c19a9db2763b73439b6953b77ca51a66a33d062f5c4638207",
+    "default/fig11": "6edbbd8298abe03a1c50c797c1472a3890ddc7d640a6179ad66cc202016f171d",
+    "default/fig12": "f658818b569d7b209f6037237d1512151a6307b45b5c7badb18fedf9028f2492",
+    "default/fig13": "13c1d25589b9b1e008e5c428ef844a7cb28cfbf261258e35e334384104bb39a0",
+    "default/fig6": "8bf3c415a08e6c3a98e5afefa898d692698641c353e45fa2170921b17fe09ffb",
+    "default/fig7": "47434f6f974ff88288b9d9a37fa1684a4231e5ae549d79892cd34916192b424d",
+    "default/save_scenario": "0480db9a85ea408d133f133d32474de30deb9c7c34e3fbe6d6bfd4808ead1819",
+    "default/sweep_d_bcrb": "bc3dab2bd24cf33bd8f18f53fd6c568515a0dcbddeba0e7307f5560406a5127a",
+    "default/sweep_d_original": "bc542c204ea2d5550aec0a6f3de94b70a85e96ae75f5d1687ad8a1c169ca1d63",
+    "default/sweep_loss_scale": "ef565b60c59973497a7bf90f8b064d5a0e7bc3232a900b0969cafe55c66c91c2",
+    "default/sweep_magnification": "a77fd765eb71ae684fa48f294a3d56008ab19ef424ce296a66eac3cc25b4550a",
+    "default/sweep_mu": "f00bf4324942feabb31f67f71faa1701f98de6ab2fe0a693b944e98183f3442a",
+    "default/sweep_p_in": "125b5be745c15e0b67c16f68466f1b2e8339de685272b0a9088b8680717f4574",
+    "default/sweep_rho2": "2ddc71e71b48eda94746a513050d6b3538ca993976fe134dbbc13d437d2150df",
+    "default/sweep_wavelength": "fafb0ac4102079995ea304f88ed934ab79bfdc86df0232170c8a1ad23fb63c41",
+    "variant/cli_comms_d2.6": "e9a3c237fca64977978afe44c4d008a61ea62547e0a5c8c5164ccf55b83d41c4",
+    "variant/cli_comms_d200": "87e183bfbd7e791243f672412cf8faceb2d613f110fe3784994cd81a10f7e7c0",
+    "variant/cli_comms_d200_pin150": "26361bce21e2fa87de5645a66d83d22271c27eaeeac074f209a2c9b1d9163a5f",
+    "variant/cli_power_d2.6": "9d4e926545805ad68b9df34610503a83d67d18de5d1f6f6797bc0e3294a82a1a",
+    "variant/cli_power_d200": "bad7d694c2b973d6a240f90e512c9bff05358637295bb459887a663632c49403",
+    "variant/cli_power_d200_pin150": "2920c5e8d9f4ae8b66f9d2087525a06617d79c946a675b32c26d32e2a553c500",
+    "variant/fig10": "2ff46eda8dfd87e1478467310b95b44f765394e1658d7e67dd01600efad894c2",
+    "variant/fig11": "6d0e0e04fda1e3ae19b43c99617314428a7119a4a45ffe1ba18c51fc3b8c15ee",
+    "variant/fig12": "03ac5020dc1ac99ae5afdb1c8781938ce8a572268788221891426b91905decb9",
+    "variant/fig13": "44cc9e505a321c79539a4417b1fea254f3ecb8df376052a1ee85aa668e91a165",
+    "variant/fig6": "6c4527f9184767deb4961522123d9cc838ef99edc49875e8e014993808a36f18",
+    "variant/fig7": "fd828266bc019719be36950fedd1c20f17acd126ab1ff7ad07e6e85eaecc22ba",
+    "variant/save_scenario": "7674de911b15c6e122d3b3b0dbcf72eeaeaa1b8276d6c17d95a72ab020c9632c",
+    "variant/sweep_d_bcrb": "b442977cbb3b64b33ce6dd86fb29ff584894a0125f53eb2e8cabe46847c4d3f3",
+    "variant/sweep_d_original": "cdaf0cfdc1d925037c8f5fb2c1eaa659797697fc82696b34c84afebe9a3c9a7d",
+    "variant/sweep_loss_scale": "ae7636f12ca73f7a65493d7855ebee089208c9e574dc7380a0df5b0f58c4c7d1",
+    "variant/sweep_magnification": "80bc4055b7271ef7f24a80b78288c4dc93d9e379d3fefad0abd3d8deadb6a01f",
+    "variant/sweep_mu": "85ccb2ff65bb75f03cfac10c56baaf0d962622a7f3ca705981855f68d8eb09bb",
+    "variant/sweep_p_in": "1152d0255600201210962fc0d31889afb8894447a8753cdc15e5d446e7c1836d",
+    "variant/sweep_rho2": "300cc2eb4bce917a6693896baf787610c4a87ae52b95c18039dc40f1779ca5a1",
+    "variant/sweep_wavelength": "65274de3d40cce6d03f2ae8bb93b3aa2097085fb75bace31952811e9298b1295",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_digest(case):
+    assert digest(case) == GOLDEN[case]
+
+
+def test_golden_covers_every_case():
+    assert set(GOLDEN) == set(CASES)
+
+
+def test_dark_cold_comms_reports_zero_noise():
+    # The data branch alone needs a positive total noise; the power-side
+    # outputs above stay available for the same receiver.
+    code, _, err = cli_output("dark_cold", CLI["comms_d200"])
+    assert code == 1
+    assert "total noise must be > 0" in err
+
+
+if __name__ == "__main__":
+    for name in sorted(CASES):
+        sys.stdout.write(f'    "{name}": "{digest(name)}",\n')
