@@ -191,19 +191,51 @@ class CavityGeometry:
         return self.f1 * self.magnification
 
 
+def _prefix_elements(g: CavityGeometry, system: str) -> tuple[list[TransferMatrix], float]:
+    # Element matrices before the gap to mirror 2, and the part of that gap that is not d.
+    head = [element_matrix(Mirror(g.rho1)), displacement(g.L1), element_matrix(ThinLens(g.f_gain))]
+    if system == "bcrb":
+        return head + [
+            displacement(g.L2),
+            displacement(g.f1),
+            element_matrix(Magnifier(g.magnification)),
+            displacement(-g.f2),
+        ], 0.0
+    if system == "original":
+        return head, g.L2
+    raise ValueError(f"system must be 'bcrb' or 'original', got {system!r}")
+
+
 def bcrb_elements(g: CavityGeometry) -> list[TransferMatrix]:
     """The nine single-pass element matrices, in propagation order."""
-    return [
-        element_matrix(Mirror(g.rho1)),
-        displacement(g.L1),
-        element_matrix(ThinLens(g.f_gain)),
-        displacement(g.L2),
-        displacement(g.f1),
-        element_matrix(Magnifier(g.magnification)),
-        displacement(-g.f2),
-        displacement(g.d),
-        element_matrix(Mirror(g.rho2)),
-    ]
+    return _prefix_elements(g, "bcrb")[0] + [displacement(g.d), element_matrix(Mirror(g.rho2))]
+
+
+def round_trip_prefix(g: CavityGeometry, system: str) -> tuple[TransferMatrix, float]:
+    """The part of a layout's round trip that does not depend on d, and its gap offset.
+
+    The round trip at distance d is close_round_trip(prefix, offset + d, g.rho2).
+    For 'bcrb' the prefix is the first seven element matrices and the offset
+    is 0; for 'original' it is mirror 1, L1 and the gain lens, and the gap is
+    L2 + d.  compose() is a left fold, so closing the prefix gives the same
+    bits as composing every element.
+    """
+    elements, offset = _prefix_elements(g, system)
+    return compose(elements), offset
+
+
+def close_round_trip(prefix: TransferMatrix, gap: float, rho2: float) -> TransferMatrix:
+    """Round trip from its prefix: the free-space gap, then the receiver mirror.
+
+    A = prefix.a + gap * prefix.c and D = prefix.d - (prefix.b + gap * prefix.d) / rho2,
+    so A*D is quadratic in the gap and affine in 1/rho2.
+    """
+    return element_matrix(Mirror(rho2)) @ (displacement(gap) @ prefix)
+
+
+def _round_trip(g: CavityGeometry, system: str) -> TransferMatrix:
+    prefix, offset = round_trip_prefix(g, system)
+    return close_round_trip(prefix, offset + g.d, g.rho2)
 
 
 def round_trip_bcrb(g: CavityGeometry) -> TransferMatrix:
@@ -212,7 +244,7 @@ def round_trip_bcrb(g: CavityGeometry) -> TransferMatrix:
     Composes mirror / gap / gain lens / telescope / gap / mirror in
     propagation order; the product is unimodular up to rounding.
     """
-    return compose(bcrb_elements(g))
+    return _round_trip(g, "bcrb")
 
 
 def round_trip_closed_form(g: CavityGeometry) -> TransferMatrix:
@@ -242,13 +274,7 @@ def round_trip_original(g: CavityGeometry) -> TransferMatrix:
     The gain module faces the receiver mirror across a single gap L2 + d;
     telescope fields of the geometry are ignored.
     """
-    return compose([
-        element_matrix(Mirror(g.rho1)),
-        displacement(g.L1),
-        element_matrix(ThinLens(g.f_gain)),
-        displacement(g.L2 + g.d),
-        element_matrix(Mirror(g.rho2)),
-    ])
+    return _round_trip(g, "original")
 
 
 def round_trip(g: CavityGeometry, system: str) -> TransferMatrix:

@@ -9,8 +9,11 @@ the CLI `power` command read the power branch alone, because the data branch
 needs a positive total noise, which a dark, cold receiver lacks at zero
 signal.
 
-The stability boundary in distance is located by a fixed-stride scan followed
-by bisection; disconnected stability bands are reported, not silently merged.
+Stability bands are exact: A*D of the round trip is quadratic in d and
+affine in 1/rho2, so band edges are roots found in closed form, each interval
+between them is decided by is_stable on the real round trip, and each
+returned edge is a point is_stable accepts.  Disconnected bands are reported,
+not merged.
 The aperture-loss scale factor N is pinned by inverting the beam-power model
 at a reference measurement of the telescope-free system (5 W external beam at
 3 m with 210 W pump input).
@@ -25,6 +28,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -33,7 +37,8 @@ from .comms import data_signal, shot_noise, spectral_efficiency, thermal_noise, 
 from .errors import InfeasibleSearchError, NoStableRegionError, UnstableCavityError
 from .gaussian_beam import SpotRadii, _spot_radii, cavity_spot_radii
 from .link_budget import LinkBudgetParams, beam_power, effective_aperture, pv_output, transmission_loss
-from .ray_matrix import CavityGeometry, is_stable, round_trip, round_trip_bcrb
+from .ray_matrix import (CavityGeometry, close_round_trip, is_stable, round_trip, round_trip_bcrb,
+                         round_trip_prefix)
 from .scenario import Scenario, default_scenario, scenario_to_dict
 
 log = logging.getLogger(__name__)
@@ -45,10 +50,6 @@ ANCHOR_BEAM_POWER = 5.0     # W
 ANCHOR_INPUT_POWER = 210.0  # W
 
 FIGURE_IDS = ("fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13")
-
-SCAN_STRIDE = 0.1           # m, fixed stride of the pre-bisection stability scan
-DISTANCE_TOLERANCE = 1e-3   # m, bisection tolerance for distance boundaries
-RHO2_REL_TOLERANCE = 1e-6   # relative bisection tolerance for curvature boundaries
 
 
 @dataclass(frozen=True)
@@ -93,124 +94,161 @@ def _stable_at(g: CavityGeometry, d: float, system: str = "bcrb") -> bool:
     return is_stable(round_trip(replace(g, d=d), system))
 
 
-def _scan_grid(d_hi: float, stride: float) -> list[float]:
-    points = [i * stride for i in range(1, int(d_hi / stride) + 1)]
-    if not points or points[-1] < d_hi:
-        points.append(d_hi)
-    return points
+def _roots(a: float, b: float, c: float) -> list[float]:
+    """Real roots of a*x^2 + b*x + c by the cancellation-free quadratic formula.
 
-
-def scan_stability_bands(g: CavityGeometry, d_hi: float, stride: float = SCAN_STRIDE,
-                         system: str = "bcrb") -> list[tuple[float, float]]:
-    """Stable intervals of d in (0, d_hi] at scan resolution.
-
-    Returns (first_stable_sample, last_stable_sample) per band; band edges are
-    grid points, refined later by bisection where needed.
+    A zero leading coefficient leaves the linear root (none when b is 0 too);
+    a double root comes back twice.
     """
-    if d_hi <= 0:
-        raise ValueError(f"d_hi must be > 0, got {d_hi!r}")
-    if stride <= 0:
-        raise ValueError(f"stride must be > 0, got {stride!r}")
-    points = _scan_grid(d_hi, stride)
+    if a == 0.0:
+        return [-c / b] if b != 0.0 else []
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return []
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    return [q / a, c / q] if q != 0.0 else [0.0, 0.0]
+
+
+def _stable_intervals(roots: Sequence[float], hi: float,
+                      stable: Callable[[float], bool]) -> list[tuple[float, float]]:
+    """Intervals of (0, hi] between consecutive roots that pass stable() at their midpoint.
+
+    Roots within 16 ulps of 0 or hi are rounding, not edges.  Stable
+    neighbours are joined: only a tangent root separates them, a single
+    point that no floating-point evaluation resolves.
+    """
+    margin = 16.0 * math.ulp(hi)
+    edges = [0.0] + sorted(r for r in roots if margin < r < hi - margin) + [hi]
     bands: list[tuple[float, float]] = []
-    open_start = None
-    last_stable = None
-    for d in points:
-        if _stable_at(g, d, system):
-            if open_start is None:
-                open_start = d
-            last_stable = d
-        elif open_start is not None:
-            bands.append((open_start, last_stable))
-            open_start = None
-    if open_start is not None:
-        bands.append((open_start, last_stable))
+    for lo, up in zip(edges, edges[1:]):
+        if lo < up and stable(0.5 * (lo + up)):
+            if bands and bands[-1][1] == lo:
+                lo = bands.pop()[0]
+            bands.append((lo, up))
     return bands
 
 
+def _stable_edge(edge: float, toward: float, stable: Callable[[float], bool]) -> float:
+    """First point from edge toward an inner point of its band at which stable() holds.
+
+    The first step is one ulp (math.nextafter) and each further step doubles,
+    so an edge that rounding left just outside the band moves a few ulps.
+    """
+    x, step = edge, 0.0
+    while x != toward and (x <= 0.0 or not stable(x)):
+        step = max(2.0 * step, abs(math.nextafter(x, toward) - x))
+        x = min(x + step, toward) if toward > x else max(x - step, toward)
+    return x
+
+
+def stability_bands(g: CavityGeometry, d_hi: float, system: str = "bcrb") -> list[tuple[float, float]]:
+    """Exact stable intervals (lo, hi) of d in (0, d_hi], in increasing order.
+
+    With the d-independent prefix X of the round trip, A = a0 + a1*d and
+    D = d0 + d1*d, so the band edges are the roots of A = 0, D = 0 and
+    A*D = 1 (Kogelnik & Li, Appl. Opt. 5, 1550, 1966).  Each interval
+    between consecutive edges is decided by is_stable on the real round trip
+    at its midpoint.  lo is 0.0 or a root, hi is a root or d_hi; a root
+    carries the rounding of its coefficients, so it may sit an ulp or so
+    outside the band as is_stable sees it.
+    """
+    if d_hi <= 0:
+        raise ValueError(f"d_hi must be > 0, got {d_hi!r}")
+    x, offset = round_trip_prefix(g, system)
+    r = 1.0 / g.rho2
+    a0, a1 = x.a + offset * x.c, x.c
+    d0, d1 = x.d - r * (x.b + offset * x.d), -r * x.d
+    roots = _roots(0.0, a1, a0) + _roots(0.0, d1, d0) + _roots(a1 * d1, a0 * d1 + a1 * d0, a0 * d0 - 1.0)
+    return _stable_intervals(roots, d_hi, partial(_stable_at, g, system=system))
+
+
+def scan_stability_bands(g: CavityGeometry, d_hi: float, stride: float = 0.1,
+                         system: str = "bcrb") -> list[tuple[float, float]]:
+    """Stable intervals of d in (0, d_hi], exact to rounding.
+
+    Returns (lowest, highest) stable distance per band: the exact edges of
+    stability_bands, each moved inward until is_stable holds there.  stride
+    is validated but no longer used: nothing is scanned.
+    """
+    if stride <= 0:
+        raise ValueError(f"stride must be > 0, got {stride!r}")
+    stable = partial(_stable_at, g, system=system)
+    return [(_stable_edge(lo, 0.5 * (lo + hi), stable), _stable_edge(hi, 0.5 * (lo + hi), stable))
+            for lo, hi in stability_bands(g, d_hi, system)]
+
+
 def max_stable_distance(g: CavityGeometry, d_hi: float,
-                        stride: float = SCAN_STRIDE, tol: float = DISTANCE_TOLERANCE,
+                        stride: float = 0.1, tol: float = 1e-3,
                         system: str = "bcrb") -> float:
     """Largest stable distance of the band containing the smallest stable d.
 
-    Scans with a fixed stride, then bisects the stable->unstable transition to
-    within tol; returns d_hi itself when the first band extends to it.  More
-    than one band is reported with a warning.
+    The upper edge of the first exact band, moved inward until is_stable
+    holds there; d_hi itself when the first band extends to it.  More than
+    one band is reported with a warning.  stride and tol are validated but
+    no longer used: the edge is exact to rounding.
     """
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol!r}")
-    if d_hi <= 0:
-        raise ValueError(f"d_hi must be > 0, got {d_hi!r}")
     if stride <= 0:
         raise ValueError(f"stride must be > 0, got {stride!r}")
-    points = _scan_grid(d_hi, stride)
-    flags = [_stable_at(g, d, system) for d in points]
-    band_count = sum(1 for i, f in enumerate(flags) if f and (i == 0 or not flags[i - 1]))
-    if band_count == 0:
-        raise NoStableRegionError(f"no stable distance found in (0, {d_hi}] m at stride {stride} m")
-    if band_count > 1:
+    bands = stability_bands(g, d_hi, system)
+    if not bands:
+        raise NoStableRegionError(f"no stable distance found in (0, {d_hi}] m")
+    if len(bands) > 1:
         log.warning("found %d stability bands in (0, %g] m; returning the upper edge of the first",
-                    band_count, d_hi)
-    first = flags.index(True)
-    end = first
-    while end + 1 < len(points) and flags[end + 1]:
-        end += 1
-    if end == len(points) - 1:
-        return points[-1]
-    lo, hi = points[end], points[end + 1]
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _stable_at(g, mid, system):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+                    len(bands), d_hi)
+    lo, hi = bands[0]
+    return _stable_edge(hi, 0.5 * (lo + hi), partial(_stable_at, g, system=system))
 
 
 def required_rho2(g: CavityGeometry, d: float, rho2_hi: float,
-                  samples: int = 200, rel_tol: float = RHO2_REL_TOLERANCE) -> float:
-    """Smallest receiver-mirror curvature radius that stabilizes distance d.
+                  samples: int = 200, rel_tol: float = 1e-6) -> float:
+    """Smallest receiver-mirror curvature radius in (0, rho2_hi] that stabilizes distance d.
 
-    Scans rho2 in (0, rho2_hi], then bisects the unstable->stable transition
-    to the requested relative precision.
+    At fixed d, A does not depend on rho2 and D = X.d - B/rho2, so the edges
+    are rho2 = B/X.d (D = 0) and A*B/(A*X.d - 1) (A*D = 1).  The lower edge
+    of the stable interval is moved up until is_stable holds there.  samples
+    and rel_tol are kept for compatibility; the result is exact to rounding.
     """
     if rho2_hi <= 0:
         raise ValueError(f"rho2_hi must be > 0, got {rho2_hi!r}")
     base = replace(g, d=d)
-    grid = [rho2_hi * (i + 1) / samples for i in range(samples)]
-    first_stable = None
-    for i, rho2 in enumerate(grid):
-        if is_stable(round_trip_bcrb(replace(base, rho2=rho2))):
-            first_stable = i
-            break
-    if first_stable is None:
-        raise InfeasibleSearchError(
-            f"no rho2 in (0, {rho2_hi}] m stabilizes d = {d} m (scanned {samples} points)")
-    hi = grid[first_stable]
-    lo = grid[first_stable - 1] if first_stable > 0 else hi / samples
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if is_stable(round_trip_bcrb(replace(base, rho2=mid))):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    x, _ = round_trip_prefix(g, "bcrb")
+    a, b = x.a + d * x.c, x.b + d * x.d
+
+    def stable(rho2: float) -> bool:
+        return is_stable(round_trip_bcrb(replace(base, rho2=rho2)))
+    bands = _stable_intervals(_roots(0.0, x.d, -b) + _roots(0.0, a * x.d - 1.0, -a * b), rho2_hi, stable)
+    if not bands:
+        raise InfeasibleSearchError(f"no rho2 in (0, {rho2_hi}] m stabilizes d = {d} m")
+    lo, hi = bands[0]
+    return _stable_edge(lo, 0.5 * (lo + hi), stable)
 
 
 def max_spot_over_range(g: CavityGeometry, d_lo: float, d_hi: float, samples: int = 201) -> float:
-    """Maximum gain-module spot radius over a dense sample of [d_lo, d_hi]."""
+    """Maximum gain-module spot radius over a dense sample of [d_lo, d_hi].
+
+    The range must lie inside one exact stability band; otherwise the error
+    names the first unstable distance.  All samples share one round-trip
+    prefix.
+    """
     if d_lo <= 0:
         raise ValueError(f"d_lo must be > 0, got {d_lo!r}")
     if d_hi < d_lo:
         raise ValueError(f"need d_lo <= d_hi, got [{d_lo!r}, {d_hi!r}]")
+    band = next(((lo, hi) for lo, hi in stability_bands(g, d_hi) if lo <= d_lo <= hi), None)
+    if band is None or band[1] < d_hi:
+        first_unstable = d_lo if band is None else band[1]
+        raise UnstableCavityError(f"cavity unstable at d = {first_unstable:g} m inside [{d_lo:g}, {d_hi:g}] m")
     if d_lo == d_hi:
         grid = [d_lo]
     else:
         grid = list(np.linspace(d_lo, d_hi, max(samples, 2)))
+    prefix, _ = round_trip_prefix(g, "bcrb")
     best = -math.inf
     for d in grid:
         try:
-            spots = cavity_spot_radii(replace(g, d=float(d)), "bcrb")
+            spots = _spot_radii(close_round_trip(prefix, float(d), g.rho2), g)
         except UnstableCavityError as exc:
             raise UnstableCavityError(f"cavity unstable at d = {float(d):g} m inside [{d_lo:g}, {d_hi:g}] m") from exc
         if spots.omega3 > best:

@@ -88,6 +88,55 @@ class TestMaxStableDistance:
             max_stable_distance(g, 10.0, tol=0.0)
 
 
+class TestExactBands:
+    # Geometries on which a fixed 0.1 m scan stride gave a wrong answer.
+    NARROW_FIRST = CavityGeometry(rho1=0.36, rho2=-9.47, f_gain=0.33, f1=0.043,
+                                  magnification=0.71, L1=0.005, L2=0.04)
+    LATER_BAND = CavityGeometry(rho1=-2.7, rho2=0.67, f_gain=0.21, f1=0.003,
+                                magnification=0.82, L1=0.004, L2=0.14)
+    NARROW_GAP = CavityGeometry(rho1=-24.1, rho2=1.01, f_gain=0.24, f1=0.009,
+                                magnification=2.0, L1=0.0, L2=0.21)
+    SUB_SAMPLE_GAP = CavityGeometry(rho1=-3.96, rho2=0.48, f_gain=0.22, f1=0.002,
+                                    magnification=1.43, L1=0.003, L2=0.0)
+
+    @staticmethod
+    def assert_upper_edge(g, d_max, expected):
+        assert d_max == pytest.approx(expected, abs=1e-9)
+        assert _stable_at(g, d_max) and not _stable_at(g, d_max + 1e-9)
+
+    def test_first_band_narrower_than_stride(self):
+        # Stable only below 0.0749 m, short of the first 0.1 m scan point.
+        g = self.NARROW_FIRST
+        assert len(scan_stability_bands(g, 20.0)) == 1
+        self.assert_upper_edge(g, max_stable_distance(g, 20.0), 0.0749018387)
+
+    def test_first_band_edge_not_a_later_one(self):
+        # Bands (0, 0.0594) and (0.5736, 0.7294): the first is not skipped.
+        g = self.LATER_BAND
+        assert len(scan_stability_bands(g, 20.0)) == 2
+        self.assert_upper_edge(g, max_stable_distance(g, 20.0), 0.0594004712)
+
+    def test_bands_across_narrow_gap_not_merged(self):
+        # Bands (0, 0.1117) and (0.1520, 1.1217): a 0.04 m unstable gap.
+        g = self.NARROW_GAP
+        (_, first_hi), (second_lo, _) = scan_stability_bands(g, 20.0)
+        assert second_lo - first_hi == pytest.approx(0.0403, abs=1e-4)
+        assert not _stable_at(g, 0.5 * (first_hi + second_lo))
+        self.assert_upper_edge(g, max_stable_distance(g, 20.0), 0.1116563286)
+
+    def test_band_edges_are_stable_points(self):
+        for g in (self.NARROW_FIRST, self.LATER_BAND, self.NARROW_GAP, CavityGeometry()):
+            for lo, hi in scan_stability_bands(g, 20.0):
+                assert 0.0 < lo < hi
+                assert _stable_at(g, lo) and _stable_at(g, hi)
+
+    def test_unstable_gap_between_spot_samples_is_seen(self):
+        # A 2.5 mm unstable gap at 0.4726 m, narrower than the 4.5 mm spacing
+        # of the 201 spot samples on [0.05, 0.95] m.
+        with pytest.raises(UnstableCavityError, match="unstable at d = 0.472551 m"):
+            max_spot_over_range(self.SUB_SAMPLE_GAP, 0.05, 0.95)
+
+
 class TestRequiredRho2:
     def test_inverse_sandwich(self):
         g = CavityGeometry(rho2=10.0)
