@@ -30,10 +30,10 @@ from .sweep_search import (
     FigureDataset,
     SweepSpec,
     _data_branch,
+    _first_band,
     _power_branch,
     calibrate_loss_scale,
     generate_figure,
-    max_stable_distance,
     resolve_link_params,
     run_sweep,
     scan_stability_bands,
@@ -79,13 +79,14 @@ def _cmd_stability(s: Scenario, args) -> int:
     d = args.d if args.d is not None else s.geometry.d
     g = replace(s.geometry, d=d)
     m = round_trip(g, args.system)
+    # Band edges are walked inward as max_stable_distance walks them, so the
+    # first band's upper end is d_max.  Bands come first: d_hi fails before output.
+    bands = scan_stability_bands(g, args.d_hi, system=args.system)
     _emit("d", d, "m")
     _emit("A*D", m.a * m.d, "-")
     print(f"stable = {'true' if is_stable(m) else 'false'}")
-    bands = scan_stability_bands(g, args.d_hi, system=args.system)
     print(f"stability_bands = {len(bands)} [-]")
-    d_max = max_stable_distance(g, args.d_hi, system=args.system)
-    _emit("d_max", d_max, "m")
+    _emit("d_max", _first_band(bands, args.d_hi)[1], "m")
     return 0
 
 
@@ -253,10 +254,7 @@ def run_command(argv) -> int:
     except (NoStableRegionError, InfeasibleSearchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BeamSimError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (BeamSimError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -49,9 +49,6 @@ ANCHOR_DISTANCE = 3.0       # m
 ANCHOR_BEAM_POWER = 5.0     # W
 ANCHOR_INPUT_POWER = 210.0  # W
 
-FIGURE_IDS = ("fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13")
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """One-dimensional sweep request; the scenario supplies all fixed values."""
@@ -177,6 +174,16 @@ def scan_stability_bands(g: CavityGeometry, d_hi: float, stride: float = 0.1,
             for lo, hi in stability_bands(g, d_hi, system)]
 
 
+def _first_band(bands: list[tuple[float, float]], d_hi: float) -> tuple[float, float]:
+    """The lowest of the stability bands in (0, d_hi]; more than one is reported with a warning."""
+    if not bands:
+        raise NoStableRegionError(f"no stable distance found in (0, {d_hi}] m")
+    if len(bands) > 1:
+        log.warning("found %d stability bands in (0, %g] m; returning the upper edge of the first",
+                    len(bands), d_hi)
+    return bands[0]
+
+
 def max_stable_distance(g: CavityGeometry, d_hi: float,
                         stride: float = 0.1, tol: float = 1e-3,
                         system: str = "bcrb") -> float:
@@ -191,13 +198,7 @@ def max_stable_distance(g: CavityGeometry, d_hi: float,
         raise ValueError(f"tol must be > 0, got {tol!r}")
     if stride <= 0:
         raise ValueError(f"stride must be > 0, got {stride!r}")
-    bands = stability_bands(g, d_hi, system)
-    if not bands:
-        raise NoStableRegionError(f"no stable distance found in (0, {d_hi}] m")
-    if len(bands) > 1:
-        log.warning("found %d stability bands in (0, %g] m; returning the upper edge of the first",
-                    len(bands), d_hi)
-    lo, hi = bands[0]
+    lo, hi = _first_band(stability_bands(g, d_hi, system), d_hi)
     return _stable_edge(hi, 0.5 * (lo + hi), partial(_stable_at, g, system=system))
 
 
@@ -385,146 +386,112 @@ def _fmt(value: float) -> str:
     return f"{value:g}"
 
 
-def _fig6(s: Scenario, link: LinkBudgetParams) -> FigureDataset:
+def _series(key: str, values: Sequence[float]) -> dict:
+    return {f"series.{key}": ", ".join(_fmt(v) for v in values)}
+
+
+def _spectral_efficiency(s: Scenario, g: CavityGeometry, p_in: float, mu: float,
+                         link: LinkBudgetParams) -> float:
+    power = _power_branch(s, g, "bcrb", p_in, mu, link)
+    return _data_branch(s, power["p_beam_floor"], mu)["spectral_efficiency"]
+
+
+# Each figure builder returns its series column headers, a cells(x) function
+# giving the series cells of the row at grid value x, and its own metadata.
+# Grid-independent constants come from the _FIGURES table.
+
+def _fig6(s: Scenario, link: LinkBudgetParams, **_):
     # Spot radius on the gain module and beam power vs distance, both systems.
-    grid = np.linspace(1.5, 6.0, 91)
     p_in, mu = s.pump_input_power, s.receiver.split_ratio
-    rows = []
-    for d in grid:
-        g = replace(s.geometry, d=float(d))
-        row = [float(d)]
-        for system in ("bcrb", "original"):
-            row.append(cavity_spot_radii(g, system).omega3)
-        for system in ("bcrb", "original"):
-            row.append(_power_branch(s, g, system, p_in, mu, link)["beam_power"])
-        rows.append(tuple(row))
-    columns = ["d [m]", "omega3_bcrb [m]", "omega3_original [m]",
-               "beam_power_bcrb [W]", "beam_power_original [W]"]
-    return _dataset("fig6", s, link, columns, rows,
-                    {"sweep.variable": "d", "sweep.lo_m": 1.5, "sweep.hi_m": 6.0,
-                     "sweep.samples": len(grid), "sweep.p_in_w": p_in})
+
+    def cells(d: float) -> list[float]:
+        g = replace(s.geometry, d=d)
+        return ([cavity_spot_radii(g, system).omega3 for system in ("bcrb", "original")] +
+                [_power_branch(s, g, system, p_in, mu, link)["beam_power"] for system in ("bcrb", "original")])
+    return (["omega3_bcrb [m]", "omega3_original [m]", "beam_power_bcrb [W]", "beam_power_original [W]"],
+            cells, {"sweep.p_in_w": p_in})
 
 
-def _fig7(s: Scenario, link: LinkBudgetParams) -> FigureDataset:
+def _fig7(s: Scenario, link: LinkBudgetParams, **_):
     # Beam power and pump-to-beam efficiency vs input power at the reference distance.
-    grid = np.linspace(150.0, 300.0, 151)
-    g, mu = s.geometry, s.receiver.split_ratio
-    rows = []
-    for p_in in grid:
-        p_in = float(p_in)
-        powers = [_power_branch(s, g, system, p_in, mu, link)["beam_power"] for system in ("bcrb", "original")]
-        rows.append((p_in, *powers, *(power / p_in for power in powers)))
-    columns = ["P_in [W]", "beam_power_bcrb [W]", "beam_power_original [W]",
-               "efficiency_bcrb [-]", "efficiency_original [-]"]
-    return _dataset("fig7", s, link, columns, rows,
-                    {"sweep.variable": "P_in", "sweep.lo_w": 150.0, "sweep.hi_w": 300.0,
-                     "sweep.samples": len(grid), "sweep.d_m": g.d})
+    def cells(p_in: float) -> list[float]:
+        powers = [_power_branch(s, s.geometry, system, p_in, s.receiver.split_ratio, link)["beam_power"]
+                  for system in ("bcrb", "original")]
+        return powers + [power / p_in for power in powers]
+    return (["beam_power_bcrb [W]", "beam_power_original [W]", "efficiency_bcrb [-]", "efficiency_original [-]"],
+            cells, {"sweep.d_m": s.geometry.d})
 
 
-def _fig8(s: Scenario, link: LinkBudgetParams,
-          m_values: Sequence[float], d_hi: float = 60.0) -> FigureDataset:
+def _fig8(s: Scenario, link: LinkBudgetParams, *, d_hi: float, m_values: Sequence[float], **_):
     # Maximum stable distance vs receiver-mirror curvature, one series per magnification.
-    grid = np.linspace(5.0, 50.0, 10)
-    rows = []
-    for rho2 in grid:
-        row = [float(rho2)]
-        for m in m_values:
-            g = replace(s.geometry, rho2=float(rho2), magnification=float(m))
-            row.append(max_stable_distance(g, d_hi))
-        rows.append(tuple(row))
-    columns = ["rho2 [m]"] + [f"d_max_M{_fmt(m)} [m]" for m in m_values]
-    return _dataset("fig8", s, link, columns, rows,
-                    {"sweep.variable": "rho2", "sweep.lo_m": 5.0, "sweep.hi_m": 50.0,
-                     "sweep.samples": len(grid), "sweep.d_hi_m": d_hi,
-                     "series.magnification": ", ".join(_fmt(m) for m in m_values)})
+    return ([f"d_max_M{_fmt(m)} [m]" for m in m_values],
+            lambda rho2: [max_stable_distance(replace(s.geometry, rho2=rho2, magnification=float(m)), d_hi)
+                          for m in m_values],
+            {"sweep.d_hi_m": d_hi, **_series("magnification", m_values)})
 
 
-def _fig9(s: Scenario, link: LinkBudgetParams,
-          d_values: Sequence[float], rho2_hi: float = 80.0) -> FigureDataset:
+def _fig9(s: Scenario, link: LinkBudgetParams, *, rho2_hi: float, d_values: Sequence[float], **_):
     # Required receiver-mirror curvature vs magnification, one series per distance.
-    grid = np.linspace(1.5, 6.0, 19)
-    rows = []
-    for m in grid:
-        g = replace(s.geometry, magnification=float(m))
-        row = [float(m)]
-        for d in d_values:
-            row.append(required_rho2(g, float(d), rho2_hi))
-        rows.append(tuple(row))
-    columns = ["M [-]"] + [f"rho2_min_d{_fmt(d)} [m]" for d in d_values]
-    return _dataset("fig9", s, link, columns, rows,
-                    {"sweep.variable": "M", "sweep.lo": 1.5, "sweep.hi": 6.0,
-                     "sweep.samples": len(grid), "sweep.rho2_hi_m": rho2_hi,
-                     "series.d_m": ", ".join(_fmt(d) for d in d_values)})
+    def cells(m: float) -> list[float]:
+        g = replace(s.geometry, magnification=m)
+        return [required_rho2(g, float(d), rho2_hi) for d in d_values]
+    return ([f"rho2_min_d{_fmt(d)} [m]" for d in d_values], cells,
+            {"sweep.rho2_hi_m": rho2_hi, **_series("d_m", d_values)})
 
 
-def _fig10(s: Scenario, link: LinkBudgetParams,
-           d_values: Sequence[float], rho2: float = 50.0, d_lo: float = 1.0) -> FigureDataset:
+def _fig10(s: Scenario, link: LinkBudgetParams, *, rho2: float, d_lo: float, d_values: Sequence[float], **_):
     # Worst-case gain-module spot radius vs magnification, one series per distance cap.
-    # rho2 defaults to a large value so every distance range stays stable.
-    grid = np.linspace(2.0, 5.0, 16)
-    rows = []
-    for m in grid:
-        g = replace(s.geometry, magnification=float(m), rho2=rho2)
-        row = [float(m)]
-        for d in d_values:
-            row.append(max_spot_over_range(g, d_lo, float(d)))
-        rows.append(tuple(row))
-    columns = ["M [-]"] + [f"omega3_max_d{_fmt(d)} [m]" for d in d_values]
-    return _dataset("fig10", s, link, columns, rows,
-                    {"sweep.variable": "M", "sweep.lo": 2.0, "sweep.hi": 5.0,
-                     "sweep.samples": len(grid), "sweep.rho2_m": rho2, "sweep.d_lo_m": d_lo,
-                     "series.d_hi_m": ", ".join(_fmt(d) for d in d_values)})
+    # rho2 is large so that every distance range stays stable.
+    def cells(m: float) -> list[float]:
+        g = replace(s.geometry, magnification=m, rho2=rho2)
+        return [max_spot_over_range(g, d_lo, float(d)) for d in d_values]
+    return ([f"omega3_max_d{_fmt(d)} [m]" for d in d_values], cells,
+            {"sweep.rho2_m": rho2, "sweep.d_lo_m": d_lo, **_series("d_hi_m", d_values)})
 
 
-def _distance_rows(s: Scenario, series: Sequence[tuple[float, float]],
-                   cell: Callable[[CavityGeometry, float, float], float]) -> list[tuple[float, ...]]:
-    # One row per distance on 1..250 m; series: (p_in, mu) pairs, one output column each.
-    rows = []
-    for d in np.linspace(1.0, 250.0, 250):
-        g = replace(s.geometry, d=float(d))
-        rows.append(tuple([float(d)] + [cell(g, p_in, mu) for p_in, mu in series]))
-    return rows
-
-
-def _fig11(s: Scenario, link: LinkBudgetParams, p_in_values: Sequence[float]) -> FigureDataset:
+def _fig11(s: Scenario, link: LinkBudgetParams, *, mu: float, p_in_values: Sequence[float], **_):
     # PV output vs distance at full power split, one series per input power.
-    rows = _distance_rows(s, [(float(p_in), 1.0) for p_in in p_in_values],
-                          lambda g, p_in, mu: _power_branch(s, g, "bcrb", p_in, mu, link)["pv_output"])
-    columns = ["d [m]"] + [f"P_out_Pin{_fmt(p)} [W]" for p in p_in_values]
-    return _dataset("fig11", s, link, columns, rows,
-                    {"sweep.variable": "d", "sweep.lo_m": 1.0, "sweep.hi_m": 250.0,
-                     "sweep.samples": 250, "sweep.mu": 1.0,
-                     "series.p_in_w": ", ".join(_fmt(p) for p in p_in_values)})
+    def cells(d: float) -> list[float]:
+        g = replace(s.geometry, d=d)
+        return [_power_branch(s, g, "bcrb", float(p_in), mu, link)["pv_output"] for p_in in p_in_values]
+    return ([f"P_out_Pin{_fmt(p)} [W]" for p in p_in_values], cells,
+            {"sweep.mu": mu, **_series("p_in_w", p_in_values)})
 
 
-def _spectral_efficiency_rows(s: Scenario, link: LinkBudgetParams,
-                              series: Sequence[tuple[float, float]]) -> list[tuple[float, ...]]:
-    def cell(g: CavityGeometry, p_in: float, mu: float) -> float:
-        power = _power_branch(s, g, "bcrb", p_in, mu, link)
-        return _data_branch(s, power["p_beam_floor"], mu)["spectral_efficiency"]
-    return _distance_rows(s, series, cell)
-
-
-def _fig12(s: Scenario, link: LinkBudgetParams, mu_values: Sequence[float]) -> FigureDataset:
+def _fig12(s: Scenario, link: LinkBudgetParams, *, p_in: float, mu_values: Sequence[float], **_):
     # Spectral efficiency vs distance, one series per power split ratio.
-    p_in = 200.0
-    rows = _spectral_efficiency_rows(s, link, [(p_in, mu) for mu in mu_values])
-    columns = ["d [m]"] + [f"spectral_efficiency_mu{_fmt(mu)} [bit/s/Hz]" for mu in mu_values]
-    return _dataset("fig12", s, link, columns, rows,
-                    {"sweep.variable": "d", "sweep.lo_m": 1.0, "sweep.hi_m": 250.0,
-                     "sweep.samples": 250, "sweep.p_in_w": p_in,
-                     "series.mu": ", ".join(_fmt(mu) for mu in mu_values)})
+    def cells(d: float) -> list[float]:
+        g = replace(s.geometry, d=d)
+        return [_spectral_efficiency(s, g, p_in, mu, link) for mu in mu_values]
+    return ([f"spectral_efficiency_mu{_fmt(mu)} [bit/s/Hz]" for mu in mu_values], cells,
+            {"sweep.p_in_w": p_in, **_series("mu", mu_values)})
 
 
-def _fig13(s: Scenario, link: LinkBudgetParams, p_in_values: Sequence[float]) -> FigureDataset:
+def _fig13(s: Scenario, link: LinkBudgetParams, *, mu: float, p_in_values: Sequence[float], **_):
     # Spectral efficiency vs distance, one series per input power.
-    mu = 0.9
-    rows = _spectral_efficiency_rows(s, link, [(p_in, mu) for p_in in p_in_values])
-    columns = ["d [m]"] + [f"spectral_efficiency_Pin{_fmt(p)} [bit/s/Hz]" for p in p_in_values]
-    return _dataset("fig13", s, link, columns, rows,
-                    {"sweep.variable": "d", "sweep.lo_m": 1.0, "sweep.hi_m": 250.0,
-                     "sweep.samples": 250, "sweep.mu": mu,
-                     "series.p_in_w": ", ".join(_fmt(p) for p in p_in_values)})
+    def cells(d: float) -> list[float]:
+        g = replace(s.geometry, d=d)
+        return [_spectral_efficiency(s, g, p_in, mu, link) for p_in in p_in_values]
+    return ([f"spectral_efficiency_Pin{_fmt(p)} [bit/s/Hz]" for p in p_in_values], cells,
+            {"sweep.mu": mu, **_series("p_in_w", p_in_values)})
+
+
+# figure id -> (grid axis (variable, unit, lo, hi, samples), builder with its constants)
+_FIGURES = {
+    "fig6": (("d", "m", 1.5, 6.0, 91), _fig6),
+    "fig7": (("P_in", "W", 150.0, 300.0, 151), _fig7),
+    "fig8": (("rho2", "m", 5.0, 50.0, 10), partial(_fig8, d_hi=60.0)),
+    "fig9": (("M", "-", 1.5, 6.0, 19), partial(_fig9, rho2_hi=80.0)),
+    "fig10": (("M", "-", 2.0, 5.0, 16), partial(_fig10, rho2=50.0, d_lo=1.0)),
+    "fig11": (("d", "m", 1.0, 250.0, 250), partial(_fig11, mu=1.0)),
+    "fig12": (("d", "m", 1.0, 250.0, 250), partial(_fig12, p_in=200.0)),
+    "fig13": (("d", "m", 1.0, 250.0, 250), partial(_fig13, mu=0.9)),
+}
+
+FIGURE_IDS = tuple(_FIGURES)
+
+# unit of the grid axis -> suffix of its sweep.lo/sweep.hi metadata keys
+_KEY_SUFFIX = {"m": "_m", "W": "_w"}
 
 
 def generate_figure(figure_id: str, s: Optional[Scenario] = None, *,
@@ -532,23 +499,24 @@ def generate_figure(figure_id: str, s: Optional[Scenario] = None, *,
                     d_values: Sequence[float] = (10.0, 20.0, 30.0, 40.0),
                     p_in_values: Sequence[float] = (200.0, 225.0, 250.0),
                     mu_values: Sequence[float] = (0.01, 0.1, 0.5, 0.9, 0.99)) -> FigureDataset:
-    """Generate one built-in figure dataset (fig6..fig13) for a scenario."""
-    if figure_id not in FIGURE_IDS:
+    """Generate one built-in figure dataset (fig6..fig13) for a scenario.
+
+    The grid, its column header and the sweep.* grid metadata all come from
+    the figure's one axis entry in _FIGURES.
+    """
+    if figure_id not in _FIGURES:
         raise ValueError(f"unknown figure id {figure_id!r}; expected one of {FIGURE_IDS}")
     if s is None:
         s = default_scenario()
     link = resolve_link_params(s)
-    builders: dict[str, Callable[[], FigureDataset]] = {
-        "fig6": lambda: _fig6(s, link),
-        "fig7": lambda: _fig7(s, link),
-        "fig8": lambda: _fig8(s, link, m_values),
-        "fig9": lambda: _fig9(s, link, d_values),
-        "fig10": lambda: _fig10(s, link, d_values),
-        "fig11": lambda: _fig11(s, link, p_in_values),
-        "fig12": lambda: _fig12(s, link, mu_values),
-        "fig13": lambda: _fig13(s, link, p_in_values),
-    }
-    return builders[figure_id]()
+    (variable, unit, lo, hi, samples), build = _FIGURES[figure_id]
+    headers, cells, meta = build(s, link, m_values=m_values, d_values=d_values,
+                                 p_in_values=p_in_values, mu_values=mu_values)
+    rows = [(x, *cells(x)) for x in map(float, np.linspace(lo, hi, samples))]
+    suffix = _KEY_SUFFIX.get(unit, "")
+    grid_meta = {"sweep.variable": variable, f"sweep.lo{suffix}": lo, f"sweep.hi{suffix}": hi,
+                 "sweep.samples": samples}
+    return _dataset(figure_id, s, link, [f"{variable} [{unit}]", *headers], rows, {**grid_meta, **meta})
 
 
 _SWEEP_UNITS = {

@@ -45,6 +45,23 @@ class TestStability:
         assert code == 2
         assert "error:" in err
 
+    def test_two_bands_warned_once(self, tmp_path, capsys, caplog):
+        config = tmp_path / "s.json"
+        config.write_text(json.dumps({"geometry": {"rho1_mm": -2700, "rho2_mm": 670, "f_gain_mm": 210,
+                                                   "f1_mm": 3, "magnification": 0.82, "L1_mm": 4,
+                                                   "L2_mm": 140}}))
+        code, out, err = run(capsys, "--config", str(config), "stability", "--d-hi", "20")
+        assert code == 0
+        assert value_of(out, "stability_bands") == 2
+        assert [r.getMessage() for r in caplog.records] == [
+            "found 2 stability bands in (0, 20] m; returning the upper edge of the first"]
+
+    def test_invalid_search_cap_prints_nothing(self, capsys):
+        code, out, err = run(capsys, "stability", "--d-hi", "-1")
+        assert code == 1
+        assert out == ""
+        assert "d_hi must be > 0" in err
+
 
 class TestSpot:
     def test_radii_lines(self, capsys):

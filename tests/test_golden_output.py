@@ -1,11 +1,14 @@
 """Golden output: CSV, CLI stdout and scenario-file bytes, pinned by sha256.
 
 The digests were recorded from the code before the model chain was folded
-into one path.  Besides the reference scenario, every output is pinned under
+into one path; the fig8/fig9, series and `stability` digests from the code
+before the figure builders became one grid engine.  Besides the reference scenario, every output is pinned under
 a variant that alone exercises the unclamped beam power, the explicit loss
 scale, the natural-log spectral efficiency and a 1550 nm wavelength, and the
 power-side outputs under a dark, cold receiver (zero background current, 0 K),
-whose total noise is 0 wherever the data signal is 0.
+whose total noise is 0 wherever the data signal is 0.  Every figure is also
+pinned under non-default series sets, and the `stability` command under a
+geometry with no stable band (exit 2) and one with two bands.
 
 Print the digests of the current code with `python tests/test_golden_output.py`.
 """
@@ -30,7 +33,16 @@ SCENARIOS = {
     "variant": {"model_choices": {"clamp_negative_power": False, "N_source": "explicit",
                                   "log_base": math.e, "lambda_nm": 1550}},
     "dark_cold": {"receiver": {"background_current_a": 0, "temperature_k": 0}},
+    "no_stable": {"geometry": {"rho2_mm": -10000}},
+    "two_bands": {"geometry": {"rho1_mm": -2700, "rho2_mm": 670, "f_gain_mm": 210, "f1_mm": 3,
+                               "magnification": 0.82, "L1_mm": 4, "L2_mm": 140, "d_m": 0.05}},
 }
+
+FIGURES = ("fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13")
+
+# generate_figure keywords for the non-default series cases
+SERIES = {"m_values": (2.0, 4.25), "d_values": (12.5, 35.0),
+          "p_in_values": (180.0, 260.0), "mu_values": (0.3, 0.75)}
 
 # name -> (variable, lo, hi, system), 101 points each
 SWEEPS = {
@@ -51,14 +63,18 @@ CLI = {
     "comms_d2.6": ["comms", "--d", "2.6"],
     "comms_d200": ["comms", "--d", "200"],
     "comms_d200_pin150": ["comms", "--d", "200", "--P-in", "150"],
+    "stability": ["stability"],
+    "stability_d9.5": ["stability", "--d", "9.5"],
+    "stability_original": ["stability", "--system", "original"],
 }
 
 
 def _cases():
     cases = {}
     for name in ("default", "variant"):
-        for fig in ("fig6", "fig7", "fig10", "fig11", "fig12", "fig13"):
+        for fig in FIGURES:
             cases[f"{name}/{fig}"] = ("figure", name, fig)
+            cases[f"{name}/{fig}_series"] = ("series", name, fig)
         for sweep in SWEEPS:
             cases[f"{name}/sweep_{sweep}"] = ("sweep", name, sweep)
         for command in CLI:
@@ -67,6 +83,8 @@ def _cases():
     for fig in ("fig6", "fig7", "fig11"):
         cases[f"dark_cold/{fig}"] = ("figure", "dark_cold", fig)
     cases["dark_cold/cli_power_d200"] = ("cli", "dark_cold", "power_d200")
+    cases["no_stable/cli_stability"] = ("cli", "no_stable", "stability")
+    cases["two_bands/cli_stability"] = ("cli", "two_bands", "stability")
     return cases
 
 
@@ -88,6 +106,8 @@ def render(kind, scenario_name, item):
     s = scenario_from_dict(SCENARIOS[scenario_name], strict=True)
     if kind == "figure":
         return format_dataset_csv(generate_figure(item, s))
+    if kind == "series":
+        return format_dataset_csv(generate_figure(item, s, **SERIES))
     if kind == "sweep":
         variable, lo, hi, system = SWEEPS[item]
         return format_dataset_csv(run_sweep(SweepSpec(variable, lo, hi, 101, system), s))
@@ -115,12 +135,25 @@ GOLDEN = {
     "default/cli_power_d2.6": "ee31b2f1e6dbf64bccec02a1e68ddae1a1fbc71e1af3782c2cc7adda42cfdf03",
     "default/cli_power_d200": "1cfb69f88b535eb29c51c02614769d090aa71d6e065457d927c3ce46c7914e22",
     "default/cli_power_d200_pin150": "200b211755f37464c3d64fda11c927ece6f8e5904797423fcf9b3f780f083fb3",
+    "default/cli_stability": "69455095dc8fda3e14b27bae51116accdd52c98665ff3371efcd395a531d2177",
+    "default/cli_stability_d9.5": "0dd2b451db98b3fa0fc27e80a1b4176d1ba64d72bc33d6e6e8f104f756045109",
+    "default/cli_stability_original": "6cbd2ead64b982d10ef8567f1c8027ca87c2ee37e8a68f405c62ee6136199de1",
     "default/fig10": "7757dfbbe51a626c19a9db2763b73439b6953b77ca51a66a33d062f5c4638207",
+    "default/fig10_series": "4ad6e2d4aaf06712921633c8f609990f4666fe69361dc9c2ec880c6e73c541b4",
     "default/fig11": "6edbbd8298abe03a1c50c797c1472a3890ddc7d640a6179ad66cc202016f171d",
+    "default/fig11_series": "8f9e8e978e9a80716ee7c518670dfa25832cb14451b0920224b512373519e8b9",
     "default/fig12": "f658818b569d7b209f6037237d1512151a6307b45b5c7badb18fedf9028f2492",
+    "default/fig12_series": "910b68a8565e65832e6c3ea3fb134e9c0af5723249bf7deb5be301c5b38609a1",
     "default/fig13": "13c1d25589b9b1e008e5c428ef844a7cb28cfbf261258e35e334384104bb39a0",
+    "default/fig13_series": "0406fa448c346783059a2d3fd407db02b6a9c68b6aa0faa3c9e9cb88531b5cc6",
     "default/fig6": "8bf3c415a08e6c3a98e5afefa898d692698641c353e45fa2170921b17fe09ffb",
+    "default/fig6_series": "8bf3c415a08e6c3a98e5afefa898d692698641c353e45fa2170921b17fe09ffb",
     "default/fig7": "47434f6f974ff88288b9d9a37fa1684a4231e5ae549d79892cd34916192b424d",
+    "default/fig7_series": "47434f6f974ff88288b9d9a37fa1684a4231e5ae549d79892cd34916192b424d",
+    "default/fig8": "342b9b1a25c9421f926d22a9ee1a24d8ecd895d710119bb131c058bf25518476",
+    "default/fig8_series": "9f955cd47b9cb01ed1b57a642b05772d5565c6d1597940deee180dfe1aeb6b25",
+    "default/fig9": "2d6f79c473f89d0833763f01887c9cda6ca3329833c970f594f2f3666f48b203",
+    "default/fig9_series": "7bb62cfe6b7dfa35cf0f7ab204e810e6151bd2a493aa08ccd567df0be2342ff0",
     "default/save_scenario": "0480db9a85ea408d133f133d32474de30deb9c7c34e3fbe6d6bfd4808ead1819",
     "default/sweep_d_bcrb": "bc3dab2bd24cf33bd8f18f53fd6c568515a0dcbddeba0e7307f5560406a5127a",
     "default/sweep_d_original": "bc542c204ea2d5550aec0a6f3de94b70a85e96ae75f5d1687ad8a1c169ca1d63",
@@ -130,18 +163,32 @@ GOLDEN = {
     "default/sweep_p_in": "125b5be745c15e0b67c16f68466f1b2e8339de685272b0a9088b8680717f4574",
     "default/sweep_rho2": "2ddc71e71b48eda94746a513050d6b3538ca993976fe134dbbc13d437d2150df",
     "default/sweep_wavelength": "fafb0ac4102079995ea304f88ed934ab79bfdc86df0232170c8a1ad23fb63c41",
+    "no_stable/cli_stability": "3aa83a73ae3196f4881bc5f371d6c0a3abfd404764636def14752011711986a1",
     "variant/cli_comms_d2.6": "e9a3c237fca64977978afe44c4d008a61ea62547e0a5c8c5164ccf55b83d41c4",
     "variant/cli_comms_d200": "87e183bfbd7e791243f672412cf8faceb2d613f110fe3784994cd81a10f7e7c0",
     "variant/cli_comms_d200_pin150": "26361bce21e2fa87de5645a66d83d22271c27eaeeac074f209a2c9b1d9163a5f",
     "variant/cli_power_d2.6": "9d4e926545805ad68b9df34610503a83d67d18de5d1f6f6797bc0e3294a82a1a",
     "variant/cli_power_d200": "bad7d694c2b973d6a240f90e512c9bff05358637295bb459887a663632c49403",
     "variant/cli_power_d200_pin150": "2920c5e8d9f4ae8b66f9d2087525a06617d79c946a675b32c26d32e2a553c500",
+    "variant/cli_stability": "69455095dc8fda3e14b27bae51116accdd52c98665ff3371efcd395a531d2177",
+    "variant/cli_stability_d9.5": "0dd2b451db98b3fa0fc27e80a1b4176d1ba64d72bc33d6e6e8f104f756045109",
+    "variant/cli_stability_original": "6cbd2ead64b982d10ef8567f1c8027ca87c2ee37e8a68f405c62ee6136199de1",
     "variant/fig10": "2ff46eda8dfd87e1478467310b95b44f765394e1658d7e67dd01600efad894c2",
+    "variant/fig10_series": "42f185ce689e7c095d2a9b6b2957941e7f16b2c43e583a948800f6910fa698f8",
     "variant/fig11": "6d0e0e04fda1e3ae19b43c99617314428a7119a4a45ffe1ba18c51fc3b8c15ee",
+    "variant/fig11_series": "1645d837e7fd8c79270c6abc5550421464a2aac57f095a1ffca5609f9b1a303b",
     "variant/fig12": "03ac5020dc1ac99ae5afdb1c8781938ce8a572268788221891426b91905decb9",
+    "variant/fig12_series": "a3d70515661564143640653055da7e90013dc0221a27f0445c3b42fa602fe0e7",
     "variant/fig13": "44cc9e505a321c79539a4417b1fea254f3ecb8df376052a1ee85aa668e91a165",
+    "variant/fig13_series": "96d17f816ae27742dc70f0eec6f50b0b3e74ff69b1aa0ec1e8ba7b210c6f453c",
     "variant/fig6": "6c4527f9184767deb4961522123d9cc838ef99edc49875e8e014993808a36f18",
+    "variant/fig6_series": "6c4527f9184767deb4961522123d9cc838ef99edc49875e8e014993808a36f18",
     "variant/fig7": "fd828266bc019719be36950fedd1c20f17acd126ab1ff7ad07e6e85eaecc22ba",
+    "variant/fig7_series": "fd828266bc019719be36950fedd1c20f17acd126ab1ff7ad07e6e85eaecc22ba",
+    "variant/fig8": "473e839e3298b20c737e6b78f1066bae5b82e1bad055d77ff78ffd15f05545b2",
+    "variant/fig8_series": "e969f0cb043e5f1a2294a089294c9e4f4085fda25d54741d33b4343153f69652",
+    "variant/fig9": "5f0b0fcd3ca8e7d0567cd20c2ec8a35c39c8766aa8a5f27a41563aad907c33e5",
+    "variant/fig9_series": "511336de86239ddd400f29dea2e8901b36911111b70cf8fa80fa1f8c97ef64f2",
     "variant/save_scenario": "7674de911b15c6e122d3b3b0dbcf72eeaeaa1b8276d6c17d95a72ab020c9632c",
     "variant/sweep_d_bcrb": "b442977cbb3b64b33ce6dd86fb29ff584894a0125f53eb2e8cabe46847c4d3f3",
     "variant/sweep_d_original": "cdaf0cfdc1d925037c8f5fb2c1eaa659797697fc82696b34c84afebe9a3c9a7d",
@@ -151,6 +198,7 @@ GOLDEN = {
     "variant/sweep_p_in": "1152d0255600201210962fc0d31889afb8894447a8753cdc15e5d446e7c1836d",
     "variant/sweep_rho2": "300cc2eb4bce917a6693896baf787610c4a87ae52b95c18039dc40f1779ca5a1",
     "variant/sweep_wavelength": "65274de3d40cce6d03f2ae8bb93b3aa2097085fb75bace31952811e9298b1295",
+    "two_bands/cli_stability": "80b2d0d5776a437ce4ddef697803fc8b85ab6480d8b186781dff22e2838f71f4",
 }
 
 

@@ -32,6 +32,7 @@ from bcrbsim.sweep_search import (
     ANCHOR_BEAM_POWER,
     ANCHOR_DISTANCE,
     ANCHOR_INPUT_POWER,
+    FIGURE_IDS,
     _stable_at,
 )
 
@@ -343,6 +344,21 @@ class TestFigureDatasets:
         assert meta["model.N_source"] == "calibrated"
         assert meta["model.loss_scale_effective"] == pytest.approx(10.309603506835359, rel=1e-12)
         assert meta["model.lambda_nm"] == 1064.0
+
+    @pytest.mark.parametrize("series", [{}, {"m_values": (2.0,), "d_values": (12.5, 35.0),
+                                             "p_in_values": (180.0, 220.0, 260.0),
+                                             "mu_values": (0.3, 0.5, 0.75, 0.9)}])
+    def test_grid_metadata_matches_table(self, series):
+        for fid in FIGURE_IDS:
+            ds = generate_figure(fid, **series)
+            meta = ds.metadata
+            grid = ds.column(ds.columns[0])
+            lo = [value for key, value in meta.items() if key.startswith("sweep.lo")]
+            hi = [value for key, value in meta.items() if key.startswith("sweep.hi")]
+            assert (lo, hi, meta["sweep.samples"]) == ([grid[0]], [grid[-1]], len(grid)), fid
+            for key, value in meta.items():
+                if key.startswith("series."):
+                    assert len(value.split(", ")) == len(ds.columns) - 1, (fid, key)
 
     def test_row_widths(self):
         for fid in ("fig6", "fig7", "fig11"):
