@@ -10,10 +10,10 @@ needs a positive total noise, which a dark, cold receiver lacks at zero
 signal.
 
 Stability bands are exact: A*D of the round trip is quadratic in d and
-affine in 1/rho2, so band edges are roots found in closed form, each interval
-between them is decided by is_stable on the real round trip, and each
-returned edge is a point is_stable accepts.  Disconnected bands are reported,
-not merged.
+affine in 1/rho2, so band edges are roots found in closed form.  Every search
+builds the round-trip prefix once and tests a point by closing it; _bands
+decides each interval and walks each edge to a point is_stable accepts.
+Disconnected bands are reported, not merged.
 The aperture-loss scale factor N is pinned by inverting the beam-power model
 at a reference measurement of the telescope-free system (5 W external beam at
 3 m with 210 W pump input).
@@ -37,7 +37,7 @@ from .comms import data_signal, shot_noise, spectral_efficiency, thermal_noise, 
 from .errors import InfeasibleSearchError, NoStableRegionError, UnstableCavityError
 from .gaussian_beam import SpotRadii, _spot_radii, cavity_spot_radii
 from .link_budget import LinkBudgetParams, beam_power, effective_aperture, pv_output, transmission_loss
-from .ray_matrix import (CavityGeometry, close_round_trip, is_stable, round_trip, round_trip_bcrb,
+from .ray_matrix import (CavityGeometry, TransferMatrix, close_round_trip, is_stable, round_trip,
                          round_trip_prefix)
 from .scenario import Scenario, default_scenario, scenario_to_dict
 
@@ -88,6 +88,7 @@ class FigureDataset:
 
 
 def _stable_at(g: CavityGeometry, d: float, system: str = "bcrb") -> bool:
+    # Reference predicate for tests: the full round trip of a validated geometry at d.
     return is_stable(round_trip(replace(g, d=d), system))
 
 
@@ -106,13 +107,15 @@ def _roots(a: float, b: float, c: float) -> list[float]:
     return [q / a, c / q] if q != 0.0 else [0.0, 0.0]
 
 
-def _stable_intervals(roots: Sequence[float], hi: float,
-                      stable: Callable[[float], bool]) -> list[tuple[float, float]]:
-    """Intervals of (0, hi] between consecutive roots that pass stable() at their midpoint.
+def _bands(roots: Sequence[float], hi: float,
+           stable: Callable[[float], bool]) -> list[tuple[float, float]]:
+    """Stable bands of (0, hi] between consecutive roots, as (lowest, highest) stable points.
 
-    Roots within 16 ulps of 0 or hi are rounding, not edges.  Stable
-    neighbours are joined: only a tangent root separates them, a single
-    point that no floating-point evaluation resolves.
+    An interval is kept when stable() holds at its midpoint; roots within 16
+    ulps of 0 or hi are rounding, not edges.  Stable neighbours are joined:
+    only a tangent root, a point no float resolves, separates them.  Each
+    kept edge is walked toward the middle of its band (one ulp, then
+    doubling steps) to the first point > 0 at which stable() holds.
     """
     margin = 16.0 * math.ulp(hi)
     edges = [0.0] + sorted(r for r in roots if margin < r < hi - margin) + [hi]
@@ -122,56 +125,50 @@ def _stable_intervals(roots: Sequence[float], hi: float,
             if bands and bands[-1][1] == lo:
                 lo = bands.pop()[0]
             bands.append((lo, up))
-    return bands
+
+    def inward(x: float, toward: float) -> float:
+        step = 0.0
+        while x != toward and (x <= 0.0 or not stable(x)):
+            step = max(2.0 * step, abs(math.nextafter(x, toward) - x))
+            x = min(x + step, toward) if toward > x else max(x - step, toward)
+        return x
+    return [(inward(lo, 0.5 * (lo + up)), inward(up, 0.5 * (lo + up))) for lo, up in bands]
 
 
-def _stable_edge(edge: float, toward: float, stable: Callable[[float], bool]) -> float:
-    """First point from edge toward an inner point of its band at which stable() holds.
-
-    The first step is one ulp (math.nextafter) and each further step doubles,
-    so an edge that rounding left just outside the band moves a few ulps.
-    """
-    x, step = edge, 0.0
-    while x != toward and (x <= 0.0 or not stable(x)):
-        step = max(2.0 * step, abs(math.nextafter(x, toward) - x))
-        x = min(x + step, toward) if toward > x else max(x - step, toward)
-    return x
+def _require_cap(name: str, value: float) -> None:
+    if value <= 0:
+        raise ValueError(f"{name} must be > 0, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def stability_bands(g: CavityGeometry, d_hi: float, system: str = "bcrb") -> list[tuple[float, float]]:
-    """Exact stable intervals (lo, hi) of d in (0, d_hi], in increasing order.
-
-    With the d-independent prefix X of the round trip, A = a0 + a1*d and
-    D = d0 + d1*d, so the band edges are the roots of A = 0, D = 0 and
-    A*D = 1 (Kogelnik & Li, Appl. Opt. 5, 1550, 1966).  Each interval
-    between consecutive edges is decided by is_stable on the real round trip
-    at its midpoint.  lo is 0.0 or a root, hi is a root or d_hi; a root
-    carries the rounding of its coefficients, so it may sit an ulp or so
-    outside the band as is_stable sees it.
-    """
-    if d_hi <= 0:
-        raise ValueError(f"d_hi must be > 0, got {d_hi!r}")
-    x, offset = round_trip_prefix(g, system)
-    r = 1.0 / g.rho2
+def _distance_bands(x: TransferMatrix, offset: float, rho2: float, d_hi: float) -> list[tuple[float, float]]:
+    # Bands of d for the round trip close_round_trip(x, offset + d, rho2).
+    r = 1.0 / rho2
     a0, a1 = x.a + offset * x.c, x.c
     d0, d1 = x.d - r * (x.b + offset * x.d), -r * x.d
     roots = _roots(0.0, a1, a0) + _roots(0.0, d1, d0) + _roots(a1 * d1, a0 * d1 + a1 * d0, a0 * d0 - 1.0)
-    return _stable_intervals(roots, d_hi, partial(_stable_at, g, system=system))
+    return _bands(roots, d_hi, lambda d: is_stable(close_round_trip(x, offset + d, rho2)))
+
+
+def stability_bands(g: CavityGeometry, d_hi: float, system: str = "bcrb") -> list[tuple[float, float]]:
+    """Exact stable intervals of d in (0, d_hi], as (lowest, highest) stable distance per band.
+
+    With the d-independent prefix X of the round trip, A = a0 + a1*d and
+    D = d0 + d1*d, so the band edges are the roots of A = 0, D = 0 and
+    A*D = 1 (Kogelnik & Li, Appl. Opt. 5, 1550, 1966), each moved inward
+    until is_stable holds; a band open at d = 0 starts at 5e-324.
+    """
+    _require_cap("d_hi", d_hi)
+    return _distance_bands(*round_trip_prefix(g, system), g.rho2, d_hi)
 
 
 def scan_stability_bands(g: CavityGeometry, d_hi: float, stride: float = 0.1,
                          system: str = "bcrb") -> list[tuple[float, float]]:
-    """Stable intervals of d in (0, d_hi], exact to rounding.
-
-    Returns (lowest, highest) stable distance per band: the exact edges of
-    stability_bands, each moved inward until is_stable holds there.  stride
-    is validated but no longer used: nothing is scanned.
-    """
+    """stability_bands; stride is validated but no longer used: nothing is scanned."""
     if stride <= 0:
         raise ValueError(f"stride must be > 0, got {stride!r}")
-    stable = partial(_stable_at, g, system=system)
-    return [(_stable_edge(lo, 0.5 * (lo + hi), stable), _stable_edge(hi, 0.5 * (lo + hi), stable))
-            for lo, hi in stability_bands(g, d_hi, system)]
+    return stability_bands(g, d_hi, system)
 
 
 def _first_band(bands: list[tuple[float, float]], d_hi: float) -> tuple[float, float]:
@@ -187,19 +184,15 @@ def _first_band(bands: list[tuple[float, float]], d_hi: float) -> tuple[float, f
 def max_stable_distance(g: CavityGeometry, d_hi: float,
                         stride: float = 0.1, tol: float = 1e-3,
                         system: str = "bcrb") -> float:
-    """Largest stable distance of the band containing the smallest stable d.
+    """Upper edge of the first band of stability_bands; more than one band is reported with a warning.
 
-    The upper edge of the first exact band, moved inward until is_stable
-    holds there; d_hi itself when the first band extends to it.  More than
-    one band is reported with a warning.  stride and tol are validated but
-    no longer used: the edge is exact to rounding.
+    stride and tol are validated but no longer used: the edge is exact to rounding.
     """
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol!r}")
     if stride <= 0:
         raise ValueError(f"stride must be > 0, got {stride!r}")
-    lo, hi = _first_band(stability_bands(g, d_hi, system), d_hi)
-    return _stable_edge(hi, 0.5 * (lo + hi), partial(_stable_at, g, system=system))
+    return _first_band(stability_bands(g, d_hi, system), d_hi)[1]
 
 
 def required_rho2(g: CavityGeometry, d: float, rho2_hi: float,
@@ -207,49 +200,40 @@ def required_rho2(g: CavityGeometry, d: float, rho2_hi: float,
     """Smallest receiver-mirror curvature radius in (0, rho2_hi] that stabilizes distance d.
 
     At fixed d, A does not depend on rho2 and D = X.d - B/rho2, so the edges
-    are rho2 = B/X.d (D = 0) and A*B/(A*X.d - 1) (A*D = 1).  The lower edge
-    of the stable interval is moved up until is_stable holds there.  samples
+    are rho2 = B/X.d (D = 0) and A*B/(A*X.d - 1) (A*D = 1).  The result is
+    the lower edge of the first band, a point is_stable accepts.  samples
     and rel_tol are kept for compatibility; the result is exact to rounding.
     """
-    if rho2_hi <= 0:
-        raise ValueError(f"rho2_hi must be > 0, got {rho2_hi!r}")
-    base = replace(g, d=d)
-    x, _ = round_trip_prefix(g, "bcrb")
+    _require_cap("rho2_hi", rho2_hi)
+    x, _ = round_trip_prefix(replace(g, d=d), "bcrb")
     a, b = x.a + d * x.c, x.b + d * x.d
-
-    def stable(rho2: float) -> bool:
-        return is_stable(round_trip_bcrb(replace(base, rho2=rho2)))
-    bands = _stable_intervals(_roots(0.0, x.d, -b) + _roots(0.0, a * x.d - 1.0, -a * b), rho2_hi, stable)
+    bands = _bands(_roots(0.0, x.d, -b) + _roots(0.0, a * x.d - 1.0, -a * b), rho2_hi,
+                   lambda rho2: is_stable(close_round_trip(x, d, rho2)))
     if not bands:
         raise InfeasibleSearchError(f"no rho2 in (0, {rho2_hi}] m stabilizes d = {d} m")
-    lo, hi = bands[0]
-    return _stable_edge(lo, 0.5 * (lo + hi), stable)
+    return bands[0][0]
 
 
 def max_spot_over_range(g: CavityGeometry, d_lo: float, d_hi: float, samples: int = 201) -> float:
     """Maximum gain-module spot radius over a dense sample of [d_lo, d_hi].
 
-    The range must lie inside one exact stability band; otherwise the error
-    names the first unstable distance.  All samples share one round-trip
-    prefix.
+    The range must lie inside one stability band; otherwise the error names
+    the first unstable distance.  The bands and all samples share one
+    round-trip prefix.
     """
-    if d_lo <= 0:
-        raise ValueError(f"d_lo must be > 0, got {d_lo!r}")
+    _require_cap("d_lo", d_lo)
     if d_hi < d_lo:
         raise ValueError(f"need d_lo <= d_hi, got [{d_lo!r}, {d_hi!r}]")
-    band = next(((lo, hi) for lo, hi in stability_bands(g, d_hi) if lo <= d_lo <= hi), None)
+    _require_cap("d_hi", d_hi)
+    prefix, offset = round_trip_prefix(g, "bcrb")
+    band = next(((lo, hi) for lo, hi in _distance_bands(prefix, offset, g.rho2, d_hi) if lo <= d_lo <= hi), None)
     if band is None or band[1] < d_hi:
         first_unstable = d_lo if band is None else band[1]
         raise UnstableCavityError(f"cavity unstable at d = {first_unstable:g} m inside [{d_lo:g}, {d_hi:g}] m")
-    if d_lo == d_hi:
-        grid = [d_lo]
-    else:
-        grid = list(np.linspace(d_lo, d_hi, max(samples, 2)))
-    prefix, _ = round_trip_prefix(g, "bcrb")
     best = -math.inf
-    for d in grid:
+    for d in np.linspace(d_lo, d_hi, max(samples, 2)):
         try:
-            spots = _spot_radii(close_round_trip(prefix, float(d), g.rho2), g)
+            spots = _spot_radii(close_round_trip(prefix, offset + float(d), g.rho2), g)
         except UnstableCavityError as exc:
             raise UnstableCavityError(f"cavity unstable at d = {float(d):g} m inside [{d_lo:g}, {d_hi:g}] m") from exc
         if spots.omega3 > best:
@@ -383,7 +367,9 @@ def _dataset(figure_id: str, s: Scenario, link: LinkBudgetParams,
 
 
 def _fmt(value: float) -> str:
-    return f"{value:g}"
+    # %g names a series briefly; values it would not tell apart keep all their digits.
+    short = f"{value:g}"
+    return short if float(short) == value else repr(float(value))
 
 
 def _series(key: str, values: Sequence[float]) -> dict:

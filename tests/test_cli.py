@@ -62,6 +62,12 @@ class TestStability:
         assert out == ""
         assert "d_hi must be > 0" in err
 
+    @pytest.mark.parametrize("cap", ["nan", "inf"])
+    def test_non_finite_search_cap_prints_nothing(self, capsys, cap):
+        code, out, err = run(capsys, "stability", "--d-hi", cap)
+        assert (code, out) == (1, "")
+        assert f"d_hi must be finite, got {cap}" in err
+
 
 class TestSpot:
     def test_radii_lines(self, capsys):

@@ -8,7 +8,10 @@ scale, the natural-log spectral efficiency and a 1550 nm wavelength, and the
 power-side outputs under a dark, cold receiver (zero background current, 0 K),
 whose total noise is 0 wherever the data signal is 0.  Every figure is also
 pinned under non-default series sets, and the `stability` command under a
-geometry with no stable band (exit 2) and one with two bands.
+geometry with no stable band (exit 2) and one with two bands.  The search
+pins, recorded before every search closed one shared round-trip prefix,
+hold the repr of each search result (or the error type and message) over
+a fixed seeded list of geometries.
 
 Print the digests of the current code with `python tests/test_golden_output.py`.
 """
@@ -22,9 +25,21 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from bcrbsim import SweepSpec, generate_figure, run_sweep, save_scenario
+from bcrbsim import (
+    BeamSimError,
+    CavityGeometry,
+    SweepSpec,
+    generate_figure,
+    max_spot_over_range,
+    max_stable_distance,
+    required_rho2,
+    run_sweep,
+    save_scenario,
+    scan_stability_bands,
+)
 from bcrbsim.cli import format_dataset_csv, run_command
 from bcrbsim.scenario import scenario_from_dict
 
@@ -69,6 +84,54 @@ CLI = {
 }
 
 
+
+def _search_geometries(count):
+    # The default design, the four geometries of test_sweep_search.TestExactBands,
+    # then seeded draws from the sampling ranges of test_acceptance.random_geometries.
+    out = [
+        CavityGeometry(),
+        CavityGeometry(rho1=0.36, rho2=-9.47, f_gain=0.33, f1=0.043, magnification=0.71, L1=0.005, L2=0.04),
+        CavityGeometry(rho1=-2.7, rho2=0.67, f_gain=0.21, f1=0.003, magnification=0.82, L1=0.004, L2=0.14),
+        CavityGeometry(rho1=-24.1, rho2=1.01, f_gain=0.24, f1=0.009, magnification=2.0, L1=0.0, L2=0.21),
+        CavityGeometry(rho1=-3.96, rho2=0.48, f_gain=0.22, f1=0.002, magnification=1.43, L1=0.003, L2=0.0),
+    ]
+    rng = np.random.default_rng(20261018)
+
+    def logu(lo, hi):
+        return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+    while len(out) < count:
+        out.append(CavityGeometry(
+            rho1=logu(0.3, 50.0) * (1 if rng.random() < 0.5 else -1),
+            rho2=logu(0.3, 50.0) * (1 if rng.random() < 0.5 else -1),
+            f_gain=logu(0.2, 5.0), f1=logu(2e-3, 0.05), magnification=logu(0.5, 5.0),
+            L1=float(rng.uniform(0.0, 0.01)), L2=float(rng.uniform(0.0, 0.3)), d=logu(0.01, 20.0)))
+    return out
+
+
+SEARCH_GEOMETRIES = _search_geometries(200)
+
+# name -> one search call on a geometry
+SEARCHES = {
+    "scan_stability_bands_bcrb": lambda g: scan_stability_bands(g, 20.0, system="bcrb"),
+    "scan_stability_bands_original": lambda g: scan_stability_bands(g, 20.0, system="original"),
+    "max_stable_distance_bcrb": lambda g: max_stable_distance(g, 20.0, system="bcrb"),
+    "max_stable_distance_original": lambda g: max_stable_distance(g, 20.0, system="original"),
+    "required_rho2": lambda g: required_rho2(g, g.d, 50.0),
+    "required_rho2_cap2": lambda g: required_rho2(g, g.d, 2.0),
+    "max_spot_over_range": lambda g: max_spot_over_range(g, 0.05, 0.95),
+    "max_spot_over_range_half": lambda g: max_spot_over_range(g, 0.5 * g.d, g.d),
+    "max_spot_over_range_point": lambda g: max_spot_over_range(g, g.d, g.d),
+}
+
+
+def search_outcome(search, g):
+    """repr of a search result, or the type and message of the error it raised."""
+    try:
+        return repr(search(g))
+    except (BeamSimError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 def _cases():
     cases = {}
     for name in ("default", "variant"):
@@ -85,6 +148,8 @@ def _cases():
     cases["dark_cold/cli_power_d200"] = ("cli", "dark_cold", "power_d200")
     cases["no_stable/cli_stability"] = ("cli", "no_stable", "stability")
     cases["two_bands/cli_stability"] = ("cli", "two_bands", "stability")
+    for search in SEARCHES:
+        cases[f"search/{search}"] = ("search", None, search)
     return cases
 
 
@@ -103,6 +168,8 @@ def cli_output(scenario_name, argv):
 
 
 def render(kind, scenario_name, item):
+    if kind == "search":
+        return "".join(f"{search_outcome(SEARCHES[item], g)}\n" for g in SEARCH_GEOMETRIES)
     s = scenario_from_dict(SCENARIOS[scenario_name], strict=True)
     if kind == "figure":
         return format_dataset_csv(generate_figure(item, s))
@@ -164,6 +231,15 @@ GOLDEN = {
     "default/sweep_rho2": "2ddc71e71b48eda94746a513050d6b3538ca993976fe134dbbc13d437d2150df",
     "default/sweep_wavelength": "fafb0ac4102079995ea304f88ed934ab79bfdc86df0232170c8a1ad23fb63c41",
     "no_stable/cli_stability": "3aa83a73ae3196f4881bc5f371d6c0a3abfd404764636def14752011711986a1",
+    "search/max_spot_over_range": "95d773527950f1d447adaddc3b4e5f1f9ae8998f6e74d79581fe638d103aab01",
+    "search/max_spot_over_range_half": "e2e4330f9adcfec4ecad5649d8a249b2e0d60b3ae12109be28e720232b4cb2f1",
+    "search/max_spot_over_range_point": "4801672c8e4d623ecb781c19014e48304f0e9ffced8c9bf822b08d5c8fd2f78b",
+    "search/max_stable_distance_bcrb": "66a0743992888b374078629b6097db28d44138b0b89cee25e67ee87a60c05d6d",
+    "search/max_stable_distance_original": "045c29a82a4f4df2d1a4a36e33f2aa66bd0c9a728f9e9940ad7c6dea6fd6c700",
+    "search/required_rho2": "c27025c1bee80e26a3c00a134c86a9a0f5278379db84b805941378b692e679e3",
+    "search/required_rho2_cap2": "1449813b985f6b56813d02d4e568b8854c4a58eacb0ddddbb186d8e570884a03",
+    "search/scan_stability_bands_bcrb": "83aa806c795c57200749db83e6179464987de13184dfd2a6fb19cd2cf5a0d8ab",
+    "search/scan_stability_bands_original": "84f371701072a596787242ab14be3c1a1720464899ce02247f623cdcc0e22af2",
     "variant/cli_comms_d2.6": "e9a3c237fca64977978afe44c4d008a61ea62547e0a5c8c5164ccf55b83d41c4",
     "variant/cli_comms_d200": "87e183bfbd7e791243f672412cf8faceb2d613f110fe3784994cd81a10f7e7c0",
     "variant/cli_comms_d200_pin150": "26361bce21e2fa87de5645a66d83d22271c27eaeeac074f209a2c9b1d9163a5f",

@@ -20,7 +20,7 @@ from bcrbsim import (
     save_scenario,
 )
 from bcrbsim.ray_matrix import round_trip
-from bcrbsim.sweep_search import stability_bands
+from bcrbsim.sweep_search import _stable_at, stability_bands
 
 
 def signed(lo, hi):
@@ -89,3 +89,12 @@ def test_exact_bands_match_dense_stability(system, geometry, shift):
         assert 0.0 < rho2 <= 50.0
         assert is_stable(round_trip(replace(geometry, rho2=rho2), "bcrb"))
         assert not is_stable(round_trip(replace(geometry, rho2=rho2 * (1.0 - EDGE_MARGIN)), "bcrb"))
+
+
+@pytest.mark.parametrize("system", ["bcrb", "original"])
+@settings(max_examples=100, deadline=None)
+@given(geometry=GEOMETRIES)
+def test_band_edges_are_stable_points(system, geometry):
+    for lo, hi in stability_bands(geometry, 20.0, system):
+        assert lo < hi
+        assert _stable_at(geometry, lo, system) and _stable_at(geometry, hi, system), (lo, hi)

@@ -34,6 +34,7 @@ from bcrbsim.sweep_search import (
     ANCHOR_INPUT_POWER,
     FIGURE_IDS,
     _stable_at,
+    stability_bands,
 )
 
 LAMBDA = 1064e-9
@@ -189,6 +190,20 @@ class TestMaxSpotOverRange:
             max_spot_over_range(g, 0.0, 10.0)
         with pytest.raises(ValueError):
             max_spot_over_range(g, 10.0, 5.0)
+
+
+class TestSearchCaps:
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_caps_rejected(self, value):
+        g = CavityGeometry(rho2=50.0)
+        for name, search in (("d_hi", lambda: stability_bands(g, value)),
+                             ("d_hi", lambda: scan_stability_bands(g, value)),
+                             ("d_hi", lambda: max_stable_distance(g, value)),
+                             ("rho2_hi", lambda: required_rho2(g, 10.0, value)),
+                             ("d_lo", lambda: max_spot_over_range(g, value, 10.0)),
+                             ("d_hi", lambda: max_spot_over_range(g, 1.0, value))):
+            with pytest.raises(ValueError, match=f"{name} must be finite, got {value!r}"):
+                search()
 
 
 class TestCalibration:
@@ -359,6 +374,11 @@ class TestFigureDatasets:
             for key, value in meta.items():
                 if key.startswith("series."):
                     assert len(value.split(", ")) == len(ds.columns) - 1, (fid, key)
+
+    def test_close_series_values_get_distinct_headers(self):
+        ds = generate_figure("fig8", m_values=(2.5, 2.5000001))
+        assert ds.columns[1:] == ("d_max_M2.5 [m]", "d_max_M2.5000001 [m]")
+        assert ds.metadata["series.magnification"] == "2.5, 2.5000001"
 
     def test_row_widths(self):
         for fid in ("fig6", "fig7", "fig11"):
