@@ -3,7 +3,7 @@
 Single-point queries (stability, spot, power, comms), loss-scale calibration,
 built-in figure datasets, and generic one-variable sweeps.  `power` and
 `comms` print views of the one model chain in sweep_search: `power` its
-power branch, `comms` the power branch followed by the data branch.  Numeric
+power branch, `comms` the operating point, power and data branch.  Numeric
 output lines carry a bracketed unit; CSV files have one header row with units
 in brackets, '#'-prefixed metadata lines, 9 significant digits, LF endings.
 
@@ -29,11 +29,11 @@ from .sweep_search import (
     FIGURE_IDS,
     FigureDataset,
     SweepSpec,
-    _data_branch,
+    _chain,
     _first_band,
-    _power_branch,
     calibrate_loss_scale,
     generate_figure,
+    operating_point,
     resolve_link_params,
     run_sweep,
     scan_stability_bands,
@@ -65,8 +65,8 @@ def format_dataset_csv(ds: FigureDataset) -> str:
     """CSV text for a dataset: metadata comments, one header row, data rows."""
     lines = [f"# {key} = {_meta_str(value)}" for key, value in ds.metadata.items()]
     lines.append(",".join(ds.columns))
-    for row in ds.rows:
-        lines.append(",".join(_num(cell) for cell in row))
+    row_format = ",".join(["%.9g"] * len(ds.columns))  # the same text as _num() of each cell
+    lines.extend(row_format % tuple(row) for row in ds.rows)
     return "\n".join(lines) + "\n"
 
 
@@ -101,41 +101,35 @@ def _cmd_spot(s: Scenario, args) -> int:
     return 0
 
 
-def _power_point(s: Scenario, args):
-    """The point the flags select (scenario values fill the rest) and its power branch."""
+def _cmd_power(s: Scenario, args) -> int:
     d = args.d if args.d is not None else s.geometry.d
     p_in = args.p_in if args.p_in is not None else s.pump_input_power
     mu = args.mu if args.mu is not None else s.receiver.split_ratio
     g = replace(s.geometry, d=d)
     link = resolve_link_params(s)
-    return d, p_in, mu, link, _power_branch(s, g, args.system, p_in, mu, link)
-
-
-def _cmd_power(s: Scenario, args) -> int:
-    d, p_in, mu, link, power = _power_point(s, args)
+    delta_t, p_beam, p_out = _chain(s, link, g, args.system, p_in=p_in, mu=mu)
     _emit("d", d, "m")
     _emit("P_in", p_in, "W")
     _emit("mu", mu, "-")
     _emit("N", link.loss_scale, "-")
-    _emit("delta_t", power["delta_t"], "-")
-    _emit("P_beam", power["beam_power"], "W")
-    _emit("P_out", power["pv_output"], "W")
+    _emit("delta_t", delta_t, "-")
+    _emit("P_beam", p_beam, "W")
+    _emit("P_out", p_out, "W")
     return 0
 
 
 def _cmd_comms(s: Scenario, args) -> int:
-    d, p_in, mu, _, power = _power_point(s, args)
-    data = _data_branch(s, power["p_beam_floor"], mu)
-    _emit("d", d, "m")
-    _emit("P_in", p_in, "W")
-    _emit("mu", mu, "-")
-    _emit("P_beam", power["p_beam_floor"], "W")
-    _emit("P_data", data["data_signal"], "a.u.")
-    _emit("n2_shot", data["shot_noise"], "a.u.^2")
-    _emit("n2_thermal", data["thermal_noise"], "a.u.^2")
-    _emit("n2_total", data["total_noise"], "a.u.^2")
+    point = operating_point(s, args.system, d=args.d, p_in=args.p_in, mu=args.mu)
+    _emit("d", point["d"], "m")
+    _emit("P_in", point["p_in"], "W")
+    _emit("mu", point["mu"], "-")
+    _emit("P_beam", max(point["beam_power"], 0.0), "W")  # floored, as the data branch sees it
+    _emit("P_data", point["data_signal"], "a.u.")
+    _emit("n2_shot", point["shot_noise"], "a.u.^2")
+    _emit("n2_thermal", point["thermal_noise"], "a.u.^2")
+    _emit("n2_total", point["total_noise"], "a.u.^2")
     _emit("log_base", s.model_choices.log_base, "-")
-    _emit("spectral_efficiency", data["spectral_efficiency"], "bit/s/Hz")
+    _emit("spectral_efficiency", point["spectral_efficiency"], "bit/s/Hz")
     return 0
 
 

@@ -2,12 +2,13 @@
 
 The link model is written once here and every caller reads it from here.  A
 point is the cavity part (one round trip, its stability and spot radii) plus
-two branches: the power branch (aperture loss -> beam power -> floor at 0 ->
-PV output) and the data branch (APD signal -> shot/thermal noise -> spectral
-efficiency).  operating_point evaluates all three; the power-only figures and
-the CLI `power` command read the power branch alone, because the data branch
-needs a positive total noise, which a dark, cold receiver lacks at zero
-signal.
+the chain from plain floats: the power branch (aperture loss -> beam power ->
+floor at 0 -> PV output), then the data branch (APD signal -> shot/thermal
+noise -> spectral efficiency).  operating_point evaluates one point and
+run_sweep the same program over a grid; the power-only figures and the CLI
+`power` command stop the chain after the power branch, because the data
+branch needs a positive total noise, which a dark, cold receiver lacks at
+zero signal.
 
 Stability bands are exact: A*D of the round trip is quadratic in d and
 affine in 1/rho2, so band edges are roots found in closed form.  Every search
@@ -31,11 +32,9 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
-from .comms import data_signal, shot_noise, spectral_efficiency, thermal_noise, total_noise
+from .comms import data_signal, shot_noise, spectral_efficiency, thermal_noise
 from .errors import InfeasibleSearchError, NoStableRegionError, UnstableCavityError
-from .gaussian_beam import SpotRadii, _spot_radii, cavity_spot_radii
+from .gaussian_beam import _spot_radii, cavity_spot_radii
 from .link_budget import LinkBudgetParams, beam_power, effective_aperture, pv_output, transmission_loss
 from .ray_matrix import (CavityGeometry, TransferMatrix, close_round_trip, is_stable, round_trip,
                          round_trip_prefix)
@@ -60,6 +59,8 @@ class SweepSpec:
     system: str = "bcrb"
 
     def __post_init__(self):
+        if not math.isfinite(self.hi - self.lo):
+            raise ValueError(f"sweep range must be finite, got [{self.lo!r}, {self.hi!r}]")
         if not self.lo < self.hi:
             raise ValueError(f"sweep range must satisfy lo < hi, got [{self.lo!r}, {self.hi!r}]")
         if self.samples < 2:
@@ -85,6 +86,18 @@ class FigureDataset:
     def column(self, name: str) -> list[float]:
         idx = self.columns.index(name)
         return [row[idx] for row in self.rows]
+
+
+def _grid(lo: float, hi: float, n: int) -> list[float]:
+    """n >= 2 evenly spaced points from lo to hi, the same bits as numpy.linspace(lo, hi, n)."""
+    lo, hi = float(lo), float(hi)
+    step = (hi - lo) / (n - 1)
+    if step == 0.0:
+        points = [i / (n - 1) * (hi - lo) + lo for i in range(n)]
+    else:
+        points = [i * step + lo for i in range(n)]
+    points[-1] = hi
+    return points
 
 
 def _stable_at(g: CavityGeometry, d: float, system: str = "bcrb") -> bool:
@@ -231,11 +244,11 @@ def max_spot_over_range(g: CavityGeometry, d_lo: float, d_hi: float, samples: in
         first_unstable = d_lo if band is None else band[1]
         raise UnstableCavityError(f"cavity unstable at d = {first_unstable:g} m inside [{d_lo:g}, {d_hi:g}] m")
     best = -math.inf
-    for d in np.linspace(d_lo, d_hi, max(samples, 2)):
+    for d in _grid(d_lo, d_hi, max(samples, 2)):
         try:
-            spots = _spot_radii(close_round_trip(prefix, offset + float(d), g.rho2), g)
+            spots = _spot_radii(close_round_trip(prefix, offset + d, g.rho2), g)
         except UnstableCavityError as exc:
-            raise UnstableCavityError(f"cavity unstable at d = {float(d):g} m inside [{d_lo:g}, {d_hi:g}] m") from exc
+            raise UnstableCavityError(f"cavity unstable at d = {d:g} m inside [{d_lo:g}, {d_hi:g}] m") from exc
         if spots.omega3 > best:
             best = spots.omega3
     return best
@@ -277,33 +290,46 @@ def resolve_link_params(s: Scenario) -> LinkBudgetParams:
     return replace(s.link, loss_scale=n)
 
 
-def _power_branch(s: Scenario, g: CavityGeometry, system: str, p_in: float, mu: float,
-                  link: LinkBudgetParams) -> dict:
-    """Aperture loss -> beam power -> PV output at one point.
+def _cavity(m: TransferMatrix, g: CavityGeometry) -> tuple:
+    """(stable, A*D, omega1, omega2, omega3) of round trip m of geometry g, as sweep cells.
 
-    Stages downstream of the beam power see it floored at 0 (p_beam_floor),
-    also when the scenario leaves negative powers unclamped.
+    stable is 1.0 or 0.0; the spot radii are NaN when the cavity is unstable.
+    """
+    if not is_stable(m):
+        return 0.0, m.a * m.d, math.nan, math.nan, math.nan
+    spots = _spot_radii(m, g)
+    return 1.0, m.a * m.d, spots.omega1, spots.omega2, spots.omega3
+
+
+def _chain(s: Scenario, link: LinkBudgetParams, g: CavityGeometry, system: str,
+           thermal: Optional[float] = None, *, d: Optional[float] = None, p_in: Optional[float] = None,
+           mu: Optional[float] = None, loss_scale: Optional[float] = None) -> tuple:
+    """The model chain downstream of the cavity at one point of geometry g.
+
+    A sweep passes its variable as a plain float: d, p_in, mu and loss_scale
+    default to g.d, the scenario's pump input and split ratio, and
+    link.loss_scale.  The power branch gives (delta_t,
+    beam_power, pv_output); stages downstream of the beam power see it
+    floored at 0, also when the scenario leaves negative powers unclamped.
+    Given the receiver's thermal-noise variance, which no point changes, the
+    data branch follows: (data_signal, shot_noise, thermal_noise,
+    total_noise, spectral_efficiency).  The receiver is rebuilt only for a
+    split ratio other than the scenario's.
     """
     clamp = s.model_choices.clamp_negative_power
-    delta_t = transmission_loss(g.d, effective_aperture(g, system), g.wavelength, link.loss_scale)
-    p_beam = beam_power(p_in, delta_t, link, clamp=clamp)
+    mu = s.receiver.split_ratio if mu is None else mu
+    delta_t = transmission_loss(g.d if d is None else d, effective_aperture(g, system), g.wavelength,
+                                link.loss_scale if loss_scale is None else loss_scale)
+    p_beam = beam_power(s.pump_input_power if p_in is None else p_in, delta_t, link, clamp=clamp)
     p_beam_floor = max(p_beam, 0.0)
-    return {"delta_t": delta_t, "beam_power": p_beam, "p_beam_floor": p_beam_floor,
-            "pv_output": pv_output(p_beam_floor, mu, link, clamp=clamp)}
-
-
-def _data_branch(s: Scenario, p_beam_floor: float, mu: float) -> dict:
-    """APD signal -> noise variances -> spectral efficiency for a floored beam power."""
-    receiver = replace(s.receiver, split_ratio=mu)
+    power = (delta_t, p_beam, pv_output(p_beam_floor, mu, link, clamp=clamp))
+    if thermal is None:
+        return power
+    receiver = s.receiver if mu == s.receiver.split_ratio else replace(s.receiver, split_ratio=mu)
     p_data = data_signal(p_beam_floor, receiver)
-    n2_total = total_noise(p_data, receiver)
-    return {
-        "data_signal": p_data,
-        "shot_noise": shot_noise(p_data, receiver),
-        "thermal_noise": thermal_noise(receiver),
-        "total_noise": n2_total,
-        "spectral_efficiency": spectral_efficiency(p_data, n2_total, s.model_choices.log_base),
-    }
+    shot = shot_noise(p_data, receiver)
+    total = shot + thermal
+    return power + (p_data, shot, thermal, total, spectral_efficiency(p_data, total, s.model_choices.log_base))
 
 
 def operating_point(s: Scenario, system: str = "bcrb",
@@ -323,25 +349,11 @@ def operating_point(s: Scenario, system: str = "bcrb",
         mu = s.receiver.split_ratio
     if link is None:
         link = resolve_link_params(s)
-
-    m = round_trip(g, system)
-    stable = is_stable(m)
-    spots = _spot_radii(m, g) if stable else SpotRadii(math.nan, math.nan, math.nan)
-    power = _power_branch(s, g, system, p_in, mu, link)
-    return {
-        "d": g.d,
-        "p_in": p_in,
-        "mu": mu,
-        "stable": stable,
-        "stability_product": m.a * m.d,
-        "omega1": spots.omega1,
-        "omega2": spots.omega2,
-        "omega3": spots.omega3,
-        "delta_t": power["delta_t"],
-        "beam_power": power["beam_power"],
-        "pv_output": power["pv_output"],
-        **_data_branch(s, power["p_beam_floor"], mu),
-    }
+    point = dict(zip(("d", "p_in", "mu") + tuple(name for name, _ in _POINT_COLUMNS),
+                     (g.d, p_in, mu, *_cavity(round_trip(g, system), g),
+                      *_chain(s, link, g, system, thermal_noise(s.receiver), p_in=p_in, mu=mu))))
+    point["stable"] = bool(point["stable"])
+    return point
 
 
 def _scenario_metadata(s: Scenario, link: LinkBudgetParams) -> dict:
@@ -376,33 +388,24 @@ def _series(key: str, values: Sequence[float]) -> dict:
     return {f"series.{key}": ", ".join(_fmt(v) for v in values)}
 
 
-def _spectral_efficiency(s: Scenario, g: CavityGeometry, p_in: float, mu: float,
-                         link: LinkBudgetParams) -> float:
-    power = _power_branch(s, g, "bcrb", p_in, mu, link)
-    return _data_branch(s, power["p_beam_floor"], mu)["spectral_efficiency"]
-
-
 # Each figure builder returns its series column headers, a cells(x) function
 # giving the series cells of the row at grid value x, and its own metadata.
 # Grid-independent constants come from the _FIGURES table.
 
 def _fig6(s: Scenario, link: LinkBudgetParams, **_):
     # Spot radius on the gain module and beam power vs distance, both systems.
-    p_in, mu = s.pump_input_power, s.receiver.split_ratio
-
     def cells(d: float) -> list[float]:
         g = replace(s.geometry, d=d)
         return ([cavity_spot_radii(g, system).omega3 for system in ("bcrb", "original")] +
-                [_power_branch(s, g, system, p_in, mu, link)["beam_power"] for system in ("bcrb", "original")])
+                [_chain(s, link, g, system)[1] for system in ("bcrb", "original")])
     return (["omega3_bcrb [m]", "omega3_original [m]", "beam_power_bcrb [W]", "beam_power_original [W]"],
-            cells, {"sweep.p_in_w": p_in})
+            cells, {"sweep.p_in_w": s.pump_input_power})
 
 
 def _fig7(s: Scenario, link: LinkBudgetParams, **_):
     # Beam power and pump-to-beam efficiency vs input power at the reference distance.
     def cells(p_in: float) -> list[float]:
-        powers = [_power_branch(s, s.geometry, system, p_in, s.receiver.split_ratio, link)["beam_power"]
-                  for system in ("bcrb", "original")]
+        powers = [_chain(s, link, s.geometry, system, p_in=p_in)[1] for system in ("bcrb", "original")]
         return powers + [power / p_in for power in powers]
     return (["beam_power_bcrb [W]", "beam_power_original [W]", "efficiency_bcrb [-]", "efficiency_original [-]"],
             cells, {"sweep.d_m": s.geometry.d})
@@ -439,25 +442,29 @@ def _fig11(s: Scenario, link: LinkBudgetParams, *, mu: float, p_in_values: Seque
     # PV output vs distance at full power split, one series per input power.
     def cells(d: float) -> list[float]:
         g = replace(s.geometry, d=d)
-        return [_power_branch(s, g, "bcrb", float(p_in), mu, link)["pv_output"] for p_in in p_in_values]
+        return [_chain(s, link, g, "bcrb", p_in=float(p_in), mu=mu)[2] for p_in in p_in_values]
     return ([f"P_out_Pin{_fmt(p)} [W]" for p in p_in_values], cells,
             {"sweep.mu": mu, **_series("p_in_w", p_in_values)})
 
 
 def _fig12(s: Scenario, link: LinkBudgetParams, *, p_in: float, mu_values: Sequence[float], **_):
     # Spectral efficiency vs distance, one series per power split ratio.
+    thermal = thermal_noise(s.receiver)
+
     def cells(d: float) -> list[float]:
         g = replace(s.geometry, d=d)
-        return [_spectral_efficiency(s, g, p_in, mu, link) for mu in mu_values]
+        return [_chain(s, link, g, "bcrb", thermal, p_in=p_in, mu=mu)[-1] for mu in mu_values]
     return ([f"spectral_efficiency_mu{_fmt(mu)} [bit/s/Hz]" for mu in mu_values], cells,
             {"sweep.p_in_w": p_in, **_series("mu", mu_values)})
 
 
 def _fig13(s: Scenario, link: LinkBudgetParams, *, mu: float, p_in_values: Sequence[float], **_):
     # Spectral efficiency vs distance, one series per input power.
+    thermal = thermal_noise(s.receiver)
+
     def cells(d: float) -> list[float]:
         g = replace(s.geometry, d=d)
-        return [_spectral_efficiency(s, g, p_in, mu, link) for p_in in p_in_values]
+        return [_chain(s, link, g, "bcrb", thermal, p_in=p_in, mu=mu)[-1] for p_in in p_in_values]
     return ([f"spectral_efficiency_Pin{_fmt(p)} [bit/s/Hz]" for p in p_in_values], cells,
             {"sweep.mu": mu, **_series("p_in_w", p_in_values)})
 
@@ -498,7 +505,7 @@ def generate_figure(figure_id: str, s: Optional[Scenario] = None, *,
     (variable, unit, lo, hi, samples), build = _FIGURES[figure_id]
     headers, cells, meta = build(s, link, m_values=m_values, d_values=d_values,
                                  p_in_values=p_in_values, mu_values=mu_values)
-    rows = [(x, *cells(x)) for x in map(float, np.linspace(lo, hi, samples))]
+    rows = [(x, *cells(x)) for x in _grid(lo, hi, samples)]
     suffix = _KEY_SUFFIX.get(unit, "")
     grid_meta = {"sweep.variable": variable, f"sweep.lo{suffix}": lo, f"sweep.hi{suffix}": hi,
                  "sweep.samples": samples}
@@ -520,27 +527,43 @@ _POINT_COLUMNS = (
 
 
 def run_sweep(spec: SweepSpec, s: Optional[Scenario] = None) -> FigureDataset:
-    """Sweep one scalar parameter, evaluating the full chain at each point."""
+    """Sweep one scalar parameter; each row is operating_point at its grid value.
+
+    Each point builds only what the swept variable changes.  A d or rho2
+    sweep closes one round-trip prefix per point; p_in, mu and loss_scale
+    leave the cavity fixed, so its round trip and spot radii are evaluated
+    once; any other geometry variable builds a validated geometry per point.
+    """
     if s is None:
         s = default_scenario()
-    if spec.variable not in _SWEEP_UNITS:
-        raise ValueError(f"unknown sweep variable {spec.variable!r}; expected one of {sorted(_SWEEP_UNITS)}")
+    variable, system, g = spec.variable, spec.system, s.geometry
+    if variable not in _SWEEP_UNITS:
+        raise ValueError(f"unknown sweep variable {variable!r}; expected one of {sorted(_SWEEP_UNITS)}")
     link = resolve_link_params(s)
-    grid = np.linspace(spec.lo, spec.hi, spec.samples)
-    rows = []
-    for value in grid:
-        value = float(value)
-        point_s, point_link, kwargs = s, link, {}
-        if spec.variable in ("d", "p_in", "mu"):
-            kwargs[spec.variable] = value
-        elif spec.variable == "loss_scale":
-            point_link = replace(link, loss_scale=value)
-        else:
-            point_s = replace(s, geometry=replace(s.geometry, **{spec.variable: value}))
-        point = operating_point(point_s, spec.system, link=point_link, **kwargs)
-        rows.append(tuple([value] + [float(point[name]) for name, _ in _POINT_COLUMNS]))
-    columns = [f"{spec.variable} [{_SWEEP_UNITS[spec.variable]}]"] + \
-              [f"{name} [{unit}]" for name, unit in _POINT_COLUMNS]
-    extra = {"sweep.variable": spec.variable, "sweep.lo": spec.lo, "sweep.hi": spec.hi,
+    grid = _grid(spec.lo, spec.hi, spec.samples)
+    thermal = thermal_noise(s.receiver)
+    if variable in ("d", "rho2"):
+        # Checked before the prefix is built; d must be > 0 and the grid rises from lo,
+        # so its first point checks every d (rho2 is checked per point below).
+        replace(g, **{variable: grid[0]})
+        prefix, offset = round_trip_prefix(g, system)
+    if variable == "d":
+        rows = [(d, *_cavity(close_round_trip(prefix, offset + d, g.rho2), g),
+                 *_chain(s, link, g, system, thermal, d=d)) for d in grid]
+    elif variable == "rho2":
+        # replace() only validates rho2; the prefix and spot radii do not depend on it.
+        rows = [(rho2, *_cavity(close_round_trip(prefix, offset + g.d, replace(g, rho2=rho2).rho2), g),
+                 *_chain(s, link, g, system, thermal)) for rho2 in grid]
+    elif variable in ("p_in", "mu", "loss_scale"):
+        cavity = _cavity(round_trip(g, system), g)
+        rows = [(value, *cavity, *_chain(s, link, g, system, thermal, **{variable: value})) for value in grid]
+    else:
+        rows = []
+        for value in grid:
+            point_g = replace(g, **{variable: value})
+            rows.append((value, *_cavity(round_trip(point_g, system), point_g),
+                         *_chain(s, link, point_g, system, thermal)))
+    columns = [f"{variable} [{_SWEEP_UNITS[variable]}]"] + [f"{name} [{unit}]" for name, unit in _POINT_COLUMNS]
+    extra = {"sweep.variable": variable, "sweep.lo": spec.lo, "sweep.hi": spec.hi,
              "sweep.samples": spec.samples, "sweep.system": spec.system}
-    return _dataset(f"sweep_{spec.variable}", s, link, columns, rows, extra)
+    return _dataset(f"sweep_{variable}", s, link, columns, rows, extra)

@@ -183,6 +183,14 @@ class TestSweep:
                              "--samples", "4", "--out", str(tmp_path / "x.csv"))
         assert code == 1
 
+    @pytest.mark.parametrize("variable", ["p_in", "loss_scale", "d"])
+    def test_non_finite_range_exit_1(self, tmp_path, capsys, variable):
+        out_path = tmp_path / "x.csv"
+        code, out, err = run(capsys, "sweep", "--variable", variable, "--lo", "1", "--hi", "inf",
+                             "--samples", "3", "--out", str(out_path))
+        assert (code, out, err) == (1, "", "error: sweep range must be finite, got [1.0, inf]\n")
+        assert not out_path.exists()
+
 
 class TestConfigHandling:
     def test_config_honored(self, tmp_path, capsys):
@@ -231,3 +239,8 @@ class TestEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "stable = true" in proc.stdout
+
+    def test_import_leaves_numpy_out(self):
+        proc = subprocess.run([sys.executable, "-c", "import sys, bcrbsim.cli; print('numpy' in sys.modules)"],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (0, "False\n")

@@ -11,7 +11,10 @@ pinned under non-default series sets, and the `stability` command under a
 geometry with no stable band (exit 2) and one with two bands.  The search
 pins, recorded before every search closed one shared round-trip prefix,
 hold the repr of each search result (or the error type and message) over
-a fixed seeded list of geometries.
+a fixed seeded list of geometries.  The sweeps over rho1, f_gain, f1, L1
+and L2, the sweeps under an unclamped scenario and the error of each
+failing sweep grid were recorded before run_sweep stopped evaluating
+operating_point per point.
 
 Print the digests of the current code with `python tests/test_golden_output.py`.
 """
@@ -51,6 +54,7 @@ SCENARIOS = {
     "no_stable": {"geometry": {"rho2_mm": -10000}},
     "two_bands": {"geometry": {"rho1_mm": -2700, "rho2_mm": 670, "f_gain_mm": 210, "f1_mm": 3,
                                "magnification": 0.82, "L1_mm": 4, "L2_mm": 140, "d_m": 0.05}},
+    "unclamped": {"model_choices": {"clamp_negative_power": False}},
 }
 
 FIGURES = ("fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13")
@@ -69,7 +73,17 @@ SWEEPS = {
     "wavelength": ("wavelength", 800e-9, 1600e-9, "bcrb"),
     "rho2": ("rho2", 1.0, 50.0, "bcrb"),
     "magnification": ("magnification", 1.5, 6.0, "original"),
+    "rho1": ("rho1", -2.0, -0.3, "bcrb"),
+    "f_gain": ("f_gain", 0.3, 2.0, "bcrb"),
+    "f1": ("f1", 0.002, 0.05, "bcrb"),
+    "L1": ("L1", 0.0, 0.01, "original"),
+    "L2": ("L2", 0.0, 0.3, "bcrb"),
 }
+
+# Sweeps pinned under the calibrated loss scale with negative powers left
+# unclamped: beam power falls below 0 beyond ~40 m (original), below ~175 W
+# pump input, and the PV output below mu ~0.43.
+UNCLAMPED_SWEEPS = ("d_bcrb", "d_original", "mu", "p_in")
 
 CLI = {
     "power_d2.6": ["power", "--d", "2.6"],
@@ -145,6 +159,8 @@ def _cases():
         cases[f"{name}/save_scenario"] = ("save", name, None)
     for fig in ("fig6", "fig7", "fig11"):
         cases[f"dark_cold/{fig}"] = ("figure", "dark_cold", fig)
+    for sweep in UNCLAMPED_SWEEPS:
+        cases[f"unclamped/sweep_{sweep}"] = ("sweep", "unclamped", sweep)
     cases["dark_cold/cli_power_d200"] = ("cli", "dark_cold", "power_d200")
     cases["no_stable/cli_stability"] = ("cli", "no_stable", "stability")
     cases["two_bands/cli_stability"] = ("cli", "two_bands", "stability")
@@ -222,12 +238,17 @@ GOLDEN = {
     "default/fig9": "2d6f79c473f89d0833763f01887c9cda6ca3329833c970f594f2f3666f48b203",
     "default/fig9_series": "7bb62cfe6b7dfa35cf0f7ab204e810e6151bd2a493aa08ccd567df0be2342ff0",
     "default/save_scenario": "0480db9a85ea408d133f133d32474de30deb9c7c34e3fbe6d6bfd4808ead1819",
+    "default/sweep_L1": "06d479e15b01a21bc0f30982ec2b47b0ee82ceb5448ce5099626ec57a4a31db3",
+    "default/sweep_L2": "0f359649ea870295dbaf73ae2117daf948ebe75067bb4aac852cb6e6c089d632",
     "default/sweep_d_bcrb": "bc3dab2bd24cf33bd8f18f53fd6c568515a0dcbddeba0e7307f5560406a5127a",
     "default/sweep_d_original": "bc542c204ea2d5550aec0a6f3de94b70a85e96ae75f5d1687ad8a1c169ca1d63",
+    "default/sweep_f1": "c089b961071ef38e0bfe3e43f435f1612212df7557d09f459a8c3d6c3a51d83e",
+    "default/sweep_f_gain": "de9070bfd48f7bd08005b1f88d620806034dae6c21337d15815569787206a8d6",
     "default/sweep_loss_scale": "ef565b60c59973497a7bf90f8b064d5a0e7bc3232a900b0969cafe55c66c91c2",
     "default/sweep_magnification": "a77fd765eb71ae684fa48f294a3d56008ab19ef424ce296a66eac3cc25b4550a",
     "default/sweep_mu": "f00bf4324942feabb31f67f71faa1701f98de6ab2fe0a693b944e98183f3442a",
     "default/sweep_p_in": "125b5be745c15e0b67c16f68466f1b2e8339de685272b0a9088b8680717f4574",
+    "default/sweep_rho1": "719ac698d3e78426d18f24fa4c7845fe62cf2794c02980de33d4a9e005a2739e",
     "default/sweep_rho2": "2ddc71e71b48eda94746a513050d6b3538ca993976fe134dbbc13d437d2150df",
     "default/sweep_wavelength": "fafb0ac4102079995ea304f88ed934ab79bfdc86df0232170c8a1ad23fb63c41",
     "no_stable/cli_stability": "3aa83a73ae3196f4881bc5f371d6c0a3abfd404764636def14752011711986a1",
@@ -240,6 +261,10 @@ GOLDEN = {
     "search/required_rho2_cap2": "1449813b985f6b56813d02d4e568b8854c4a58eacb0ddddbb186d8e570884a03",
     "search/scan_stability_bands_bcrb": "83aa806c795c57200749db83e6179464987de13184dfd2a6fb19cd2cf5a0d8ab",
     "search/scan_stability_bands_original": "84f371701072a596787242ab14be3c1a1720464899ce02247f623cdcc0e22af2",
+    "unclamped/sweep_d_bcrb": "fd4d206ff7e2871f9187072fc217a955ea7c2301165216bb548485298165d17f",
+    "unclamped/sweep_d_original": "94954283aa4668a351b1d0c14ca2698c92eb0a58c7b723a880717c4c243503e3",
+    "unclamped/sweep_mu": "e18f118d68ce1bd157e7043effb294e7477e3b9b836d88acba71dd997ab93fe9",
+    "unclamped/sweep_p_in": "a215caae7831ecdb6380667ef64e9ab7b8404b336ff6e20e82991292100e6a93",
     "variant/cli_comms_d2.6": "e9a3c237fca64977978afe44c4d008a61ea62547e0a5c8c5164ccf55b83d41c4",
     "variant/cli_comms_d200": "87e183bfbd7e791243f672412cf8faceb2d613f110fe3784994cd81a10f7e7c0",
     "variant/cli_comms_d200_pin150": "26361bce21e2fa87de5645a66d83d22271c27eaeeac074f209a2c9b1d9163a5f",
@@ -266,12 +291,17 @@ GOLDEN = {
     "variant/fig9": "5f0b0fcd3ca8e7d0567cd20c2ec8a35c39c8766aa8a5f27a41563aad907c33e5",
     "variant/fig9_series": "511336de86239ddd400f29dea2e8901b36911111b70cf8fa80fa1f8c97ef64f2",
     "variant/save_scenario": "7674de911b15c6e122d3b3b0dbcf72eeaeaa1b8276d6c17d95a72ab020c9632c",
+    "variant/sweep_L1": "d86773a849cd633346ab1638dcb17554b7ad22c4f0dbc6f2363fe660d24b9505",
+    "variant/sweep_L2": "f09bb3e0edb9ccdc044cf26757de3cbf2a994dc8c54e6e1f8e4e7d4d8b740343",
     "variant/sweep_d_bcrb": "b442977cbb3b64b33ce6dd86fb29ff584894a0125f53eb2e8cabe46847c4d3f3",
     "variant/sweep_d_original": "cdaf0cfdc1d925037c8f5fb2c1eaa659797697fc82696b34c84afebe9a3c9a7d",
+    "variant/sweep_f1": "e29fb3ce4a9aa481d10dac88a5e03beda24d84946c9ab46e4b8e84f360da7d59",
+    "variant/sweep_f_gain": "e0281f3ed52d3b7052613ab2fd93903845469f051780e5f1b13cef186f677520",
     "variant/sweep_loss_scale": "ae7636f12ca73f7a65493d7855ebee089208c9e574dc7380a0df5b0f58c4c7d1",
     "variant/sweep_magnification": "80bc4055b7271ef7f24a80b78288c4dc93d9e379d3fefad0abd3d8deadb6a01f",
     "variant/sweep_mu": "85ccb2ff65bb75f03cfac10c56baaf0d962622a7f3ca705981855f68d8eb09bb",
     "variant/sweep_p_in": "1152d0255600201210962fc0d31889afb8894447a8753cdc15e5d446e7c1836d",
+    "variant/sweep_rho1": "a91eba5f4a27995da9e6068c686248f5e39ae6b383fbe873b82d8050f7647965",
     "variant/sweep_rho2": "300cc2eb4bce917a6693896baf787610c4a87ae52b95c18039dc40f1779ca5a1",
     "variant/sweep_wavelength": "65274de3d40cce6d03f2ae8bb93b3aa2097085fb75bace31952811e9298b1295",
     "two_bands/cli_stability": "80b2d0d5776a437ce4ddef697803fc8b85ab6480d8b186781dff22e2838f71f4",
@@ -293,6 +323,85 @@ def test_dark_cold_comms_reports_zero_noise():
     code, _, err = cli_output("dark_cold", CLI["comms_d200"])
     assert code == 1
     assert "total noise must be > 0" in err
+
+
+# name -> (scenario, variable, lo, hi): sweep grids with a point the model
+# rejects.  Each must fail at the same point with the same error in both
+# layouts, at 5 and at 101 samples.
+FAILING_SWEEPS = {
+    "d_from_-1": ("default", "d", -1.0, 1.0),
+    "d_from_0": ("default", "d", 0.0, 1.0),
+    "mu_0.5_1.5": ("default", "mu", 0.5, 1.5),
+    "mu_-0.5_0.5": ("default", "mu", -0.5, 0.5),
+    "p_in_-10_10": ("default", "p_in", -10.0, 10.0),
+    "rho2_-1_1": ("default", "rho2", -1.0, 1.0),
+    "rho2_-2_2": ("default", "rho2", -2.0, 2.0),
+    "magnification": ("default", "magnification", -1.0, 1.0),
+    "loss_scale": ("default", "loss_scale", -1.0, 1.0),
+    "wavelength": ("default", "wavelength", -1e-6, 1e-6),
+    "L1": ("default", "L1", -0.01, 0.01),
+    "f1": ("default", "f1", -0.01, 0.01),
+    "rho1": ("default", "rho1", -1.0, 1.0),
+    "f_gain": ("default", "f_gain", -1.0, 1.0),
+    "dark_cold_d": ("dark_cold", "d", 100.0, 400.0),
+    "dark_cold_p_in": ("dark_cold", "p_in", 0.0, 300.0),
+    "dark_cold_mu": ("dark_cold", "mu", 0.0, 1.0),
+    "unclamped_mu": ("unclamped", "mu", -0.5, 0.5),
+    "unclamped_p_in": ("unclamped", "p_in", -10.0, 10.0),
+}
+
+# "<name>/<samples>" -> error type and message of run_sweep.
+SWEEP_ERRORS = {
+    "d_from_-1/5": "InvalidElementError: d must be > 0, got -1.0",
+    "d_from_-1/101": "InvalidElementError: d must be > 0, got -1.0",
+    "d_from_0/5": "InvalidElementError: d must be > 0, got 0.0",
+    "d_from_0/101": "InvalidElementError: d must be > 0, got 0.0",
+    "mu_0.5_1.5/5": "ValueError: split ratio mu must be in [0, 1], got 1.25",
+    "mu_0.5_1.5/101": "ValueError: split ratio mu must be in [0, 1], got 1.01",
+    "mu_-0.5_0.5/5": "ValueError: split ratio mu must be in [0, 1], got -0.5",
+    "mu_-0.5_0.5/101": "ValueError: split ratio mu must be in [0, 1], got -0.5",
+    "p_in_-10_10/5": "ValueError: input power must be >= 0, got -10.0",
+    "p_in_-10_10/101": "ValueError: input power must be >= 0, got -10.0",
+    "rho2_-1_1/5": "InvalidElementError: mirror curvature radii must be nonzero (use |rho| >= 1e9 for near-flat)",
+    "rho2_-1_1/101": "InvalidElementError: mirror curvature radii must be nonzero (use |rho| >= 1e9 for near-flat)",
+    "rho2_-2_2/5": "InvalidElementError: mirror curvature radii must be nonzero (use |rho| >= 1e9 for near-flat)",
+    "rho2_-2_2/101": "InvalidElementError: mirror curvature radii must be nonzero (use |rho| >= 1e9 for near-flat)",
+    "magnification/5": "InvalidElementError: magnification must be > 0, got -1.0",
+    "magnification/101": "InvalidElementError: magnification must be > 0, got -1.0",
+    "loss_scale/5": "ValueError: loss_scale must be > 0, got -1.0",
+    "loss_scale/101": "ValueError: loss_scale must be > 0, got -1.0",
+    "wavelength/5": "InvalidElementError: wavelength must be > 0, got -1e-06",
+    "wavelength/101": "InvalidElementError: wavelength must be > 0, got -1e-06",
+    "L1/5": "InvalidElementError: L1 must be >= 0, got -0.01",
+    "L1/101": "InvalidElementError: L1 must be >= 0, got -0.01",
+    "f1/5": "InvalidElementError: f1 must be > 0, got -0.01",
+    "f1/101": "InvalidElementError: f1 must be > 0, got -0.01",
+    "rho1/5": "InvalidElementError: mirror curvature radii must be nonzero (use |rho| >= 1e9 for near-flat)",
+    "rho1/101": "InvalidElementError: mirror curvature radii must be nonzero (use |rho| >= 1e9 for near-flat)",
+    "f_gain/5": "InvalidElementError: f_gain must be > 0, got -1.0",
+    "f_gain/101": "InvalidElementError: f_gain must be > 0, got -1.0",
+    "dark_cold_d/5": "ValueError: total noise must be > 0, got 0.0",
+    "dark_cold_d/101": "ValueError: total noise must be > 0, got 0.0",
+    "dark_cold_p_in/5": "ValueError: total noise must be > 0, got 0.0",
+    "dark_cold_p_in/101": "ValueError: total noise must be > 0, got 0.0",
+    "dark_cold_mu/5": "ValueError: total noise must be > 0, got 0.0",
+    "dark_cold_mu/101": "ValueError: total noise must be > 0, got 0.0",
+    "unclamped_mu/5": "ValueError: split ratio mu must be in [0, 1], got -0.5",
+    "unclamped_mu/101": "ValueError: split ratio mu must be in [0, 1], got -0.5",
+    "unclamped_p_in/5": "ValueError: input power must be >= 0, got -10.0",
+    "unclamped_p_in/101": "ValueError: input power must be >= 0, got -10.0",
+}
+
+
+@pytest.mark.parametrize("system", ["bcrb", "original"])
+@pytest.mark.parametrize("case", sorted(SWEEP_ERRORS))
+def test_failing_sweep_keeps_its_error(case, system):
+    name, samples = case.rsplit("/", 1)
+    scenario_name, variable, lo, hi = FAILING_SWEEPS[name]
+    s = scenario_from_dict(SCENARIOS[scenario_name], strict=True)
+    with pytest.raises((BeamSimError, ValueError)) as info:
+        run_sweep(SweepSpec(variable, lo, hi, int(samples), system), s)
+    assert f"{type(info.value).__name__}: {info.value}" == SWEEP_ERRORS[case]
 
 
 if __name__ == "__main__":

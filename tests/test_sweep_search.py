@@ -1,6 +1,7 @@
 """Boundary searches, calibration, and figure dataset generation."""
 
 import math
+import re
 import statistics
 from dataclasses import replace
 
@@ -416,3 +417,10 @@ class TestRunSweep:
             SweepSpec(variable="d", lo=1.0, hi=2.0, samples=1)
         with pytest.raises(ValueError):
             SweepSpec(variable="d", lo=1.0, hi=2.0, samples=5, system="weird")
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan),
+                                        (-1e308, 1e308)])
+    def test_non_finite_range_rejected(self, lo, hi):
+        # The last range has finite ends, but its width overflows.
+        with pytest.raises(ValueError, match=re.escape(f"sweep range must be finite, got [{lo!r}, {hi!r}]")):
+            SweepSpec(variable="p_in", lo=lo, hi=hi, samples=3)
