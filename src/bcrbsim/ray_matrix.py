@@ -28,6 +28,12 @@ def _require_finite(name: str, value: float) -> None:
         raise InvalidElementError(f"{name} must be finite, got {value!r}")
 
 
+def _require_mirror_radius(name: str, value: float) -> float:
+    if value == 0:
+        raise InvalidElementError(f"{name} must be nonzero (use |rho| >= 1e9 for near-flat), got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class RayVector:
     """Transverse ray state: offset from the axis [m] and paraxial slope [rad]."""
@@ -174,8 +180,8 @@ class CavityGeometry:
         for name in ("rho1", "rho2", "f_gain", "f1", "magnification", "L1", "L2",
                      "d", "aperture_gain", "aperture_tim", "wavelength"):
             _require_finite(name, getattr(self, name))
-        if self.rho1 == 0 or self.rho2 == 0:
-            raise InvalidElementError("mirror curvature radii must be nonzero (use |rho| >= 1e9 for near-flat)")
+        _require_mirror_radius("rho1", self.rho1)
+        _require_mirror_radius("rho2", self.rho2)
         for name in ("f_gain", "f1", "magnification", "d", "aperture_gain", "aperture_tim", "wavelength"):
             if getattr(self, name) <= 0:
                 raise InvalidElementError(f"{name} must be > 0, got {getattr(self, name)!r}")

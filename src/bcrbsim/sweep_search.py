@@ -36,8 +36,8 @@ from .comms import data_signal, shot_noise, spectral_efficiency, thermal_noise
 from .errors import InfeasibleSearchError, NoStableRegionError, UnstableCavityError
 from .gaussian_beam import _spot_radii, cavity_spot_radii
 from .link_budget import LinkBudgetParams, beam_power, effective_aperture, pv_output, transmission_loss
-from .ray_matrix import (CavityGeometry, TransferMatrix, close_round_trip, is_stable, round_trip,
-                         round_trip_prefix)
+from .ray_matrix import (CavityGeometry, TransferMatrix, _require_mirror_radius, close_round_trip, is_stable,
+                         round_trip, round_trip_prefix)
 from .scenario import Scenario, default_scenario, scenario_to_dict
 
 log = logging.getLogger(__name__)
@@ -228,29 +228,46 @@ def required_rho2(g: CavityGeometry, d: float, rho2_hi: float,
 
 
 def max_spot_over_range(g: CavityGeometry, d_lo: float, d_hi: float, samples: int = 201) -> float:
-    """Maximum gain-module spot radius over a dense sample of [d_lo, d_hi].
+    """Largest gain-module spot radius over samples evenly spaced distances in [d_lo, d_hi].
 
-    The range must lie inside one stability band; otherwise the error names
-    the first unstable distance.  The bands and all samples share one
-    round-trip prefix.
+    The range must lie inside one stability band, else the error names the first
+    unstable distance.  omega3^2 = u*G^2 + K^2/u is convex in u = omega1^2, and
+    omega1^4 ~ -B*D/(A*C) with A, B, C, D affine in d, so omega3 peaks only next to
+    the ends or a root of one quadratic.  Only those samples are evaluated, then the
+    neighbours of any within 1e-9 of the best, so that rounding hides no larger one.
     """
     _require_cap("d_lo", d_lo)
     if d_hi < d_lo:
         raise ValueError(f"need d_lo <= d_hi, got [{d_lo!r}, {d_hi!r}]")
     _require_cap("d_hi", d_hi)
-    prefix, offset = round_trip_prefix(g, "bcrb")
-    band = next(((lo, hi) for lo, hi in _distance_bands(prefix, offset, g.rho2, d_hi) if lo <= d_lo <= hi), None)
+    if samples < 2:
+        raise ValueError(f"samples must be >= 2, got {samples!r}")
+    x, offset = round_trip_prefix(g, "bcrb")
+    band = next(((lo, hi) for lo, hi in _distance_bands(x, offset, g.rho2, d_hi) if lo <= d_lo <= hi), None)
     if band is None or band[1] < d_hi:
         first_unstable = d_lo if band is None else band[1]
         raise UnstableCavityError(f"cavity unstable at d = {first_unstable:g} m inside [{d_lo:g}, {d_hi:g}] m")
-    best = -math.inf
-    for d in _grid(d_lo, d_hi, max(samples, 2)):
-        try:
-            spots = _spot_radii(close_round_trip(prefix, offset + d, g.rho2), g)
-        except UnstableCavityError as exc:
-            raise UnstableCavityError(f"cavity unstable at d = {d:g} m inside [{d_lo:g}, {d_hi:g}] m") from exc
-        if spots.omega3 > best:
-            best = spots.omega3
+    # (B*D)' * (A*C) - (B*D) * (A*C)' from each entry's (value at d = 0, slope): the cubic terms cancel.
+    (a0, a1), (b0, b1) = (x.a + offset * x.c, x.c), (x.b + offset * x.d, x.d)
+    (c0, c1), (e0, e1) = (x.c - a0 / g.rho2, -a1 / g.rho2), (x.d - b0 / g.rho2, -b1 / g.rho2)
+    p0, p1, p2 = b0 * e0, b0 * e1 + b1 * e0, b1 * e1
+    q0, q1, q2 = a0 * c0, a0 * c1 + a1 * c0, a1 * c1
+    grid = _grid(d_lo, d_hi, samples)
+    picks = {0, samples - 1}
+    for root in _roots(p2 * q1 - p1 * q2, 2.0 * (p2 * q0 - p0 * q2), p1 * q0 - p0 * q1):
+        if d_lo < root < d_hi:
+            i = int((root - d_lo) / (d_hi - d_lo) * (samples - 1))
+            picks.update(range(max(i - 1, 0), min(i + 3, samples)))
+    spots, best = {}, -math.inf
+    while picks:
+        for i in sorted(picks):
+            try:
+                spots[i] = _spot_radii(close_round_trip(x, offset + grid[i], g.rho2), g).omega3
+            except UnstableCavityError as exc:
+                raise UnstableCavityError(f"cavity unstable at d = {grid[i]:g} m inside [{d_lo:g}, {d_hi:g}] m") from exc
+            best = max(best, spots[i])
+        picks = {j for i in picks if spots[i] >= best * (1.0 - 1e-9)
+                 for j in (i - 1, i + 1) if 0 <= j < samples} - spots.keys()
     return best
 
 
@@ -551,8 +568,8 @@ def run_sweep(spec: SweepSpec, s: Optional[Scenario] = None) -> FigureDataset:
         rows = [(d, *_cavity(close_round_trip(prefix, offset + d, g.rho2), g),
                  *_chain(s, link, g, system, thermal, d=d)) for d in grid]
     elif variable == "rho2":
-        # replace() only validates rho2; the prefix and spot radii do not depend on it.
-        rows = [(rho2, *_cavity(close_round_trip(prefix, offset + g.d, replace(g, rho2=rho2).rho2), g),
+        # A finite rho2 is rejected only at 0; the prefix and spot radii do not depend on it.
+        rows = [(rho2, *_cavity(close_round_trip(prefix, offset + g.d, _require_mirror_radius("rho2", rho2)), g),
                  *_chain(s, link, g, system, thermal)) for rho2 in grid]
     elif variable in ("p_in", "mu", "loss_scale"):
         cavity = _cavity(round_trip(g, system), g)

@@ -11,7 +11,9 @@ pinned under non-default series sets, and the `stability` command under a
 geometry with no stable band (exit 2) and one with two bands.  The search
 pins, recorded before every search closed one shared round-trip prefix,
 hold the repr of each search result (or the error type and message) over
-a fixed seeded list of geometries.  The sweeps over rho1, f_gain, f1, L1
+a fixed seeded list of geometries; the max_spot_over_range pins on the
+wide, [1, 10] m and 2/3/1001-sample cases were recorded while every grid
+point was still evaluated.  The sweeps over rho1, f_gain, f1, L1
 and L2, the sweeps under an unclamped scenario and the error of each
 failing sweep grid were recorded before run_sweep stopped evaluating
 operating_point per point.
@@ -135,6 +137,11 @@ SEARCHES = {
     "max_spot_over_range": lambda g: max_spot_over_range(g, 0.05, 0.95),
     "max_spot_over_range_half": lambda g: max_spot_over_range(g, 0.5 * g.d, g.d),
     "max_spot_over_range_point": lambda g: max_spot_over_range(g, g.d, g.d),
+    "max_spot_over_range_wide": lambda g: max_spot_over_range(g, 0.01, 20.0),
+    "max_spot_over_range_1_10": lambda g: max_spot_over_range(g, 1.0, 10.0),
+    "max_spot_over_range_samples2": lambda g: max_spot_over_range(g, 0.05, 0.95, samples=2),
+    "max_spot_over_range_samples3": lambda g: max_spot_over_range(g, 0.05, 0.95, samples=3),
+    "max_spot_over_range_samples1001": lambda g: max_spot_over_range(g, 0.05, 0.95, samples=1001),
 }
 
 
@@ -253,8 +260,13 @@ GOLDEN = {
     "default/sweep_wavelength": "fafb0ac4102079995ea304f88ed934ab79bfdc86df0232170c8a1ad23fb63c41",
     "no_stable/cli_stability": "3aa83a73ae3196f4881bc5f371d6c0a3abfd404764636def14752011711986a1",
     "search/max_spot_over_range": "95d773527950f1d447adaddc3b4e5f1f9ae8998f6e74d79581fe638d103aab01",
+    "search/max_spot_over_range_1_10": "d0ebf305044ac56537a1660fb16b2ad58086a74e3014d54c3ad9c124a9fe5382",
     "search/max_spot_over_range_half": "e2e4330f9adcfec4ecad5649d8a249b2e0d60b3ae12109be28e720232b4cb2f1",
     "search/max_spot_over_range_point": "4801672c8e4d623ecb781c19014e48304f0e9ffced8c9bf822b08d5c8fd2f78b",
+    "search/max_spot_over_range_samples1001": "1b1c79a3ebe158893f75c2ec0cf9dbcba294a1e8f9b9b95b6eb5c7a3f161e5a0",
+    "search/max_spot_over_range_samples2": "a40b80aa2a3a39f8c3df4fe923fd8e6757909a9f47b2c4b5469c4ffb65609a38",
+    "search/max_spot_over_range_samples3": "9fd0a1248165956e6b93c42e2271934cca1225d557af9820422dc5336499cf19",
+    "search/max_spot_over_range_wide": "f15035f7446d65303277f7743ff13911c3048edaf5204d90fb9801ed37e62784",
     "search/max_stable_distance_bcrb": "66a0743992888b374078629b6097db28d44138b0b89cee25e67ee87a60c05d6d",
     "search/max_stable_distance_original": "045c29a82a4f4df2d1a4a36e33f2aa66bd0c9a728f9e9940ad7c6dea6fd6c700",
     "search/required_rho2": "c27025c1bee80e26a3c00a134c86a9a0f5278379db84b805941378b692e679e3",
@@ -362,10 +374,10 @@ SWEEP_ERRORS = {
     "mu_-0.5_0.5/101": "ValueError: split ratio mu must be in [0, 1], got -0.5",
     "p_in_-10_10/5": "ValueError: input power must be >= 0, got -10.0",
     "p_in_-10_10/101": "ValueError: input power must be >= 0, got -10.0",
-    "rho2_-1_1/5": "InvalidElementError: mirror curvature radii must be nonzero (use |rho| >= 1e9 for near-flat)",
-    "rho2_-1_1/101": "InvalidElementError: mirror curvature radii must be nonzero (use |rho| >= 1e9 for near-flat)",
-    "rho2_-2_2/5": "InvalidElementError: mirror curvature radii must be nonzero (use |rho| >= 1e9 for near-flat)",
-    "rho2_-2_2/101": "InvalidElementError: mirror curvature radii must be nonzero (use |rho| >= 1e9 for near-flat)",
+    "rho2_-1_1/5": "InvalidElementError: rho2 must be nonzero (use |rho| >= 1e9 for near-flat), got 0.0",
+    "rho2_-1_1/101": "InvalidElementError: rho2 must be nonzero (use |rho| >= 1e9 for near-flat), got 0.0",
+    "rho2_-2_2/5": "InvalidElementError: rho2 must be nonzero (use |rho| >= 1e9 for near-flat), got 0.0",
+    "rho2_-2_2/101": "InvalidElementError: rho2 must be nonzero (use |rho| >= 1e9 for near-flat), got 0.0",
     "magnification/5": "InvalidElementError: magnification must be > 0, got -1.0",
     "magnification/101": "InvalidElementError: magnification must be > 0, got -1.0",
     "loss_scale/5": "ValueError: loss_scale must be > 0, got -1.0",
@@ -376,8 +388,8 @@ SWEEP_ERRORS = {
     "L1/101": "InvalidElementError: L1 must be >= 0, got -0.01",
     "f1/5": "InvalidElementError: f1 must be > 0, got -0.01",
     "f1/101": "InvalidElementError: f1 must be > 0, got -0.01",
-    "rho1/5": "InvalidElementError: mirror curvature radii must be nonzero (use |rho| >= 1e9 for near-flat)",
-    "rho1/101": "InvalidElementError: mirror curvature radii must be nonzero (use |rho| >= 1e9 for near-flat)",
+    "rho1/5": "InvalidElementError: rho1 must be nonzero (use |rho| >= 1e9 for near-flat), got 0.0",
+    "rho1/101": "InvalidElementError: rho1 must be nonzero (use |rho| >= 1e9 for near-flat), got 0.0",
     "f_gain/5": "InvalidElementError: f_gain must be > 0, got -1.0",
     "f_gain/101": "InvalidElementError: f_gain must be > 0, got -1.0",
     "dark_cold_d/5": "ValueError: total noise must be > 0, got 0.0",

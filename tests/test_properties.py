@@ -20,10 +20,12 @@ from bcrbsim import (
     NoStableRegionError,
     SingularConfigurationError,
     SweepSpec,
+    UnstableCavityError,
     default_scenario,
     effective_aperture,
     is_stable,
     load_scenario,
+    max_spot_over_range,
     max_stable_distance,
     operating_point,
     required_rho2,
@@ -35,8 +37,10 @@ from bcrbsim import (
     transmission_loss,
 )
 from bcrbsim.cli import format_dataset_csv
-from bcrbsim.ray_matrix import round_trip
-from bcrbsim.sweep_search import _POINT_COLUMNS, _SWEEP_UNITS, FigureDataset, _grid, _stable_at, stability_bands
+from bcrbsim.gaussian_beam import _spot_radii
+from bcrbsim.ray_matrix import close_round_trip, round_trip, round_trip_prefix
+from bcrbsim.sweep_search import (_POINT_COLUMNS, _SWEEP_UNITS, FigureDataset, _distance_bands, _grid, _require_cap,
+                                  _stable_at, stability_bands)
 
 
 def signed(lo, hi):
@@ -165,6 +169,52 @@ def test_sweep_rows_are_operating_points(variable, system, data, geometry, sampl
             run_sweep(spec, s)
         return
     assert repr(run_sweep(spec, s).rows) == repr(tuple(want))
+
+
+def _scanned_max_spot(g, d_lo, d_hi, samples):
+    """max_spot_over_range as it was before it skipped samples: omega3 at every sample."""
+    _require_cap("d_lo", d_lo)
+    if d_hi < d_lo:
+        raise ValueError(f"need d_lo <= d_hi, got [{d_lo!r}, {d_hi!r}]")
+    _require_cap("d_hi", d_hi)
+    prefix, offset = round_trip_prefix(g, "bcrb")
+    band = next(((lo, hi) for lo, hi in _distance_bands(prefix, offset, g.rho2, d_hi) if lo <= d_lo <= hi), None)
+    if band is None or band[1] < d_hi:
+        first_unstable = d_lo if band is None else band[1]
+        raise UnstableCavityError(f"cavity unstable at d = {first_unstable:g} m inside [{d_lo:g}, {d_hi:g}] m")
+    best = -math.inf
+    for d in _grid(d_lo, d_hi, samples):
+        try:
+            spots = _spot_radii(close_round_trip(prefix, offset + d, g.rho2), g)
+        except UnstableCavityError as exc:
+            raise UnstableCavityError(f"cavity unstable at d = {d:g} m inside [{d_lo:g}, {d_hi:g}] m") from exc
+        if spots.omega3 > best:
+            best = spots.omega3
+    return best
+
+
+def _outcome(search, *args):
+    try:
+        return repr(search(*args))
+    except (BeamSimError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(geometry=GEOMETRIES, data=st.data(), samples=st.integers(2, 2001))
+def test_max_spot_matches_scan_of_every_sample(geometry, data, samples):
+    # Half the ranges are drawn inside the first stable band, down to a few ulps
+    # wide, where rounding decides which sample is largest.
+    bands = stability_bands(geometry, 20.0)
+    if bands and data.draw(st.booleans()):
+        lo, hi = bands[0]
+        d_lo = lo + (hi - lo) * data.draw(st.floats(0.0, 1.0))
+        width = (hi - d_lo) * data.draw(st.floats(0.0, 1.0)) * 10.0 ** -data.draw(st.integers(0, 16))
+        d_lo, d_hi = min(d_lo, hi), min(d_lo + width, hi)
+    else:
+        d_lo, d_hi = sorted(data.draw(st.lists(st.floats(1e-3, 20.0), min_size=2, max_size=2)))
+    assert (_outcome(max_spot_over_range, geometry, d_lo, d_hi, samples) ==
+            _outcome(_scanned_max_spot, geometry, d_lo, d_hi, samples))
 
 
 CELLS = st.one_of(

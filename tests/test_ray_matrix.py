@@ -242,6 +242,13 @@ class TestGeometryValidation:
         with pytest.raises(InvalidElementError):
             CavityGeometry(rho2=0.0)
 
+    @pytest.mark.parametrize("mirror", ["rho1", "rho2"])
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_curvature_names_mirror_and_value(self, mirror, zero):
+        with pytest.raises(InvalidElementError) as info:
+            CavityGeometry(**{mirror: zero})
+        assert str(info.value) == f"{mirror} must be nonzero (use |rho| >= 1e9 for near-flat), got {zero!r}"
+
     @pytest.mark.parametrize("kwargs", [
         {"f1": 0.0}, {"f_gain": -1.0}, {"magnification": 0.0}, {"d": 0.0},
         {"L1": -1e-3}, {"L2": -0.1}, {"aperture_gain": 0.0}, {"wavelength": 0.0},

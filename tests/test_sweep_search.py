@@ -29,6 +29,7 @@ from bcrbsim import (
     scan_stability_bands,
     transmission_loss,
 )
+from bcrbsim import sweep_search
 from bcrbsim.sweep_search import (
     ANCHOR_BEAM_POWER,
     ANCHOR_DISTANCE,
@@ -191,6 +192,22 @@ class TestMaxSpotOverRange:
             max_spot_over_range(g, 0.0, 10.0)
         with pytest.raises(ValueError):
             max_spot_over_range(g, 10.0, 5.0)
+
+    @pytest.mark.parametrize("samples", [1, 0, -3])
+    def test_fewer_than_two_samples_rejected(self, samples):
+        with pytest.raises(ValueError, match=re.escape(f"samples must be >= 2, got {samples!r}")):
+            max_spot_over_range(CavityGeometry(rho2=50.0), 1.0, 10.0, samples=samples)
+
+    def test_fig10_closes_few_round_trips_per_cell(self, monkeypatch):
+        # The band search and the samples next to the ends and to the stationary
+        # points of omega1; the 201-sample scan closed 204 per cell.
+        calls = []
+        close = sweep_search.close_round_trip
+        monkeypatch.setattr(sweep_search, "close_round_trip", lambda *args: calls.append(1) or close(*args))
+        ds = generate_figure("fig10")
+        cells = len(ds.rows) * (len(ds.columns) - 1)
+        assert cells == 64
+        assert len(calls) <= 10 * cells
 
 
 class TestSearchCaps:
