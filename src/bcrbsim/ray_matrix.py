@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
-from typing import Iterable, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import InvalidElementError, SingularConfigurationError
 
@@ -197,24 +197,34 @@ class CavityGeometry:
         return self.f1 * self.magnification
 
 
-def _prefix_elements(g: CavityGeometry, system: str) -> tuple[list[TransferMatrix], float]:
-    # Element matrices before the gap to mirror 2, and the part of that gap that is not d.
-    head = [element_matrix(Mirror(g.rho1)), displacement(g.L1), element_matrix(ThinLens(g.f_gain))]
-    if system == "bcrb":
-        return head + [
-            displacement(g.L2),
-            displacement(g.f1),
-            element_matrix(Magnifier(g.magnification)),
-            displacement(-g.f2),
-        ], 0.0
-    if system == "original":
-        return head, g.L2
-    raise ValueError(f"system must be 'bcrb' or 'original', got {system!r}")
+# Per layout: the round trip's elements before the gap to mirror 2, in
+# propagation order, each with the geometry fields its matrix reads; then, in
+# the same form, the part of that gap that is not d.
+_HEAD = (
+    (("rho1",), lambda g: element_matrix(Mirror(g.rho1))),
+    (("L1",), lambda g: displacement(g.L1)),
+    (("f_gain",), lambda g: element_matrix(ThinLens(g.f_gain))),
+)
+_LAYOUTS = {
+    "bcrb": (_HEAD + (
+        (("L2",), lambda g: displacement(g.L2)),
+        (("f1",), lambda g: displacement(g.f1)),
+        (("magnification",), lambda g: element_matrix(Magnifier(g.magnification))),
+        (("f1", "magnification"), lambda g: displacement(-g.f2)),
+    ), ((), lambda g: 0.0)),
+    "original": (_HEAD, (("L2",), lambda g: g.L2)),
+}
+
+
+def _layout(system: str) -> tuple:
+    if system not in _LAYOUTS:
+        raise ValueError(f"system must be 'bcrb' or 'original', got {system!r}")
+    return _LAYOUTS[system]
 
 
 def bcrb_elements(g: CavityGeometry) -> list[TransferMatrix]:
     """The nine single-pass element matrices, in propagation order."""
-    return _prefix_elements(g, "bcrb")[0] + [displacement(g.d), element_matrix(Mirror(g.rho2))]
+    return [build(g) for _, build in _LAYOUTS["bcrb"][0]] + [displacement(g.d), element_matrix(Mirror(g.rho2))]
 
 
 def round_trip_prefix(g: CavityGeometry, system: str) -> tuple[TransferMatrix, float]:
@@ -226,17 +236,69 @@ def round_trip_prefix(g: CavityGeometry, system: str) -> tuple[TransferMatrix, f
     L2 + d.  compose() is a left fold, so closing the prefix gives the same
     bits as composing every element.
     """
-    elements, offset = _prefix_elements(g, system)
-    return compose(elements), offset
+    elements, (_, offset) = _layout(system)
+    return compose(build(g) for _, build in elements), offset(g)
+
+
+def _round_trip_reads(system: str) -> set[str]:
+    """Names of the geometry fields that the round trip of a layout reads."""
+    elements, offset = _layout(system)
+    return {name for fields, _ in elements + (offset,) for name in fields} | {"d", "rho2"}
+
+
+def _sweep_round_trip(g: CavityGeometry, system: str, name: str) -> Callable[[CavityGeometry], TransferMatrix]:
+    """Round trip of a layout, bit for bit, for geometries that differ from g in field name only.
+
+    compose() is a left fold, so the elements before the first one that
+    reads name are folded once, from g; each call composes only the rest,
+    then closes the gap and mirror 2.
+    """
+    elements, (_, offset) = _layout(system)
+    first = next((k for k, (reads, _) in enumerate(elements) if name in reads), len(elements))
+    head = compose(build(g) for _, build in elements[:first]) if first else None
+    tail = [build for _, build in elements[first:]]
+
+    def at(p: CavityGeometry) -> TransferMatrix:
+        m = head
+        for build in tail:
+            m = build(p) if m is None else build(p) @ m
+        return close_round_trip(m, offset(p) + p.d, p.rho2)
+    return at
+
+
+def _sweep_geometries(g: CavityGeometry, name: str, grid: Sequence[float]) -> Iterator[CavityGeometry]:
+    """g with field name set to each value of a sweep grid, validated once.
+
+    The grid is finite and rises from grid[0], so every > 0 and >= 0 rule
+    that holds at grid[0] holds at every point; only a mirror radius, which
+    a rising grid can carry across 0, is checked again per point.
+    """
+    replace(g, **{name: grid[0]})
+    mirror = name in ("rho1", "rho2")
+    for value in grid:
+        if mirror:
+            _require_mirror_radius(name, value)
+        point = object.__new__(CavityGeometry)
+        vars(point).update(vars(g), **{name: value})
+        yield point
 
 
 def close_round_trip(prefix: TransferMatrix, gap: float, rho2: float) -> TransferMatrix:
     """Round trip from its prefix: the free-space gap, then the receiver mirror.
 
     A = prefix.a + gap * prefix.c and D = prefix.d - (prefix.b + gap * prefix.d) / rho2,
-    so A*D is quadratic in the gap and affine in 1/rho2.
+    so A*D is quadratic in the gap and affine in 1/rho2.  The entries are
+    those of element_matrix(Mirror(rho2)) @ (displacement(gap) @ prefix),
+    bit for bit, signed zeros included (x * 1.0 is exact, x * 0.0 is not
+    dropped), and rho2 is checked before the gap, as there.
     """
-    return element_matrix(Mirror(rho2)) @ (displacement(gap) @ prefix)
+    if rho2 == 0 or not math.isfinite(rho2):
+        raise InvalidElementError(f"mirror curvature radius must be finite and nonzero, got {rho2!r}")
+    _require_finite("offset", gap)
+    a, b = prefix.a + gap * prefix.c, prefix.b + gap * prefix.d
+    c, d = 0.0 * prefix.a + prefix.c, 0.0 * prefix.b + prefix.d
+    r = -1.0 / rho2
+    return TransferMatrix(a + 0.0 * c, b + 0.0 * d, r * a + c, r * b + d)
 
 
 def _round_trip(g: CavityGeometry, system: str) -> TransferMatrix:

@@ -28,16 +28,18 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass, fields, replace
 from functools import partial
+from itertools import repeat
 from typing import Callable, Optional, Sequence
 
 from .comms import data_signal, shot_noise, spectral_efficiency, thermal_noise
 from .errors import InfeasibleSearchError, NoStableRegionError, UnstableCavityError
 from .gaussian_beam import _spot_radii, cavity_spot_radii
 from .link_budget import LinkBudgetParams, beam_power, effective_aperture, pv_output, transmission_loss
-from .ray_matrix import (CavityGeometry, TransferMatrix, _require_mirror_radius, close_round_trip, is_stable,
-                         round_trip, round_trip_prefix)
+from .ray_matrix import (CavityGeometry, TransferMatrix, _round_trip_reads, _sweep_geometries, _sweep_round_trip,
+                         close_round_trip, is_stable, round_trip, round_trip_prefix)
 from .scenario import Scenario, default_scenario, scenario_to_dict
 
 log = logging.getLogger(__name__)
@@ -47,6 +49,17 @@ log = logging.getLogger(__name__)
 ANCHOR_DISTANCE = 3.0       # m
 ANCHOR_BEAM_POWER = 5.0     # W
 ANCHOR_INPUT_POWER = 210.0  # W
+
+
+def _require_samples(samples: int) -> None:
+    # samples counts grid points: an integer (anything with __index__) of at least 2.
+    try:
+        operator.index(samples)
+    except TypeError:
+        raise ValueError(f"samples must be an integer, got {samples!r}") from None
+    if samples < 2:
+        raise ValueError(f"samples must be >= 2, got {samples!r}")
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -63,8 +76,7 @@ class SweepSpec:
             raise ValueError(f"sweep range must be finite, got [{self.lo!r}, {self.hi!r}]")
         if not self.lo < self.hi:
             raise ValueError(f"sweep range must satisfy lo < hi, got [{self.lo!r}, {self.hi!r}]")
-        if self.samples < 2:
-            raise ValueError(f"samples must be >= 2, got {self.samples!r}")
+        _require_samples(self.samples)
         if self.system not in ("bcrb", "original"):
             raise ValueError(f"system must be 'bcrb' or 'original', got {self.system!r}")
 
@@ -240,8 +252,7 @@ def max_spot_over_range(g: CavityGeometry, d_lo: float, d_hi: float, samples: in
     if d_hi < d_lo:
         raise ValueError(f"need d_lo <= d_hi, got [{d_lo!r}, {d_hi!r}]")
     _require_cap("d_hi", d_hi)
-    if samples < 2:
-        raise ValueError(f"samples must be >= 2, got {samples!r}")
+    _require_samples(samples)
     x, offset = round_trip_prefix(g, "bcrb")
     band = next(((lo, hi) for lo, hi in _distance_bands(x, offset, g.rho2, d_hi) if lo <= d_lo <= hi), None)
     if band is None or band[1] < d_hi:
@@ -319,12 +330,12 @@ def _cavity(m: TransferMatrix, g: CavityGeometry) -> tuple:
 
 
 def _chain(s: Scenario, link: LinkBudgetParams, g: CavityGeometry, system: str,
-           thermal: Optional[float] = None, *, d: Optional[float] = None, p_in: Optional[float] = None,
+           thermal: Optional[float] = None, *, p_in: Optional[float] = None,
            mu: Optional[float] = None, loss_scale: Optional[float] = None) -> tuple:
     """The model chain downstream of the cavity at one point of geometry g.
 
-    A sweep passes its variable as a plain float: d, p_in, mu and loss_scale
-    default to g.d, the scenario's pump input and split ratio, and
+    A sweep passes its variable as a plain float: p_in, mu and loss_scale
+    default to the scenario's pump input and split ratio, and
     link.loss_scale.  The power branch gives (delta_t,
     beam_power, pv_output); stages downstream of the beam power see it
     floored at 0, also when the scenario leaves negative powers unclamped.
@@ -335,7 +346,7 @@ def _chain(s: Scenario, link: LinkBudgetParams, g: CavityGeometry, system: str,
     """
     clamp = s.model_choices.clamp_negative_power
     mu = s.receiver.split_ratio if mu is None else mu
-    delta_t = transmission_loss(g.d if d is None else d, effective_aperture(g, system), g.wavelength,
+    delta_t = transmission_loss(g.d, effective_aperture(g, system), g.wavelength,
                                 link.loss_scale if loss_scale is None else loss_scale)
     p_beam = beam_power(s.pump_input_power if p_in is None else p_in, delta_t, link, clamp=clamp)
     p_beam_floor = max(p_beam, 0.0)
@@ -535,6 +546,14 @@ _SWEEP_UNITS = {
     "wavelength": "m",
 }
 
+_GEOMETRY_FIELDS = {f.name for f in fields(CavityGeometry)}
+
+# Geometry fields that the spot radii read besides the round trip, and the
+# variables that the chain reads: a sweep evaluates a stage once when its
+# variable is none of them.
+_SPOT_READS = {"wavelength", "rho1", "L1"}
+_CHAIN_READS = {"d", "wavelength", "p_in", "mu", "loss_scale"}
+
 _POINT_COLUMNS = (
     ("stable", "-"), ("stability_product", "-"), ("omega1", "m"), ("omega2", "m"),
     ("omega3", "m"), ("delta_t", "-"), ("beam_power", "W"), ("pv_output", "W"),
@@ -543,13 +562,28 @@ _POINT_COLUMNS = (
 )
 
 
+def _once(f: Callable) -> Callable:
+    """f evaluated at its first call only; every later call returns that first result."""
+    memo: list = []
+
+    def first(*args):
+        if not memo:
+            memo.append(f(*args))
+        return memo[0]
+    return first
+
+
 def run_sweep(spec: SweepSpec, s: Optional[Scenario] = None) -> FigureDataset:
     """Sweep one scalar parameter; each row is operating_point at its grid value.
 
-    Each point builds only what the swept variable changes.  A d or rho2
-    sweep closes one round-trip prefix per point; p_in, mu and loss_scale
-    leave the cavity fixed, so its round trip and spot radii are evaluated
-    once; any other geometry variable builds a validated geometry per point.
+    Each point does only the work its variable reaches.  A geometry variable
+    is validated once, at the first grid point, and the round trip is folded
+    once up to the first element that reads it, so a point composes only the
+    elements from there on.  The cavity cells (round trip, stability, spot
+    radii) and the chain after them are each evaluated once, at the first
+    point, when they read nothing the variable changes: p_in, mu and
+    loss_scale leave the cavity fixed, and only d and the wavelength among
+    the geometry variables reach the chain.
     """
     if s is None:
         s = default_scenario()
@@ -559,27 +593,20 @@ def run_sweep(spec: SweepSpec, s: Optional[Scenario] = None) -> FigureDataset:
     link = resolve_link_params(s)
     grid = _grid(spec.lo, spec.hi, spec.samples)
     thermal = thermal_noise(s.receiver)
-    if variable in ("d", "rho2"):
-        # Checked before the prefix is built; d must be > 0 and the grid rises from lo,
-        # so its first point checks every d (rho2 is checked per point below).
-        replace(g, **{variable: grid[0]})
-        prefix, offset = round_trip_prefix(g, system)
-    if variable == "d":
-        rows = [(d, *_cavity(close_round_trip(prefix, offset + d, g.rho2), g),
-                 *_chain(s, link, g, system, thermal, d=d)) for d in grid]
-    elif variable == "rho2":
-        # A finite rho2 is rejected only at 0; the prefix and spot radii do not depend on it.
-        rows = [(rho2, *_cavity(close_round_trip(prefix, offset + g.d, _require_mirror_radius("rho2", rho2)), g),
-                 *_chain(s, link, g, system, thermal)) for rho2 in grid]
-    elif variable in ("p_in", "mu", "loss_scale"):
-        cavity = _cavity(round_trip(g, system), g)
-        rows = [(value, *cavity, *_chain(s, link, g, system, thermal, **{variable: value})) for value in grid]
-    else:
-        rows = []
-        for value in grid:
-            point_g = replace(g, **{variable: value})
-            rows.append((value, *_cavity(round_trip(point_g, system), point_g),
-                         *_chain(s, link, point_g, system, thermal)))
+    geometric = variable in _GEOMETRY_FIELDS
+    points = _sweep_geometries(g, variable, grid) if geometric else repeat(g)
+    close = _sweep_round_trip(g, system, variable)
+
+    def cavity(p: CavityGeometry) -> tuple:
+        return _cavity(close(p), p)
+
+    def chain(p: CavityGeometry, value: float) -> tuple:
+        return _chain(s, link, p, system, thermal, **({} if geometric else {variable: value}))
+    if variable not in _round_trip_reads(system) | _SPOT_READS:
+        cavity = _once(cavity)
+    if variable not in _CHAIN_READS:
+        chain = _once(chain)
+    rows = [(value, *cavity(p), *chain(p, value)) for value, p in zip(grid, points)]
     columns = [f"{variable} [{_SWEEP_UNITS[variable]}]"] + [f"{name} [{unit}]" for name, unit in _POINT_COLUMNS]
     extra = {"sweep.variable": variable, "sweep.lo": spec.lo, "sweep.hi": spec.hi,
              "sweep.samples": spec.samples, "sweep.system": spec.system}

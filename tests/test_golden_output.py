@@ -16,7 +16,11 @@ wide, [1, 10] m and 2/3/1001-sample cases were recorded while every grid
 point was still evaluated.  The sweeps over rho1, f_gain, f1, L1
 and L2, the sweeps under an unclamped scenario and the error of each
 failing sweep grid were recorded before run_sweep stopped evaluating
-operating_point per point.
+operating_point per point.  The sweeps over M and L1 in the bcrb layout, over
+f1, f_gain, L2, rho1, rho2 and the wavelength in the original layout, and
+the errors of the M, rho2 and f1 sweeps under the dark, cold receiver at
+300 m were recorded before a sweep folded the round trip once, up to the
+first element its variable reaches.
 
 Print the digests of the current code with `python tests/test_golden_output.py`.
 """
@@ -53,6 +57,7 @@ SCENARIOS = {
     "variant": {"model_choices": {"clamp_negative_power": False, "N_source": "explicit",
                                   "log_base": math.e, "lambda_nm": 1550}},
     "dark_cold": {"receiver": {"background_current_a": 0, "temperature_k": 0}},
+    "dark_cold_300m": {"receiver": {"background_current_a": 0, "temperature_k": 0}, "geometry": {"d_m": 300}},
     "no_stable": {"geometry": {"rho2_mm": -10000}},
     "two_bands": {"geometry": {"rho1_mm": -2700, "rho2_mm": 670, "f_gain_mm": 210, "f1_mm": 3,
                                "magnification": 0.82, "L1_mm": 4, "L2_mm": 140, "d_m": 0.05}},
@@ -80,6 +85,14 @@ SWEEPS = {
     "f1": ("f1", 0.002, 0.05, "bcrb"),
     "L1": ("L1", 0.0, 0.01, "original"),
     "L2": ("L2", 0.0, 0.3, "bcrb"),
+    "magnification_bcrb": ("magnification", 1.5, 6.0, "bcrb"),
+    "f1_original": ("f1", 0.002, 0.05, "original"),
+    "f_gain_original": ("f_gain", 0.3, 2.0, "original"),
+    "L2_original": ("L2", 0.0, 0.3, "original"),
+    "rho1_original": ("rho1", -2.0, -0.3, "original"),
+    "rho2_original": ("rho2", 1.0, 50.0, "original"),
+    "wavelength_original": ("wavelength", 800e-9, 1600e-9, "original"),
+    "L1_bcrb": ("L1", 0.0, 0.01, "bcrb"),
 }
 
 # Sweeps pinned under the calibrated loss scale with negative powers left
@@ -246,18 +259,26 @@ GOLDEN = {
     "default/fig9_series": "7bb62cfe6b7dfa35cf0f7ab204e810e6151bd2a493aa08ccd567df0be2342ff0",
     "default/save_scenario": "0480db9a85ea408d133f133d32474de30deb9c7c34e3fbe6d6bfd4808ead1819",
     "default/sweep_L1": "06d479e15b01a21bc0f30982ec2b47b0ee82ceb5448ce5099626ec57a4a31db3",
+    "default/sweep_L1_bcrb": "4078edc8a9ef645134515a475721b6f2952046d1080c844509cf09b23326a8ca",
     "default/sweep_L2": "0f359649ea870295dbaf73ae2117daf948ebe75067bb4aac852cb6e6c089d632",
+    "default/sweep_L2_original": "185f6ddcbc2809dbcb022f435fdbbfb1507a8b98ef3f27c52ea8b40427fa209d",
     "default/sweep_d_bcrb": "bc3dab2bd24cf33bd8f18f53fd6c568515a0dcbddeba0e7307f5560406a5127a",
     "default/sweep_d_original": "bc542c204ea2d5550aec0a6f3de94b70a85e96ae75f5d1687ad8a1c169ca1d63",
     "default/sweep_f1": "c089b961071ef38e0bfe3e43f435f1612212df7557d09f459a8c3d6c3a51d83e",
+    "default/sweep_f1_original": "03b0eefb52ad394a162266e0ba6c6a47e518a6d32365c19f017655aacdc6a35e",
     "default/sweep_f_gain": "de9070bfd48f7bd08005b1f88d620806034dae6c21337d15815569787206a8d6",
+    "default/sweep_f_gain_original": "89f6095f25887a01eda0f12a0596fd8759fad0acc74e562465cd29dc2e50c017",
     "default/sweep_loss_scale": "ef565b60c59973497a7bf90f8b064d5a0e7bc3232a900b0969cafe55c66c91c2",
     "default/sweep_magnification": "a77fd765eb71ae684fa48f294a3d56008ab19ef424ce296a66eac3cc25b4550a",
+    "default/sweep_magnification_bcrb": "ca330baef4760049d5912bbe7875a531408f7dfa3b81fef9ff82ce45934803d0",
     "default/sweep_mu": "f00bf4324942feabb31f67f71faa1701f98de6ab2fe0a693b944e98183f3442a",
     "default/sweep_p_in": "125b5be745c15e0b67c16f68466f1b2e8339de685272b0a9088b8680717f4574",
     "default/sweep_rho1": "719ac698d3e78426d18f24fa4c7845fe62cf2794c02980de33d4a9e005a2739e",
+    "default/sweep_rho1_original": "fa1460b8d84704d8c2083bbcfd50d7a2adef0153f986b8901980a16c3da38ee2",
     "default/sweep_rho2": "2ddc71e71b48eda94746a513050d6b3538ca993976fe134dbbc13d437d2150df",
+    "default/sweep_rho2_original": "58e7cc8ab1dfa91370c2de5dda8735408dc32ceb499412585cebeb8584613f15",
     "default/sweep_wavelength": "fafb0ac4102079995ea304f88ed934ab79bfdc86df0232170c8a1ad23fb63c41",
+    "default/sweep_wavelength_original": "fc1704e94bf72281074a0e653253ddd6189d000e12a075b8224ca16753c0d2c0",
     "no_stable/cli_stability": "3aa83a73ae3196f4881bc5f371d6c0a3abfd404764636def14752011711986a1",
     "search/max_spot_over_range": "95d773527950f1d447adaddc3b4e5f1f9ae8998f6e74d79581fe638d103aab01",
     "search/max_spot_over_range_1_10": "d0ebf305044ac56537a1660fb16b2ad58086a74e3014d54c3ad9c124a9fe5382",
@@ -273,6 +294,7 @@ GOLDEN = {
     "search/required_rho2_cap2": "1449813b985f6b56813d02d4e568b8854c4a58eacb0ddddbb186d8e570884a03",
     "search/scan_stability_bands_bcrb": "83aa806c795c57200749db83e6179464987de13184dfd2a6fb19cd2cf5a0d8ab",
     "search/scan_stability_bands_original": "84f371701072a596787242ab14be3c1a1720464899ce02247f623cdcc0e22af2",
+    "two_bands/cli_stability": "80b2d0d5776a437ce4ddef697803fc8b85ab6480d8b186781dff22e2838f71f4",
     "unclamped/sweep_d_bcrb": "fd4d206ff7e2871f9187072fc217a955ea7c2301165216bb548485298165d17f",
     "unclamped/sweep_d_original": "94954283aa4668a351b1d0c14ca2698c92eb0a58c7b723a880717c4c243503e3",
     "unclamped/sweep_mu": "e18f118d68ce1bd157e7043effb294e7477e3b9b836d88acba71dd997ab93fe9",
@@ -304,19 +326,26 @@ GOLDEN = {
     "variant/fig9_series": "511336de86239ddd400f29dea2e8901b36911111b70cf8fa80fa1f8c97ef64f2",
     "variant/save_scenario": "7674de911b15c6e122d3b3b0dbcf72eeaeaa1b8276d6c17d95a72ab020c9632c",
     "variant/sweep_L1": "d86773a849cd633346ab1638dcb17554b7ad22c4f0dbc6f2363fe660d24b9505",
+    "variant/sweep_L1_bcrb": "343f7bcd9a2b5c0c3cc117e3b9e3a6232c8ff00a5f9ca55ff9203a5600b0a9f1",
     "variant/sweep_L2": "f09bb3e0edb9ccdc044cf26757de3cbf2a994dc8c54e6e1f8e4e7d4d8b740343",
+    "variant/sweep_L2_original": "bb6c76832684b410a2d8d415cae8559ece78538707bf62652b55db490f9a3f50",
     "variant/sweep_d_bcrb": "b442977cbb3b64b33ce6dd86fb29ff584894a0125f53eb2e8cabe46847c4d3f3",
     "variant/sweep_d_original": "cdaf0cfdc1d925037c8f5fb2c1eaa659797697fc82696b34c84afebe9a3c9a7d",
     "variant/sweep_f1": "e29fb3ce4a9aa481d10dac88a5e03beda24d84946c9ab46e4b8e84f360da7d59",
+    "variant/sweep_f1_original": "cc48fadc33a3586defff01023f5d4ee6a1df8fa28eb0c7abe79e4f7a6c5c2492",
     "variant/sweep_f_gain": "e0281f3ed52d3b7052613ab2fd93903845469f051780e5f1b13cef186f677520",
+    "variant/sweep_f_gain_original": "5a5a51ceb3ba1c295a41aa008ad7128b1d299e58d601a1d83faa97ea3235f507",
     "variant/sweep_loss_scale": "ae7636f12ca73f7a65493d7855ebee089208c9e574dc7380a0df5b0f58c4c7d1",
     "variant/sweep_magnification": "80bc4055b7271ef7f24a80b78288c4dc93d9e379d3fefad0abd3d8deadb6a01f",
+    "variant/sweep_magnification_bcrb": "6a7ab05ff84e1c3c4b8667d5a91a1888ffe03f64f544f8708c9175a260cbc478",
     "variant/sweep_mu": "85ccb2ff65bb75f03cfac10c56baaf0d962622a7f3ca705981855f68d8eb09bb",
     "variant/sweep_p_in": "1152d0255600201210962fc0d31889afb8894447a8753cdc15e5d446e7c1836d",
     "variant/sweep_rho1": "a91eba5f4a27995da9e6068c686248f5e39ae6b383fbe873b82d8050f7647965",
+    "variant/sweep_rho1_original": "45de53c315968bb4cf5076e001afe4f7d0eb7900a77c3c7e4a0b96440b9c074b",
     "variant/sweep_rho2": "300cc2eb4bce917a6693896baf787610c4a87ae52b95c18039dc40f1779ca5a1",
+    "variant/sweep_rho2_original": "3bcb4973b4dd596054e85e37beccc03626cfcaf8c6fa07da0f233c7bd352c353",
     "variant/sweep_wavelength": "65274de3d40cce6d03f2ae8bb93b3aa2097085fb75bace31952811e9298b1295",
-    "two_bands/cli_stability": "80b2d0d5776a437ce4ddef697803fc8b85ab6480d8b186781dff22e2838f71f4",
+    "variant/sweep_wavelength_original": "d7b692cd4923af55abf91e6d0d62e09e645f059496414f7cd93cb57c4f8060b1",
 }
 
 
@@ -358,6 +387,12 @@ FAILING_SWEEPS = {
     "dark_cold_d": ("dark_cold", "d", 100.0, 400.0),
     "dark_cold_p_in": ("dark_cold", "p_in", 0.0, 300.0),
     "dark_cold_mu": ("dark_cold", "mu", 0.0, 1.0),
+    "dark_cold_magnification": ("dark_cold_300m", "magnification", 1.5, 6.0),
+    "dark_cold_rho2": ("dark_cold_300m", "rho2", 1.0, 50.0),
+    "dark_cold_f1": ("dark_cold_300m", "f1", 0.002, 0.05),
+    "dark_cold_magnification_from_-1": ("dark_cold_300m", "magnification", -1.0, 1.0),
+    "dark_cold_rho2_from_0": ("dark_cold_300m", "rho2", 0.0, 1.0),
+    "dark_cold_f1_from_0": ("dark_cold_300m", "f1", 0.0, 0.01),
     "unclamped_mu": ("unclamped", "mu", -0.5, 0.5),
     "unclamped_p_in": ("unclamped", "p_in", -10.0, 10.0),
 }
@@ -398,6 +433,18 @@ SWEEP_ERRORS = {
     "dark_cold_p_in/101": "ValueError: total noise must be > 0, got 0.0",
     "dark_cold_mu/5": "ValueError: total noise must be > 0, got 0.0",
     "dark_cold_mu/101": "ValueError: total noise must be > 0, got 0.0",
+    "dark_cold_magnification/5": "ValueError: total noise must be > 0, got 0.0",
+    "dark_cold_magnification/101": "ValueError: total noise must be > 0, got 0.0",
+    "dark_cold_rho2/5": "ValueError: total noise must be > 0, got 0.0",
+    "dark_cold_rho2/101": "ValueError: total noise must be > 0, got 0.0",
+    "dark_cold_f1/5": "ValueError: total noise must be > 0, got 0.0",
+    "dark_cold_f1/101": "ValueError: total noise must be > 0, got 0.0",
+    "dark_cold_magnification_from_-1/5": "InvalidElementError: magnification must be > 0, got -1.0",
+    "dark_cold_magnification_from_-1/101": "InvalidElementError: magnification must be > 0, got -1.0",
+    "dark_cold_rho2_from_0/5": "InvalidElementError: rho2 must be nonzero (use |rho| >= 1e9 for near-flat), got 0.0",
+    "dark_cold_rho2_from_0/101": "InvalidElementError: rho2 must be nonzero (use |rho| >= 1e9 for near-flat), got 0.0",
+    "dark_cold_f1_from_0/5": "InvalidElementError: f1 must be > 0, got 0.0",
+    "dark_cold_f1_from_0/101": "InvalidElementError: f1 must be > 0, got 0.0",
     "unclamped_mu/5": "ValueError: split ratio mu must be in [0, 1], got -0.5",
     "unclamped_mu/101": "ValueError: split ratio mu must be in [0, 1], got -0.5",
     "unclamped_p_in/5": "ValueError: input power must be >= 0, got -10.0",

@@ -16,13 +16,17 @@ from bcrbsim import (
     BeamSimError,
     CavityGeometry,
     InfeasibleSearchError,
+    Mirror,
     ModelChoices,
     NoStableRegionError,
     SingularConfigurationError,
     SweepSpec,
+    TransferMatrix,
     UnstableCavityError,
     default_scenario,
+    displacement,
     effective_aperture,
+    element_matrix,
     is_stable,
     load_scenario,
     max_spot_over_range,
@@ -230,6 +234,40 @@ def test_csv_rows_match_per_cell_format(width, data):
     ds = FigureDataset("t", tuple(f"c{k}" for k in range(width)), tuple(rows), {"k": 1.5})
     per_cell = ["# k = 1.5", ",".join(ds.columns)] + [",".join(f"{cell:.9g}" for cell in row) for row in rows]
     assert format_dataset_csv(ds) == "\n".join(per_cell) + "\n"
+
+
+def _closed(prefix, gap, rho2):
+    """close_round_trip as it was before it computed its entries directly."""
+    return element_matrix(Mirror(rho2)) @ (displacement(gap) @ prefix)
+
+
+def _hex_outcome(close, *args):
+    try:
+        m = close(*args)
+    except (BeamSimError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return [x.hex() for x in (m.a, m.b, m.c, m.d)]
+
+
+# Prefix entries that are signed zeros, or not finite, as no validated layout gives.
+ODD_ENTRIES = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+
+
+@pytest.mark.parametrize("system", ["bcrb", "original"])
+@settings(max_examples=300, deadline=None)
+@given(geometry=GEOMETRIES, gap=st.one_of(st.just(0.0), st.floats(0.0, 100.0)), sign=st.sampled_from([1.0, -1.0]),
+       rho2=st.one_of(signed(0.3, 50.0), signed(50.0, 1e10)),
+       bad_rho2=st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+       bad_gap=st.sampled_from([math.inf, -math.inf, math.nan]),
+       entries=st.lists(st.one_of(ODD_ENTRIES, st.floats(-2.0, 2.0)), min_size=4, max_size=4))
+def test_close_round_trip_is_mirror_after_gap_after_prefix(system, geometry, gap, sign, rho2, bad_rho2, bad_gap,
+                                                          entries):
+    # Bit for bit, signed zeros included, and the same error, rho2 checked
+    # first: on the layout's prefix, and on any prefix at a gap of either sign.
+    prefix, _ = round_trip_prefix(geometry, system)
+    for x, x_gap in ((prefix, gap), (TransferMatrix(*entries), sign * gap)):
+        for args in ((x, x_gap, rho2), (x, x_gap, bad_rho2), (x, bad_gap, rho2), (x, bad_gap, bad_rho2)):
+            assert _hex_outcome(close_round_trip, *args) == _hex_outcome(_closed, *args)
 
 
 # |det - 1| of a round trip, relative to |A*D| + |B*C|: the largest seen over

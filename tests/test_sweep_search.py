@@ -198,6 +198,10 @@ class TestMaxSpotOverRange:
         with pytest.raises(ValueError, match=re.escape(f"samples must be >= 2, got {samples!r}")):
             max_spot_over_range(CavityGeometry(rho2=50.0), 1.0, 10.0, samples=samples)
 
+    def test_non_integer_samples_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("samples must be an integer, got 10.5")):
+            max_spot_over_range(CavityGeometry(rho2=50.0), 1.0, 5.0, 10.5)
+
     def test_fig10_closes_few_round_trips_per_cell(self, monkeypatch):
         # The band search and the samples next to the ends and to the stationary
         # points of omega1; the 201-sample scan closed 204 per cell.
@@ -441,3 +445,25 @@ class TestRunSweep:
         # The last range has finite ends, but its width overflows.
         with pytest.raises(ValueError, match=re.escape(f"sweep range must be finite, got [{lo!r}, {hi!r}]")):
             SweepSpec(variable="p_in", lo=lo, hi=hi, samples=3)
+
+    @pytest.mark.parametrize("samples", [10.5, 3.0])
+    def test_non_integer_samples_rejected(self, samples):
+        with pytest.raises(ValueError, match=re.escape(f"samples must be an integer, got {samples!r}")):
+            SweepSpec("d", 1.0, 6.0, samples)
+
+    @pytest.mark.parametrize("system", ["bcrb", "original"])
+    @pytest.mark.parametrize("variable, lo, hi", [("d", 1.0, 6.0), ("rho2", 1.0, 50.0),
+                                                  ("magnification", 1.5, 6.0), ("f1", 0.002, 0.05),
+                                                  ("L2", 0.0, 0.3), ("f_gain", 0.3, 2.0)])
+    def test_geometry_sweep_validates_once(self, monkeypatch, variable, lo, hi, system):
+        # One geometry check per sweep, at the first grid point; the chain runs
+        # once when the variable does not reach it.
+        s = default_scenario()
+        checks, losses = [], []
+        post_init = CavityGeometry.__post_init__
+        monkeypatch.setattr(CavityGeometry, "__post_init__", lambda g: checks.append(1) or post_init(g))
+        loss = sweep_search.transmission_loss
+        monkeypatch.setattr(sweep_search, "transmission_loss", lambda *args: losses.append(1) or loss(*args))
+        assert len(run_sweep(SweepSpec(variable, lo, hi, 101, system), s).rows) == 101
+        assert len(checks) <= 1
+        assert len(losses) == (101 if variable == "d" else 1)
