@@ -54,7 +54,7 @@ from .sweep_search import (
     required_rho2,
     resolve_link_params,
     run_sweep,
-    scan_stability_bands,
+    stability_bands,
 )
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ from pathlib import Path
 from .errors import BeamSimError, InfeasibleSearchError, NoStableRegionError
 from .gaussian_beam import cavity_spot_radii
 from .link_budget import effective_aperture
-from .ray_matrix import is_stable, round_trip
+from .ray_matrix import _LAYOUTS, is_stable, round_trip
 from .scenario import Scenario, default_scenario, load_scenario
 from .sweep_search import (
     ANCHOR_BEAM_POWER,
@@ -36,7 +36,7 @@ from .sweep_search import (
     operating_point,
     resolve_link_params,
     run_sweep,
-    scan_stability_bands,
+    stability_bands,
 )
 
 _VARIABLE_ALIASES = {
@@ -81,7 +81,7 @@ def _cmd_stability(s: Scenario, args) -> int:
     m = round_trip(g, args.system)
     # Band edges are walked inward as max_stable_distance walks them, so the
     # first band's upper end is d_max.  Bands come first: d_hi fails before output.
-    bands = scan_stability_bands(g, args.d_hi, system=args.system)
+    bands = stability_bands(g, args.d_hi, args.system)
     _emit("d", d, "m")
     _emit("A*D", m.a * m.d, "-")
     print(f"stable = {'true' if is_stable(m) else 'false'}")
@@ -171,7 +171,7 @@ def _add_common(sub, d_flag=True, power_flags=False, system_flag=True, out_flag=
         sub.add_argument("--P-in", dest="p_in", type=float, default=None, help="pump input power [W]")
         sub.add_argument("--mu", type=float, default=None, help="power split ratio to the PV branch")
     if system_flag:
-        sub.add_argument("--system", choices=("bcrb", "original"), default="bcrb",
+        sub.add_argument("--system", choices=tuple(_LAYOUTS), default="bcrb",
                          help="cavity layout (default: bcrb)")
     if out_flag:
         sub.add_argument("--out", type=Path, default=None, help="output CSV path")
@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help=f"anchor beam power [W] (default: {ANCHOR_BEAM_POWER})")
     sub.add_argument("--P-in", dest="p_in", type=float, default=ANCHOR_INPUT_POWER,
                      help=f"anchor pump input [W] (default: {ANCHOR_INPUT_POWER})")
-    sub.add_argument("--system", choices=("bcrb", "original"), default="original",
+    sub.add_argument("--system", choices=tuple(_LAYOUTS), default="original",
                      help="layout whose aperture limits the anchor (default: original)")
     sub.set_defaults(handler=_cmd_calibrate)
 

@@ -63,12 +63,12 @@ def propagate_spot(omega1: float, rho1: float, L1: float, wavelength: float) -> 
     return omega1 * math.sqrt(geometric * geometric + diffractive * diffractive)
 
 
-def _spot_radii(m: TransferMatrix, g: CavityGeometry) -> SpotRadii:
-    """All three spot radii of geometry g from its already-built round trip m."""
+def _spot_radii(m: TransferMatrix, g: CavityGeometry) -> tuple[float, float, float]:
+    """(omega1, omega2, omega3) of geometry g from its already-built round trip m."""
     omega1, omega2 = mirror_spot_radii(m, g.wavelength)
-    return SpotRadii(omega1, omega2, propagate_spot(omega1, g.rho1, g.L1, g.wavelength))
+    return omega1, omega2, propagate_spot(omega1, g.rho1, g.L1, g.wavelength)
 
 
 def cavity_spot_radii(g: CavityGeometry, system: str = "bcrb") -> SpotRadii:
     """All three spot radii for a geometry, for either cavity layout."""
-    return _spot_radii(round_trip(g, system), g)
+    return SpotRadii(*_spot_radii(round_trip(g, system), g))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ray_matrix import CavityGeometry
+from .ray_matrix import CavityGeometry, _layout
 
 
 @dataclass(frozen=True)
@@ -80,11 +80,8 @@ def effective_aperture(g: CavityGeometry, system: str) -> float:
     (larger) boundary becomes the limiting aperture; without it the gain
     module limits.
     """
-    if system == "bcrb":
-        return g.aperture_tim
-    if system == "original":
-        return g.aperture_gain
-    raise ValueError(f"system must be 'bcrb' or 'original', got {system!r}")
+    _layout(system)
+    return g.aperture_tim if system == "bcrb" else g.aperture_gain
 
 
 def pv_output(p_beam: float, mu: float, p: LinkBudgetParams, clamp: bool = True) -> float:

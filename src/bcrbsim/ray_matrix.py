@@ -347,11 +347,8 @@ def round_trip_original(g: CavityGeometry) -> TransferMatrix:
 
 def round_trip(g: CavityGeometry, system: str) -> TransferMatrix:
     """Round-trip matrix of the named cavity layout, 'bcrb' or 'original'."""
-    if system == "bcrb":
-        return round_trip_bcrb(g)
-    if system == "original":
-        return round_trip_original(g)
-    raise ValueError(f"system must be 'bcrb' or 'original', got {system!r}")
+    _layout(system)
+    return round_trip_bcrb(g) if system == "bcrb" else round_trip_original(g)
 
 
 def is_stable(m: TransferMatrix) -> bool:

@@ -38,8 +38,8 @@ from .comms import data_signal, shot_noise, spectral_efficiency, thermal_noise
 from .errors import InfeasibleSearchError, NoStableRegionError, UnstableCavityError
 from .gaussian_beam import _spot_radii, cavity_spot_radii
 from .link_budget import LinkBudgetParams, beam_power, effective_aperture, pv_output, transmission_loss
-from .ray_matrix import (CavityGeometry, TransferMatrix, _round_trip_reads, _sweep_geometries, _sweep_round_trip,
-                         close_round_trip, is_stable, round_trip, round_trip_prefix)
+from .ray_matrix import (CavityGeometry, TransferMatrix, _layout, _round_trip_reads, _sweep_geometries,
+                         _sweep_round_trip, close_round_trip, is_stable, round_trip, round_trip_prefix)
 from .scenario import Scenario, default_scenario, scenario_to_dict
 
 log = logging.getLogger(__name__)
@@ -77,8 +77,7 @@ class SweepSpec:
         if not self.lo < self.hi:
             raise ValueError(f"sweep range must satisfy lo < hi, got [{self.lo!r}, {self.hi!r}]")
         _require_samples(self.samples)
-        if self.system not in ("bcrb", "original"):
-            raise ValueError(f"system must be 'bcrb' or 'original', got {self.system!r}")
+        _layout(self.system)
 
 
 @dataclass(frozen=True)
@@ -188,14 +187,6 @@ def stability_bands(g: CavityGeometry, d_hi: float, system: str = "bcrb") -> lis
     return _distance_bands(*round_trip_prefix(g, system), g.rho2, d_hi)
 
 
-def scan_stability_bands(g: CavityGeometry, d_hi: float, stride: float = 0.1,
-                         system: str = "bcrb") -> list[tuple[float, float]]:
-    """stability_bands; stride is validated but no longer used: nothing is scanned."""
-    if stride <= 0:
-        raise ValueError(f"stride must be > 0, got {stride!r}")
-    return stability_bands(g, d_hi, system)
-
-
 def _first_band(bands: list[tuple[float, float]], d_hi: float) -> tuple[float, float]:
     """The lowest of the stability bands in (0, d_hi]; more than one is reported with a warning."""
     if not bands:
@@ -206,28 +197,22 @@ def _first_band(bands: list[tuple[float, float]], d_hi: float) -> tuple[float, f
     return bands[0]
 
 
-def max_stable_distance(g: CavityGeometry, d_hi: float,
-                        stride: float = 0.1, tol: float = 1e-3,
-                        system: str = "bcrb") -> float:
+def max_stable_distance(g: CavityGeometry, d_hi: float, *, tol: float = 1e-3, system: str = "bcrb") -> float:
     """Upper edge of the first band of stability_bands; more than one band is reported with a warning.
 
-    stride and tol are validated but no longer used: the edge is exact to rounding.
+    tol is validated but not used: the edge is exact to rounding.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol!r}")
-    if stride <= 0:
-        raise ValueError(f"stride must be > 0, got {stride!r}")
+    _require_cap("tol", tol)
     return _first_band(stability_bands(g, d_hi, system), d_hi)[1]
 
 
-def required_rho2(g: CavityGeometry, d: float, rho2_hi: float,
-                  samples: int = 200, rel_tol: float = 1e-6) -> float:
+def required_rho2(g: CavityGeometry, d: float, rho2_hi: float) -> float:
     """Smallest receiver-mirror curvature radius in (0, rho2_hi] that stabilizes distance d.
 
     At fixed d, A does not depend on rho2 and D = X.d - B/rho2, so the edges
     are rho2 = B/X.d (D = 0) and A*B/(A*X.d - 1) (A*D = 1).  The result is
-    the lower edge of the first band, a point is_stable accepts.  samples
-    and rel_tol are kept for compatibility; the result is exact to rounding.
+    the lower edge of the first band, a point is_stable accepts, exact to
+    rounding.
     """
     _require_cap("rho2_hi", rho2_hi)
     x, _ = round_trip_prefix(replace(g, d=d), "bcrb")
@@ -273,7 +258,7 @@ def max_spot_over_range(g: CavityGeometry, d_lo: float, d_hi: float, samples: in
     while picks:
         for i in sorted(picks):
             try:
-                spots[i] = _spot_radii(close_round_trip(x, offset + grid[i], g.rho2), g).omega3
+                spots[i] = _spot_radii(close_round_trip(x, offset + grid[i], g.rho2), g)[2]
             except UnstableCavityError as exc:
                 raise UnstableCavityError(f"cavity unstable at d = {grid[i]:g} m inside [{d_lo:g}, {d_hi:g}] m") from exc
             best = max(best, spots[i])
@@ -325,8 +310,7 @@ def _cavity(m: TransferMatrix, g: CavityGeometry) -> tuple:
     """
     if not is_stable(m):
         return 0.0, m.a * m.d, math.nan, math.nan, math.nan
-    spots = _spot_radii(m, g)
-    return 1.0, m.a * m.d, spots.omega1, spots.omega2, spots.omega3
+    return (1.0, m.a * m.d, *_spot_radii(m, g))
 
 
 def _chain(s: Scenario, link: LinkBudgetParams, g: CavityGeometry, system: str,

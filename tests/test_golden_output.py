@@ -47,7 +47,7 @@ from bcrbsim import (
     required_rho2,
     run_sweep,
     save_scenario,
-    scan_stability_bands,
+    stability_bands,
 )
 from bcrbsim.cli import format_dataset_csv, run_command
 from bcrbsim.scenario import scenario_from_dict
@@ -141,8 +141,8 @@ SEARCH_GEOMETRIES = _search_geometries(200)
 
 # name -> one search call on a geometry
 SEARCHES = {
-    "scan_stability_bands_bcrb": lambda g: scan_stability_bands(g, 20.0, system="bcrb"),
-    "scan_stability_bands_original": lambda g: scan_stability_bands(g, 20.0, system="original"),
+    "stability_bands_bcrb": lambda g: stability_bands(g, 20.0, system="bcrb"),
+    "stability_bands_original": lambda g: stability_bands(g, 20.0, system="original"),
     "max_stable_distance_bcrb": lambda g: max_stable_distance(g, 20.0, system="bcrb"),
     "max_stable_distance_original": lambda g: max_stable_distance(g, 20.0, system="original"),
     "required_rho2": lambda g: required_rho2(g, g.d, 50.0),
@@ -292,8 +292,8 @@ GOLDEN = {
     "search/max_stable_distance_original": "045c29a82a4f4df2d1a4a36e33f2aa66bd0c9a728f9e9940ad7c6dea6fd6c700",
     "search/required_rho2": "c27025c1bee80e26a3c00a134c86a9a0f5278379db84b805941378b692e679e3",
     "search/required_rho2_cap2": "1449813b985f6b56813d02d4e568b8854c4a58eacb0ddddbb186d8e570884a03",
-    "search/scan_stability_bands_bcrb": "83aa806c795c57200749db83e6179464987de13184dfd2a6fb19cd2cf5a0d8ab",
-    "search/scan_stability_bands_original": "84f371701072a596787242ab14be3c1a1720464899ce02247f623cdcc0e22af2",
+    "search/stability_bands_bcrb": "83aa806c795c57200749db83e6179464987de13184dfd2a6fb19cd2cf5a0d8ab",
+    "search/stability_bands_original": "84f371701072a596787242ab14be3c1a1720464899ce02247f623cdcc0e22af2",
     "two_bands/cli_stability": "80b2d0d5776a437ce4ddef697803fc8b85ab6480d8b186781dff22e2838f71f4",
     "unclamped/sweep_d_bcrb": "fd4d206ff7e2871f9187072fc217a955ea7c2301165216bb548485298165d17f",
     "unclamped/sweep_d_original": "94954283aa4668a351b1d0c14ca2698c92eb0a58c7b723a880717c4c243503e3",

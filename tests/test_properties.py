@@ -189,11 +189,11 @@ def _scanned_max_spot(g, d_lo, d_hi, samples):
     best = -math.inf
     for d in _grid(d_lo, d_hi, samples):
         try:
-            spots = _spot_radii(close_round_trip(prefix, offset + d, g.rho2), g)
+            omega3 = _spot_radii(close_round_trip(prefix, offset + d, g.rho2), g)[2]
         except UnstableCavityError as exc:
             raise UnstableCavityError(f"cavity unstable at d = {d:g} m inside [{d_lo:g}, {d_hi:g}] m") from exc
-        if spots.omega3 > best:
-            best = spots.omega3
+        if omega3 > best:
+            best = omega3
     return best
 
 

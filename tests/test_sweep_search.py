@@ -26,7 +26,6 @@ from bcrbsim import (
     required_rho2,
     resolve_link_params,
     run_sweep,
-    scan_stability_bands,
     transmission_loss,
 )
 from bcrbsim import sweep_search
@@ -77,7 +76,7 @@ class TestMaxStableDistance:
             max_stable_distance(CavityGeometry(rho2=-10.0), 20.0)
 
     def test_band_scan_single_band(self):
-        bands = scan_stability_bands(CavityGeometry(), 20.0)
+        bands = stability_bands(CavityGeometry(), 20.0)
         assert len(bands) == 1
         lo, hi = bands[0]
         assert lo <= 0.2 and 8.5 < hi < 8.8
@@ -86,8 +85,6 @@ class TestMaxStableDistance:
         g = CavityGeometry()
         with pytest.raises(ValueError):
             max_stable_distance(g, 0.0)
-        with pytest.raises(ValueError):
-            max_stable_distance(g, 10.0, stride=0.0)
         with pytest.raises(ValueError):
             max_stable_distance(g, 10.0, tol=0.0)
 
@@ -111,26 +108,26 @@ class TestExactBands:
     def test_first_band_narrower_than_stride(self):
         # Stable only below 0.0749 m, short of the first 0.1 m scan point.
         g = self.NARROW_FIRST
-        assert len(scan_stability_bands(g, 20.0)) == 1
+        assert len(stability_bands(g, 20.0)) == 1
         self.assert_upper_edge(g, max_stable_distance(g, 20.0), 0.0749018387)
 
     def test_first_band_edge_not_a_later_one(self):
         # Bands (0, 0.0594) and (0.5736, 0.7294): the first is not skipped.
         g = self.LATER_BAND
-        assert len(scan_stability_bands(g, 20.0)) == 2
+        assert len(stability_bands(g, 20.0)) == 2
         self.assert_upper_edge(g, max_stable_distance(g, 20.0), 0.0594004712)
 
     def test_bands_across_narrow_gap_not_merged(self):
         # Bands (0, 0.1117) and (0.1520, 1.1217): a 0.04 m unstable gap.
         g = self.NARROW_GAP
-        (_, first_hi), (second_lo, _) = scan_stability_bands(g, 20.0)
+        (_, first_hi), (second_lo, _) = stability_bands(g, 20.0)
         assert second_lo - first_hi == pytest.approx(0.0403, abs=1e-4)
         assert not _stable_at(g, 0.5 * (first_hi + second_lo))
         self.assert_upper_edge(g, max_stable_distance(g, 20.0), 0.1116563286)
 
     def test_band_edges_are_stable_points(self):
         for g in (self.NARROW_FIRST, self.LATER_BAND, self.NARROW_GAP, CavityGeometry()):
-            for lo, hi in scan_stability_bands(g, 20.0):
+            for lo, hi in stability_bands(g, 20.0):
                 assert 0.0 < lo < hi
                 assert _stable_at(g, lo) and _stable_at(g, hi)
 
@@ -219,11 +216,11 @@ class TestSearchCaps:
     def test_non_finite_caps_rejected(self, value):
         g = CavityGeometry(rho2=50.0)
         for name, search in (("d_hi", lambda: stability_bands(g, value)),
-                             ("d_hi", lambda: scan_stability_bands(g, value)),
                              ("d_hi", lambda: max_stable_distance(g, value)),
                              ("rho2_hi", lambda: required_rho2(g, 10.0, value)),
                              ("d_lo", lambda: max_spot_over_range(g, value, 10.0)),
-                             ("d_hi", lambda: max_spot_over_range(g, 1.0, value))):
+                             ("d_hi", lambda: max_spot_over_range(g, 1.0, value)),
+                             ("tol", lambda: max_stable_distance(g, 10.0, tol=value))):
             with pytest.raises(ValueError, match=f"{name} must be finite, got {value!r}"):
                 search()
 
