@@ -107,7 +107,7 @@ def _cmd_power(s: Scenario, args) -> int:
     mu = args.mu if args.mu is not None else s.receiver.split_ratio
     g = replace(s.geometry, d=d)
     link = resolve_link_params(s)
-    delta_t, p_beam, p_out = _chain(s, link, g, args.system, p_in=p_in, mu=mu)
+    delta_t, p_beam, p_out = _chain(s, link, args.system)(g.d, p_in=p_in, mu=mu)
     _emit("d", d, "m")
     _emit("P_in", p_in, "W")
     _emit("mu", mu, "-")

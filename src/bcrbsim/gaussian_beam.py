@@ -35,10 +35,15 @@ def mirror_spot_radii(m: TransferMatrix, wavelength: float) -> tuple[float, floa
         raise ValueError(f"wavelength must be > 0, got {wavelength!r}")
     if not is_stable(m):
         raise UnstableCavityError(f"round trip unstable: a*d = {m.a * m.d!r} outside (0, 1)")
+    return _mirror_radii(m.a, m.b, m.d, wavelength)
+
+
+def _mirror_radii(a: float, b: float, d: float, wavelength: float) -> tuple[float, float]:
+    # mirror_spot_radii from the entries of a round trip that is_stable accepts.
     scale = (wavelength / math.pi) ** 2
-    excess = m.a * m.d - 1.0  # negative inside the stability region
-    rad1 = -scale * m.b * m.b * m.d / (m.a * excess)
-    rad2 = -scale * m.b * m.b * m.a / (m.d * excess)
+    excess = a * d - 1.0  # negative inside the stability region
+    rad1 = -scale * b * b * d / (a * excess)
+    rad2 = -scale * b * b * a / (d * excess)
     if rad1 <= 0:
         raise UnstableCavityError(f"omega1 radicand nonpositive ({rad1!r}); cavity at or beyond stability boundary")
     if rad2 <= 0:

@@ -63,6 +63,8 @@ def beam_power(p_in: float, delta_t: float, p: LinkBudgetParams, clamp: bool = T
     """
     if p_in < 0:
         raise ValueError(f"input power must be >= 0, got {p_in!r}")
+    if not math.isfinite(p_in):
+        raise ValueError(f"input power must be finite, got {p_in!r}")
     if delta_t < 0:
         raise ValueError(f"delta_t must be >= 0, got {delta_t!r}")
     r = p.reflectivity

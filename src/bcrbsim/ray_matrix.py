@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import InvalidElementError, SingularConfigurationError
 
@@ -60,12 +60,7 @@ class TransferMatrix:
         return self.a * self.d - self.b * self.c
 
     def __matmul__(self, other: "TransferMatrix") -> "TransferMatrix":
-        return TransferMatrix(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        return TransferMatrix(*_product((self.a, self.b, self.c, self.d), (other.a, other.b, other.c, other.d)))
 
     @staticmethod
     def identity() -> "TransferMatrix":
@@ -101,6 +96,32 @@ class Magnifier:
 
 
 OpticalElement = Union[Mirror, ThinLens, FreeSpace, Magnifier]
+_MIRROR, _LENS = "mirror curvature radius", "lens focal length"
+
+
+def _product(e: tuple, m: tuple) -> tuple:
+    """Entries (a, b, c, d) of e @ m; the sweep path carries matrices as such plain tuples."""
+    ea, eb, ec, ed = e
+    ma, mb, mc, md = m
+    return ea * ma + eb * mc, ea * mb + eb * md, ec * ma + ed * mc, ec * mb + ed * md
+
+
+def _shift(offset: float) -> tuple:
+    _require_finite("offset", offset)
+    return 1.0, offset, 0.0, 1.0
+
+
+def _focus(name: str, value: float) -> tuple:
+    # A mirror of curvature radius value, or a lens of focal length value.
+    if value == 0 or not math.isfinite(value):
+        raise InvalidElementError(f"{name} must be finite and nonzero, got {value!r}")
+    return 1.0, 0.0, -1.0 / value, 1.0
+
+
+def _magnifier(m: float) -> tuple:
+    if not (m > 0) or not math.isfinite(m):
+        raise InvalidElementError(f"magnification must be finite and > 0, got {m!r}")
+    return m, 0.0, 0.0, 1.0 / m
 
 
 def displacement(offset: float) -> TransferMatrix:
@@ -109,28 +130,21 @@ def displacement(offset: float) -> TransferMatrix:
     Shared form for free-space gaps and for the telescope lens matrices,
     which carry signed offsets +f1 / -f2.
     """
-    _require_finite("offset", offset)
-    return TransferMatrix(1.0, offset, 0.0, 1.0)
+    return TransferMatrix(*_shift(offset))
 
 
 def element_matrix(e: OpticalElement) -> TransferMatrix:
     """Transfer matrix of a single optical element."""
     if isinstance(e, Mirror):
-        if e.curvature_radius == 0 or not math.isfinite(e.curvature_radius):
-            raise InvalidElementError(f"mirror curvature radius must be finite and nonzero, got {e.curvature_radius!r}")
-        return TransferMatrix(1.0, 0.0, -1.0 / e.curvature_radius, 1.0)
+        return TransferMatrix(*_focus(_MIRROR, e.curvature_radius))
     if isinstance(e, ThinLens):
-        if e.focal_length == 0 or not math.isfinite(e.focal_length):
-            raise InvalidElementError(f"lens focal length must be finite and nonzero, got {e.focal_length!r}")
-        return TransferMatrix(1.0, 0.0, -1.0 / e.focal_length, 1.0)
+        return TransferMatrix(*_focus(_LENS, e.focal_length))
     if isinstance(e, FreeSpace):
         if e.length < 0 or not math.isfinite(e.length):
             raise InvalidElementError(f"free-space length must be finite and >= 0, got {e.length!r}")
         return displacement(e.length)
     if isinstance(e, Magnifier):
-        if not (e.magnification > 0) or not math.isfinite(e.magnification):
-            raise InvalidElementError(f"magnification must be finite and > 0, got {e.magnification!r}")
-        return TransferMatrix(e.magnification, 0.0, 0.0, 1.0 / e.magnification)
+        return TransferMatrix(*_magnifier(e.magnification))
     raise InvalidElementError(f"unknown optical element {e!r}")
 
 
@@ -198,19 +212,19 @@ class CavityGeometry:
 
 
 # Per layout: the round trip's elements before the gap to mirror 2, in
-# propagation order, each with the geometry fields its matrix reads; then, in
+# propagation order, each with the geometry fields its entries read; then, in
 # the same form, the part of that gap that is not d.
 _HEAD = (
-    (("rho1",), lambda g: element_matrix(Mirror(g.rho1))),
-    (("L1",), lambda g: displacement(g.L1)),
-    (("f_gain",), lambda g: element_matrix(ThinLens(g.f_gain))),
+    (("rho1",), lambda g: _focus(_MIRROR, g.rho1)),
+    (("L1",), lambda g: _shift(g.L1)),
+    (("f_gain",), lambda g: _focus(_LENS, g.f_gain)),
 )
 _LAYOUTS = {
     "bcrb": (_HEAD + (
-        (("L2",), lambda g: displacement(g.L2)),
-        (("f1",), lambda g: displacement(g.f1)),
-        (("magnification",), lambda g: element_matrix(Magnifier(g.magnification))),
-        (("f1", "magnification"), lambda g: displacement(-g.f2)),
+        (("L2",), lambda g: _shift(g.L2)),
+        (("f1",), lambda g: _shift(g.f1)),
+        (("magnification",), lambda g: _magnifier(g.magnification)),
+        (("f1", "magnification"), lambda g: _shift(-(g.f1 * g.magnification))),
     ), ((), lambda g: 0.0)),
     "original": (_HEAD, (("L2",), lambda g: g.L2)),
 }
@@ -222,9 +236,17 @@ def _layout(system: str) -> tuple:
     return _LAYOUTS[system]
 
 
+def _fold(p, elements: Sequence, m: Optional[tuple] = None) -> Optional[tuple]:
+    """Entries of m, then each element built from p, composed in propagation order (None if none)."""
+    for _, build in elements:
+        m = build(p) if m is None else _product(build(p), m)
+    return m
+
+
 def bcrb_elements(g: CavityGeometry) -> list[TransferMatrix]:
     """The nine single-pass element matrices, in propagation order."""
-    return [build(g) for _, build in _LAYOUTS["bcrb"][0]] + [displacement(g.d), element_matrix(Mirror(g.rho2))]
+    return ([TransferMatrix(*build(g)) for _, build in _LAYOUTS["bcrb"][0]] +
+            [displacement(g.d), element_matrix(Mirror(g.rho2))])
 
 
 def round_trip_prefix(g: CavityGeometry, system: str) -> tuple[TransferMatrix, float]:
@@ -233,11 +255,11 @@ def round_trip_prefix(g: CavityGeometry, system: str) -> tuple[TransferMatrix, f
     The round trip at distance d is close_round_trip(prefix, offset + d, g.rho2).
     For 'bcrb' the prefix is the first seven element matrices and the offset
     is 0; for 'original' it is mirror 1, L1 and the gain lens, and the gap is
-    L2 + d.  compose() is a left fold, so closing the prefix gives the same
-    bits as composing every element.
+    L2 + d.  The prefix is a left fold, as in compose(), so closing it gives
+    the same bits as composing every element.
     """
     elements, (_, offset) = _layout(system)
-    return compose(build(g) for _, build in elements), offset(g)
+    return TransferMatrix(*_fold(g, elements)), offset(g)
 
 
 def _round_trip_reads(system: str) -> set[str]:
@@ -246,41 +268,27 @@ def _round_trip_reads(system: str) -> set[str]:
     return {name for fields, _ in elements + (offset,) for name in fields} | {"d", "rho2"}
 
 
-def _sweep_round_trip(g: CavityGeometry, system: str, name: str) -> Callable[[CavityGeometry], TransferMatrix]:
-    """Round trip of a layout, bit for bit, for geometries that differ from g in field name only.
+def _sweep_round_trip(g: CavityGeometry, system: str, name: str) -> Callable[[object], tuple]:
+    """Entries of a layout's round trip, bit for bit, at a point p that differs from g in field name only.
 
-    compose() is a left fold, so the elements before the first one that
-    reads name are folded once, from g; each call composes only the rest,
-    then closes the gap and mirror 2.
+    p is any object with g's field names as attributes.  The elements
+    before the first one that reads name are folded once, from g; each call
+    folds only the rest, from p, then closes the gap and mirror 2.
     """
     elements, (_, offset) = _layout(system)
     first = next((k for k, (reads, _) in enumerate(elements) if name in reads), len(elements))
-    head = compose(build(g) for _, build in elements[:first]) if first else None
-    tail = [build for _, build in elements[first:]]
-
-    def at(p: CavityGeometry) -> TransferMatrix:
-        m = head
-        for build in tail:
-            m = build(p) if m is None else build(p) @ m
-        return close_round_trip(m, offset(p) + p.d, p.rho2)
-    return at
+    head, tail = _fold(g, elements[:first]), elements[first:]
+    return lambda p: _close(_fold(p, tail, head), offset(p) + p.d, p.rho2)
 
 
-def _sweep_geometries(g: CavityGeometry, name: str, grid: Sequence[float]) -> Iterator[CavityGeometry]:
-    """g with field name set to each value of a sweep grid, validated once.
-
-    The grid is finite and rises from grid[0], so every > 0 and >= 0 rule
-    that holds at grid[0] holds at every point; only a mirror radius, which
-    a rising grid can carry across 0, is checked again per point.
-    """
-    replace(g, **{name: grid[0]})
-    mirror = name in ("rho1", "rho2")
-    for value in grid:
-        if mirror:
-            _require_mirror_radius(name, value)
-        point = object.__new__(CavityGeometry)
-        vars(point).update(vars(g), **{name: value})
-        yield point
+def _close(m: tuple, gap: float, rho2: float) -> tuple:
+    # The entries of close_round_trip.
+    r = _focus(_MIRROR, rho2)[2]
+    _require_finite("offset", gap)
+    pa, pb, pc, pd = m
+    a, b = pa + gap * pc, pb + gap * pd
+    c, d = 0.0 * pa + pc, 0.0 * pb + pd
+    return a + 0.0 * c, b + 0.0 * d, r * a + c, r * b + d
 
 
 def close_round_trip(prefix: TransferMatrix, gap: float, rho2: float) -> TransferMatrix:
@@ -292,18 +300,11 @@ def close_round_trip(prefix: TransferMatrix, gap: float, rho2: float) -> Transfe
     bit for bit, signed zeros included (x * 1.0 is exact, x * 0.0 is not
     dropped), and rho2 is checked before the gap, as there.
     """
-    if rho2 == 0 or not math.isfinite(rho2):
-        raise InvalidElementError(f"mirror curvature radius must be finite and nonzero, got {rho2!r}")
-    _require_finite("offset", gap)
-    a, b = prefix.a + gap * prefix.c, prefix.b + gap * prefix.d
-    c, d = 0.0 * prefix.a + prefix.c, 0.0 * prefix.b + prefix.d
-    r = -1.0 / rho2
-    return TransferMatrix(a + 0.0 * c, b + 0.0 * d, r * a + c, r * b + d)
+    return TransferMatrix(*_close((prefix.a, prefix.b, prefix.c, prefix.d), gap, rho2))
 
 
 def _round_trip(g: CavityGeometry, system: str) -> TransferMatrix:
-    prefix, offset = round_trip_prefix(g, system)
-    return close_round_trip(prefix, offset + g.d, g.rho2)
+    return TransferMatrix(*_sweep_round_trip(g, system, "d")(g))
 
 
 def round_trip_bcrb(g: CavityGeometry) -> TransferMatrix:
@@ -353,8 +354,13 @@ def round_trip(g: CavityGeometry, system: str) -> TransferMatrix:
 
 def is_stable(m: TransferMatrix) -> bool:
     """Stability test 0 < a*d < 1 (strict) on a round-trip matrix."""
-    product = m.a * m.d
+    return _stable(m.a, m.d)
+
+
+def _stable(a: float, d: float) -> bool:
+    # is_stable on the entries a and d of a round trip.
+    product = a * d
     if math.isnan(product):
-        log.warning("stability test saw NaN: a=%r d=%r", m.a, m.d)
+        log.warning("stability test saw NaN: a=%r d=%r", a, d)
         return False
     return 0.0 < product < 1.0

@@ -30,16 +30,16 @@ import logging
 import math
 import operator
 from dataclasses import dataclass, fields, replace
-from functools import partial
-from itertools import repeat
+from functools import cache, partial
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
-from .comms import data_signal, shot_noise, spectral_efficiency, thermal_noise
+from .comms import shot_noise, spectral_efficiency, thermal_noise
 from .errors import InfeasibleSearchError, NoStableRegionError, UnstableCavityError
-from .gaussian_beam import _spot_radii, cavity_spot_radii
+from .gaussian_beam import _mirror_radii, _spot_radii, cavity_spot_radii, propagate_spot
 from .link_budget import LinkBudgetParams, beam_power, effective_aperture, pv_output, transmission_loss
-from .ray_matrix import (CavityGeometry, TransferMatrix, _layout, _round_trip_reads, _sweep_geometries,
-                         _sweep_round_trip, close_round_trip, is_stable, round_trip, round_trip_prefix)
+from .ray_matrix import (CavityGeometry, TransferMatrix, _layout, _require_mirror_radius, _round_trip_reads,
+                         _stable, _sweep_round_trip, close_round_trip, is_stable, round_trip, round_trip_prefix)
 from .scenario import Scenario, default_scenario, scenario_to_dict
 
 log = logging.getLogger(__name__)
@@ -281,6 +281,10 @@ def calibrate_loss_scale(anchor_d: float, anchor_beam_power: float, p_in: float,
         raise ValueError(f"anchor input power must be > 0, got {p_in!r}")
     if aperture <= 0 or wavelength <= 0:
         raise ValueError("aperture and wavelength must be > 0")
+    for name, value in (("anchor distance", anchor_d), ("anchor beam power", anchor_beam_power),
+                        ("anchor input power", p_in), ("aperture", aperture), ("wavelength", wavelength)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     net = anchor_beam_power - p.intercept
     if net <= 0:
         raise InfeasibleSearchError(
@@ -303,45 +307,55 @@ def resolve_link_params(s: Scenario) -> LinkBudgetParams:
     return replace(s.link, loss_scale=n)
 
 
-def _cavity(m: TransferMatrix, g: CavityGeometry) -> tuple:
-    """(stable, A*D, omega1, omega2, omega3) of round trip m of geometry g, as sweep cells.
+def _cavity(a: float, b: float, d: float, wavelength: float, rho1: float, L1: float) -> tuple:
+    """(stable, A*D, omega1, omega2, omega3) of a round trip with entries a, b, d, as sweep cells.
 
     stable is 1.0 or 0.0; the spot radii are NaN when the cavity is unstable.
+    The stability test runs once; the radii are those of cavity_spot_radii.
     """
-    if not is_stable(m):
-        return 0.0, m.a * m.d, math.nan, math.nan, math.nan
-    return (1.0, m.a * m.d, *_spot_radii(m, g))
+    if not _stable(a, d):
+        return 0.0, a * d, math.nan, math.nan, math.nan
+    omega1, omega2 = _mirror_radii(a, b, d, wavelength)
+    return 1.0, a * d, omega1, omega2, propagate_spot(omega1, rho1, L1, wavelength)
 
 
-def _chain(s: Scenario, link: LinkBudgetParams, g: CavityGeometry, system: str,
-           thermal: Optional[float] = None, *, p_in: Optional[float] = None,
-           mu: Optional[float] = None, loss_scale: Optional[float] = None) -> tuple:
-    """The model chain downstream of the cavity at one point of geometry g.
+def _chain(s: Scenario, link: LinkBudgetParams, system: str, data: bool = False) -> Callable[..., tuple]:
+    """The model chain downstream of the cavity, staged: returns point(d, wavelength, p_in, mu, loss_scale).
 
-    A sweep passes its variable as a plain float: p_in, mu and loss_scale
-    default to the scenario's pump input and split ratio, and
-    link.loss_scale.  The power branch gives (delta_t,
-    beam_power, pv_output); stages downstream of the beam power see it
-    floored at 0, also when the scenario leaves negative powers unclamped.
-    Given the receiver's thermal-noise variance, which no point changes, the
-    data branch follows: (data_signal, shot_noise, thermal_noise,
-    total_noise, spectral_efficiency).  The receiver is rebuilt only for a
-    split ratio other than the scenario's.
+    The aperture and every constant that no point changes are read once.
+    point takes plain floats, defaulting to the scenario's (loss_scale to
+    link.loss_scale), and gives the power branch (delta_t, beam_power,
+    pv_output); later stages see the beam power floored at 0.  With data, the
+    data branch follows: (data_signal, shot_noise, thermal_noise, total_noise,
+    spectral_efficiency).  The steps are those of link_budget and comms, bit
+    for bit; an input that beam_power or spectral_efficiency rejects is passed
+    to it for its error.
     """
-    clamp = s.model_choices.clamp_negative_power
-    mu = s.receiver.split_ratio if mu is None else mu
-    delta_t = transmission_loss(g.d, effective_aperture(g, system), g.wavelength,
-                                link.loss_scale if loss_scale is None else loss_scale)
-    p_beam = beam_power(s.pump_input_power if p_in is None else p_in, delta_t, link, clamp=clamp)
-    p_beam_floor = max(p_beam, 0.0)
-    power = (delta_t, p_beam, pv_output(p_beam_floor, mu, link, clamp=clamp))
-    if thermal is None:
-        return power
-    receiver = s.receiver if mu == s.receiver.split_ratio else replace(s.receiver, split_ratio=mu)
-    p_data = data_signal(p_beam_floor, receiver)
-    shot = shot_noise(p_data, receiver)
-    total = shot + thermal
-    return power + (p_data, shot, thermal, total, spectral_efficiency(p_data, total, s.model_choices.log_base))
+    g, rx, r = s.geometry, s.receiver, link.reflectivity
+    b, clamp = effective_aperture(g, system), s.model_choices.clamp_negative_power
+    gain, log_r = 2.0 * (1.0 - r) * link.conversion_efficiency, math.log(r)
+    thermal, log_base = thermal_noise(rx), math.log(s.model_choices.log_base)
+
+    def point(d: float = g.d, wavelength: float = g.wavelength, p_in: float = s.pump_input_power,
+              mu: float = rx.split_ratio, loss_scale: float = link.loss_scale) -> tuple:
+        delta_t = transmission_loss(d, b, wavelength, loss_scale)
+        if not 0.0 <= p_in < math.inf:
+            beam_power(p_in, delta_t, link)
+        p_beam = gain / ((1.0 + r) * (delta_t - log_r)) * p_in + link.intercept
+        if clamp and p_beam < 0.0:
+            p_beam = 0.0
+        p_beam_floor = max(p_beam, 0.0)
+        power = (delta_t, p_beam, pv_output(p_beam_floor, mu, link, clamp))
+        if not data:
+            return power
+        p_data = rx.responsivity * (1.0 - mu) * p_beam_floor
+        shot = shot_noise(p_data, rx)
+        total = shot + thermal
+        if total <= 0.0:
+            spectral_efficiency(p_data, total)
+        snr_like = p_data * p_data * math.e / (2.0 * math.pi * total)
+        return power + (p_data, shot, thermal, total, 0.5 * math.log1p(snr_like) / log_base)
+    return point
 
 
 def operating_point(s: Scenario, system: str = "bcrb",
@@ -361,9 +375,10 @@ def operating_point(s: Scenario, system: str = "bcrb",
         mu = s.receiver.split_ratio
     if link is None:
         link = resolve_link_params(s)
+    m = round_trip(g, system)
     point = dict(zip(("d", "p_in", "mu") + tuple(name for name, _ in _POINT_COLUMNS),
-                     (g.d, p_in, mu, *_cavity(round_trip(g, system), g),
-                      *_chain(s, link, g, system, thermal_noise(s.receiver), p_in=p_in, mu=mu))))
+                     (g.d, p_in, mu, *_cavity(m.a, m.b, m.d, g.wavelength, g.rho1, g.L1),
+                      *_chain(s, link, system, data=True)(g.d, p_in=p_in, mu=mu))))
     point["stable"] = bool(point["stable"])
     return point
 
@@ -406,18 +421,22 @@ def _series(key: str, values: Sequence[float]) -> dict:
 
 def _fig6(s: Scenario, link: LinkBudgetParams, **_):
     # Spot radius on the gain module and beam power vs distance, both systems.
+    stages = [_chain(s, link, system) for system in ("bcrb", "original")]
+
     def cells(d: float) -> list[float]:
         g = replace(s.geometry, d=d)
         return ([cavity_spot_radii(g, system).omega3 for system in ("bcrb", "original")] +
-                [_chain(s, link, g, system)[1] for system in ("bcrb", "original")])
+                [point(d)[1] for point in stages])
     return (["omega3_bcrb [m]", "omega3_original [m]", "beam_power_bcrb [W]", "beam_power_original [W]"],
             cells, {"sweep.p_in_w": s.pump_input_power})
 
 
 def _fig7(s: Scenario, link: LinkBudgetParams, **_):
     # Beam power and pump-to-beam efficiency vs input power at the reference distance.
+    stages = [_chain(s, link, system) for system in ("bcrb", "original")]
+
     def cells(p_in: float) -> list[float]:
-        powers = [_chain(s, link, s.geometry, system, p_in=p_in)[1] for system in ("bcrb", "original")]
+        powers = [point(p_in=p_in)[1] for point in stages]
         return powers + [power / p_in for power in powers]
     return (["beam_power_bcrb [W]", "beam_power_original [W]", "efficiency_bcrb [-]", "efficiency_original [-]"],
             cells, {"sweep.d_m": s.geometry.d})
@@ -452,31 +471,30 @@ def _fig10(s: Scenario, link: LinkBudgetParams, *, rho2: float, d_lo: float, d_v
 
 def _fig11(s: Scenario, link: LinkBudgetParams, *, mu: float, p_in_values: Sequence[float], **_):
     # PV output vs distance at full power split, one series per input power.
+    point = _chain(s, link, "bcrb")
+
     def cells(d: float) -> list[float]:
-        g = replace(s.geometry, d=d)
-        return [_chain(s, link, g, "bcrb", p_in=float(p_in), mu=mu)[2] for p_in in p_in_values]
+        return [point(d, p_in=float(p_in), mu=mu)[2] for p_in in p_in_values]
     return ([f"P_out_Pin{_fmt(p)} [W]" for p in p_in_values], cells,
             {"sweep.mu": mu, **_series("p_in_w", p_in_values)})
 
 
 def _fig12(s: Scenario, link: LinkBudgetParams, *, p_in: float, mu_values: Sequence[float], **_):
     # Spectral efficiency vs distance, one series per power split ratio.
-    thermal = thermal_noise(s.receiver)
+    point = _chain(s, link, "bcrb", data=True)
 
     def cells(d: float) -> list[float]:
-        g = replace(s.geometry, d=d)
-        return [_chain(s, link, g, "bcrb", thermal, p_in=p_in, mu=mu)[-1] for mu in mu_values]
+        return [point(d, p_in=p_in, mu=mu)[-1] for mu in mu_values]
     return ([f"spectral_efficiency_mu{_fmt(mu)} [bit/s/Hz]" for mu in mu_values], cells,
             {"sweep.p_in_w": p_in, **_series("mu", mu_values)})
 
 
 def _fig13(s: Scenario, link: LinkBudgetParams, *, mu: float, p_in_values: Sequence[float], **_):
     # Spectral efficiency vs distance, one series per input power.
-    thermal = thermal_noise(s.receiver)
+    point = _chain(s, link, "bcrb", data=True)
 
     def cells(d: float) -> list[float]:
-        g = replace(s.geometry, d=d)
-        return [_chain(s, link, g, "bcrb", thermal, p_in=p_in, mu=mu)[-1] for p_in in p_in_values]
+        return [point(d, p_in=p_in, mu=mu)[-1] for p_in in p_in_values]
     return ([f"spectral_efficiency_Pin{_fmt(p)} [bit/s/Hz]" for p in p_in_values], cells,
             {"sweep.mu": mu, **_series("p_in_w", p_in_values)})
 
@@ -546,28 +564,18 @@ _POINT_COLUMNS = (
 )
 
 
-def _once(f: Callable) -> Callable:
-    """f evaluated at its first call only; every later call returns that first result."""
-    memo: list = []
-
-    def first(*args):
-        if not memo:
-            memo.append(f(*args))
-        return memo[0]
-    return first
-
-
 def run_sweep(spec: SweepSpec, s: Optional[Scenario] = None) -> FigureDataset:
     """Sweep one scalar parameter; each row is operating_point at its grid value.
 
-    Each point does only the work its variable reaches.  A geometry variable
-    is validated once, at the first grid point, and the round trip is folded
-    once up to the first element that reads it, so a point composes only the
-    elements from there on.  The cavity cells (round trip, stability, spot
-    radii) and the chain after them are each evaluated once, at the first
-    point, when they read nothing the variable changes: p_in, mu and
-    loss_scale leave the cavity fixed, and only d and the wavelength among
-    the geometry variables reach the chain.
+    A point carries only the swept float.  A geometry variable is validated
+    at grid[0] only: the grid is finite and rising, so every > 0 and >= 0 rule
+    that holds there holds at every point; a mirror radius, which a rising
+    grid can carry across 0, is checked per point.  The round trip is folded
+    once up to the first element that reads the variable.  The cavity cells
+    (round trip, stability, spot radii) and the chain after them are each
+    evaluated once, at the first point, when they read nothing the variable
+    changes: p_in, mu and loss_scale leave the cavity fixed, and only d and
+    the wavelength among the geometry variables reach the chain.
     """
     if s is None:
         s = default_scenario()
@@ -576,21 +584,29 @@ def run_sweep(spec: SweepSpec, s: Optional[Scenario] = None) -> FigureDataset:
         raise ValueError(f"unknown sweep variable {variable!r}; expected one of {sorted(_SWEEP_UNITS)}")
     link = resolve_link_params(s)
     grid = _grid(spec.lo, spec.hi, spec.samples)
-    thermal = thermal_noise(s.receiver)
-    geometric = variable in _GEOMETRY_FIELDS
-    points = _sweep_geometries(g, variable, grid) if geometric else repeat(g)
-    close = _sweep_round_trip(g, system, variable)
+    if variable in _GEOMETRY_FIELDS:
+        replace(g, **{variable: grid[0]})
+    # The inputs of the point, as plain floats; each grid value is written into them in turn.
+    p = SimpleNamespace(**vars(g), p_in=s.pump_input_power, mu=s.receiver.split_ratio, loss_scale=link.loss_scale)
+    close, point = _sweep_round_trip(g, system, variable), _chain(s, link, system, data=True)
 
-    def cavity(p: CavityGeometry) -> tuple:
-        return _cavity(close(p), p)
+    def cavity() -> tuple:
+        a, b, _, d = close(p)
+        return _cavity(a, b, d, p.wavelength, p.rho1, p.L1)
 
-    def chain(p: CavityGeometry, value: float) -> tuple:
-        return _chain(s, link, p, system, thermal, **({} if geometric else {variable: value}))
+    def chain() -> tuple:
+        return point(p.d, p.wavelength, p.p_in, p.mu, p.loss_scale)
     if variable not in _round_trip_reads(system) | _SPOT_READS:
-        cavity = _once(cavity)
+        cavity = cache(cavity)
     if variable not in _CHAIN_READS:
-        chain = _once(chain)
-    rows = [(value, *cavity(p), *chain(p, value)) for value, p in zip(grid, points)]
+        chain = cache(chain)
+    mirror = variable in ("rho1", "rho2")
+    rows = []
+    for value in grid:
+        if mirror:
+            _require_mirror_radius(variable, value)
+        setattr(p, variable, value)
+        rows.append((value, *cavity(), *chain()))
     columns = [f"{variable} [{_SWEEP_UNITS[variable]}]"] + [f"{name} [{unit}]" for name, unit in _POINT_COLUMNS]
     extra = {"sweep.variable": variable, "sweep.lo": spec.lo, "sweep.hi": spec.hi,
              "sweep.samples": spec.samples, "sweep.system": spec.system}

@@ -102,6 +102,13 @@ class TestPower:
         code, out, err = run(capsys, "power", "--d", "3", "--mu", "1.5")
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["power", "comms"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_input_power_exit_1(self, capsys, command, value):
+        code, out, err = run(capsys, command, "--P-in", value)
+        assert (code, out) == (1, "")
+        assert err == f"error: input power must be finite, got {float(value)!r}\n"
+
 
 class TestComms:
     def test_chain_output(self, capsys):
@@ -125,6 +132,15 @@ class TestCalibrate:
     def test_infeasible_anchor_exit_2(self, capsys):
         code, out, err = run(capsys, "calibrate", "--anchor-P-beam", "50")
         assert code == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag, name", [("--anchor-d", "anchor distance"),
+                                            ("--anchor-P-beam", "anchor beam power"),
+                                            ("--P-in", "anchor input power")])
+    def test_non_finite_anchor_exit_1(self, capsys, flag, name, value):
+        code, out, err = run(capsys, "calibrate", flag, value)
+        assert (code, out) == (1, "")
+        assert err == f"error: {name} must be finite, got {float(value)!r}\n"
 
 
 class TestFigure:

@@ -1,5 +1,7 @@
 """Aperture loss, beam power, effective aperture, PV output."""
 
+import math
+import re
 
 import numpy as np
 import pytest
@@ -88,6 +90,15 @@ class TestBeamPower:
             beam_power(-1.0, 0.0, p)
         with pytest.raises(ValueError):
             beam_power(210.0, -0.1, p)
+
+    @pytest.mark.parametrize("p_in", [math.nan, math.inf])
+    def test_non_finite_input_power(self, p_in):
+        with pytest.raises(ValueError, match=re.escape(f"input power must be finite, got {p_in!r}")):
+            beam_power(p_in, 0.1, LinkBudgetParams())
+
+    def test_negative_infinite_input_power_is_negative(self):
+        with pytest.raises(ValueError, match=re.escape("input power must be >= 0, got -inf")):
+            beam_power(-math.inf, 0.1, LinkBudgetParams())
 
 
 class TestEffectiveAperture:

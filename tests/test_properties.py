@@ -23,6 +23,8 @@ from bcrbsim import (
     SweepSpec,
     TransferMatrix,
     UnstableCavityError,
+    beam_power,
+    data_signal,
     default_scenario,
     displacement,
     effective_aperture,
@@ -31,19 +33,25 @@ from bcrbsim import (
     load_scenario,
     max_spot_over_range,
     max_stable_distance,
+    mirror_spot_radii,
     operating_point,
+    propagate_spot,
+    pv_output,
     required_rho2,
     resolve_link_params,
     round_trip_bcrb,
     round_trip_closed_form,
     run_sweep,
     save_scenario,
+    shot_noise,
+    spectral_efficiency,
+    thermal_noise,
     transmission_loss,
 )
 from bcrbsim.cli import format_dataset_csv
 from bcrbsim.gaussian_beam import _spot_radii
 from bcrbsim.ray_matrix import close_round_trip, round_trip, round_trip_prefix
-from bcrbsim.sweep_search import (_POINT_COLUMNS, _SWEEP_UNITS, FigureDataset, _distance_bands, _grid, _require_cap,
+from bcrbsim.sweep_search import (_SWEEP_UNITS, FigureDataset, _distance_bands, _grid, _require_cap,
                                   _stable_at, stability_bands)
 
 
@@ -144,13 +152,32 @@ SWEEP_VALUES = {
 }
 
 
-def _operating_point_at(s, link, system, variable, value):
-    """operating_point with one variable set the way a sweep sets it."""
-    if variable in ("d", "p_in", "mu"):
-        return operating_point(s, system, link=link, **{variable: value})
-    if variable == "loss_scale":
-        return operating_point(s, system, link=replace(link, loss_scale=value))
-    return operating_point(replace(s, geometry=replace(s.geometry, **{variable: value})), system, link=link)
+def _oracle_row(s, link, system, variable, value):
+    """The sweep row at one grid value, built from public functions only, one step after another."""
+    g, p_in, mu, loss_scale = s.geometry, s.pump_input_power, s.receiver.split_ratio, link.loss_scale
+    if variable == "p_in":
+        p_in = value
+    elif variable == "mu":
+        mu = value
+    elif variable == "loss_scale":
+        loss_scale = value
+    else:
+        g = replace(g, **{variable: value})
+    m = round_trip(g, system)
+    cavity = (0.0, m.a * m.d, math.nan, math.nan, math.nan)
+    if is_stable(m):
+        omega1, omega2 = mirror_spot_radii(m, g.wavelength)
+        cavity = (1.0, m.a * m.d, omega1, omega2, propagate_spot(omega1, g.rho1, g.L1, g.wavelength))
+    clamp = s.model_choices.clamp_negative_power
+    delta_t = transmission_loss(g.d, effective_aperture(g, system), g.wavelength, loss_scale)
+    p_beam = beam_power(p_in, delta_t, link, clamp=clamp)
+    p_beam_floor = max(p_beam, 0.0)
+    p_out = pv_output(p_beam_floor, mu, link, clamp=clamp)
+    receiver = replace(s.receiver, split_ratio=mu)
+    p_data = data_signal(p_beam_floor, receiver)
+    shot, thermal = shot_noise(p_data, receiver), thermal_noise(receiver)
+    se = spectral_efficiency(p_data, shot + thermal, s.model_choices.log_base)
+    return (value, *cavity, delta_t, p_beam, p_out, p_data, shot, thermal, shot + thermal, se)
 
 
 @pytest.mark.parametrize("system", ["bcrb", "original"])
@@ -166,13 +193,17 @@ def test_sweep_rows_are_operating_points(variable, system, data, geometry, sampl
     spec = SweepSpec(variable, lo, hi, samples, system)
     grid = np.linspace(lo, hi, samples).tolist()
     try:
-        want = [(value, *(float(_operating_point_at(s, link, system, variable, value)[name])
-                          for name, _ in _POINT_COLUMNS)) for value in grid]
+        want = [_oracle_row(s, link, system, variable, value) for value in grid]
     except (BeamSimError, ValueError) as exc:
         with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
             run_sweep(spec, s)
         return
     assert repr(run_sweep(spec, s).rows) == repr(tuple(want))
+    if variable in ("d", "p_in", "mu"):
+        # operating_point evaluates the same row at one point.
+        points = [operating_point(s, system, link=link, **{variable: value}) for value in grid]
+        assert repr([(value, *map(float, list(point.values())[3:])) for value, point in zip(grid, points)]) == \
+            repr(want)
 
 
 def _scanned_max_spot(g, d_lo, d_hi, samples):

@@ -14,6 +14,7 @@ from bcrbsim import (
     LinkBudgetParams,
     NoStableRegionError,
     SweepSpec,
+    TransferMatrix,
     UnstableCavityError,
     beam_power,
     calibrate_loss_scale,
@@ -264,6 +265,15 @@ class TestCalibration:
         with pytest.raises(ValueError):
             calibrate_loss_scale(3.0, 5.0, 0.0, 1.5e-3, LAMBDA, p)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("position, name", [(0, "anchor distance"), (1, "anchor beam power"),
+                                                (2, "anchor input power"), (3, "aperture"), (4, "wavelength")])
+    def test_non_finite_arguments(self, position, name, value):
+        args = [ANCHOR_DISTANCE, ANCHOR_BEAM_POWER, ANCHOR_INPUT_POWER, 1.5e-3, LAMBDA]
+        args[position] = value
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be finite, got {value!r}")):
+            calibrate_loss_scale(*args, LinkBudgetParams())
+
 
 class TestOperatingPoint:
     def test_reference_point(self):
@@ -464,3 +474,23 @@ class TestRunSweep:
         assert len(run_sweep(SweepSpec(variable, lo, hi, 101, system), s).rows) == 101
         assert len(checks) <= 1
         assert len(losses) == (101 if variable == "d" else 1)
+
+    @pytest.mark.parametrize("system", ["bcrb", "original"])
+    @pytest.mark.parametrize("variable, lo, hi", [("d", 1.0, 6.0), ("rho2", 1.0, 50.0), ("p_in", 150.0, 300.0),
+                                                  ("mu", 0.0, 1.0), ("magnification", 1.5, 6.0)])
+    def test_points_build_no_objects(self, monkeypatch, variable, lo, hi, system):
+        # A point carries plain floats: the matrices and dataclass copies that a
+        # sweep builds are set up once, however many points it has.
+        s = default_scenario()
+        built = {}
+        for samples in (11, 1001):
+            matrices, copies = [], []
+            with monkeypatch.context() as patch:
+                init = TransferMatrix.__init__
+                patch.setattr(TransferMatrix, "__init__", lambda m, *args: matrices.append(1) or init(m, *args))
+                patch.setattr(sweep_search, "replace", lambda *args, **kw: copies.append(1) or replace(*args, **kw))
+                assert len(run_sweep(SweepSpec(variable, lo, hi, samples, system), s).rows) == samples
+            built[samples] = (len(matrices), len(copies))
+        matrices, copies = built[1001]
+        assert built[11] == (matrices, copies)
+        assert matrices == 0 and copies <= 2
