@@ -41,9 +41,14 @@ class ReceiverParams:
 
 def data_signal(p_beam: float, r: ReceiverParams) -> float:
     """Signal level at the APD: gamma (1 - mu) P_beam."""
+    return _data_signal(p_beam, r.responsivity, r.split_ratio)
+
+
+def _data_signal(p_beam: float, responsivity: float, mu: float) -> float:
+    # data_signal from the receiver's responsivity and split ratio as floats.
     if p_beam < 0:
         raise ValueError(f"beam power must be >= 0, got {p_beam!r}")
-    return r.responsivity * (1.0 - r.split_ratio) * p_beam
+    return responsivity * (1.0 - mu) * p_beam
 
 
 def shot_noise(p_data: float, r: ReceiverParams) -> float:

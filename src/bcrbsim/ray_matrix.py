@@ -207,13 +207,14 @@ class CavityGeometry:
 
     @property
     def f2(self) -> float:
-        """Convex-lens focal length, tied to f1 by the magnification."""
+        """Convex-lens focal length, tied to f1 by the magnification; the -f2 element of _LAYOUTS reads it."""
         return self.f1 * self.magnification
 
 
 # Per layout: the round trip's elements before the gap to mirror 2, in
 # propagation order, each with the geometry fields its entries read; then, in
-# the same form, the part of that gap that is not d.
+# the same form, the part of that gap that is not d.  The elements read any
+# object with these fields (a sweep point too): -f2 comes from the f2 property.
 _HEAD = (
     (("rho1",), lambda g: _focus(_MIRROR, g.rho1)),
     (("L1",), lambda g: _shift(g.L1)),
@@ -224,7 +225,7 @@ _LAYOUTS = {
         (("L2",), lambda g: _shift(g.L2)),
         (("f1",), lambda g: _shift(g.f1)),
         (("magnification",), lambda g: _magnifier(g.magnification)),
-        (("f1", "magnification"), lambda g: _shift(-(g.f1 * g.magnification))),
+        (("f1", "magnification"), lambda g: _shift(-CavityGeometry.f2.fget(g))),
     ), ((), lambda g: 0.0)),
     "original": (_HEAD, (("L2",), lambda g: g.L2)),
 }
@@ -304,7 +305,8 @@ def close_round_trip(prefix: TransferMatrix, gap: float, rho2: float) -> Transfe
 
 
 def _round_trip(g: CavityGeometry, system: str) -> TransferMatrix:
-    return TransferMatrix(*_sweep_round_trip(g, system, "d")(g))
+    elements, (_, offset) = _layout(system)
+    return TransferMatrix(*_close(_fold(g, elements), offset(g) + g.d, g.rho2))
 
 
 def round_trip_bcrb(g: CavityGeometry) -> TransferMatrix:

@@ -34,7 +34,7 @@ from functools import cache, partial
 from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
-from .comms import shot_noise, spectral_efficiency, thermal_noise
+from .comms import _data_signal, shot_noise, spectral_efficiency, thermal_noise
 from .errors import InfeasibleSearchError, NoStableRegionError, UnstableCavityError
 from .gaussian_beam import _mirror_radii, _spot_radii, cavity_spot_radii, propagate_spot
 from .link_budget import LinkBudgetParams, beam_power, effective_aperture, pv_output, transmission_loss
@@ -322,39 +322,29 @@ def _cavity(a: float, b: float, d: float, wavelength: float, rho1: float, L1: fl
 def _chain(s: Scenario, link: LinkBudgetParams, system: str, data: bool = False) -> Callable[..., tuple]:
     """The model chain downstream of the cavity, staged: returns point(d, wavelength, p_in, mu, loss_scale).
 
-    The aperture and every constant that no point changes are read once.
-    point takes plain floats, defaulting to the scenario's (loss_scale to
+    The aperture, the receiver and its thermal noise are read once.  point
+    takes plain floats, defaulting to the scenario's (loss_scale to
     link.loss_scale), and gives the power branch (delta_t, beam_power,
     pv_output); later stages see the beam power floored at 0.  With data, the
     data branch follows: (data_signal, shot_noise, thermal_noise, total_noise,
-    spectral_efficiency).  The steps are those of link_budget and comms, bit
-    for bit; an input that beam_power or spectral_efficiency rejects is passed
-    to it for its error.
+    spectral_efficiency).  Each step is the link_budget or comms function,
+    with all its checks; the APD signal takes mu as a float.
     """
-    g, rx, r = s.geometry, s.receiver, link.reflectivity
-    b, clamp = effective_aperture(g, system), s.model_choices.clamp_negative_power
-    gain, log_r = 2.0 * (1.0 - r) * link.conversion_efficiency, math.log(r)
-    thermal, log_base = thermal_noise(rx), math.log(s.model_choices.log_base)
+    g, rx, choices = s.geometry, s.receiver, s.model_choices
+    b, clamp, thermal = effective_aperture(g, system), choices.clamp_negative_power, thermal_noise(rx)
 
     def point(d: float = g.d, wavelength: float = g.wavelength, p_in: float = s.pump_input_power,
               mu: float = rx.split_ratio, loss_scale: float = link.loss_scale) -> tuple:
         delta_t = transmission_loss(d, b, wavelength, loss_scale)
-        if not 0.0 <= p_in < math.inf:
-            beam_power(p_in, delta_t, link)
-        p_beam = gain / ((1.0 + r) * (delta_t - log_r)) * p_in + link.intercept
-        if clamp and p_beam < 0.0:
-            p_beam = 0.0
+        p_beam = beam_power(p_in, delta_t, link, clamp)
         p_beam_floor = max(p_beam, 0.0)
         power = (delta_t, p_beam, pv_output(p_beam_floor, mu, link, clamp))
         if not data:
             return power
-        p_data = rx.responsivity * (1.0 - mu) * p_beam_floor
+        p_data = _data_signal(p_beam_floor, rx.responsivity, mu)
         shot = shot_noise(p_data, rx)
         total = shot + thermal
-        if total <= 0.0:
-            spectral_efficiency(p_data, total)
-        snr_like = p_data * p_data * math.e / (2.0 * math.pi * total)
-        return power + (p_data, shot, thermal, total, 0.5 * math.log1p(snr_like) / log_base)
+        return power + (p_data, shot, thermal, total, spectral_efficiency(p_data, total, choices.log_base))
     return point
 
 
