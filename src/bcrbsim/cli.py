@@ -107,7 +107,8 @@ def _cmd_power(s: Scenario, args) -> int:
     mu = args.mu if args.mu is not None else s.receiver.split_ratio
     g = replace(s.geometry, d=d)
     link = resolve_link_params(s)
-    delta_t, p_beam, p_out = _chain(s, link, args.system)(g.d, p_in=p_in, mu=mu)
+    loss, point = _chain(s, link, args.system)
+    delta_t, p_beam, p_out = point(loss(g.d), p_in, mu)
     _emit("d", d, "m")
     _emit("P_in", p_in, "W")
     _emit("mu", mu, "-")

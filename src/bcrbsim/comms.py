@@ -8,7 +8,7 @@ noise and the half-log capacity expression without a unit conversion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 ELECTRON_CHARGE = 1.602e-19   # C
 BOLTZMANN = 1.38e-23          # J/K
@@ -37,6 +37,9 @@ class ReceiverParams:
         for name in ("background_current", "temperature"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
 
 
 def data_signal(p_beam: float, r: ReceiverParams) -> float:

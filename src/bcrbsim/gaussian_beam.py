@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import UnstableCavityError
-from .ray_matrix import CavityGeometry, TransferMatrix, is_stable, round_trip
+from .ray_matrix import CavityGeometry, TransferMatrix, _require_mirror_radius, _stable, round_trip
 
 
 @dataclass(frozen=True)
@@ -31,11 +31,17 @@ def mirror_spot_radii(m: TransferMatrix, wavelength: float) -> tuple[float, floa
     stability region; a nonpositive radicand (boundary operation included)
     raises rather than being clamped, naming the spot that failed.
     """
+    return _mirror_spots((m.a, m.b, m.c, m.d), wavelength)
+
+
+def _mirror_spots(m: tuple, wavelength: float) -> tuple[float, float]:
+    # mirror_spot_radii on the entries (a, b, c, d) of a round trip, with all its checks.
+    a, b, _, d = m
     if wavelength <= 0:
         raise ValueError(f"wavelength must be > 0, got {wavelength!r}")
-    if not is_stable(m):
-        raise UnstableCavityError(f"round trip unstable: a*d = {m.a * m.d!r} outside (0, 1)")
-    return _mirror_radii(m.a, m.b, m.d, wavelength)
+    if not _stable(a, d):
+        raise UnstableCavityError(f"round trip unstable: a*d = {a * d!r} outside (0, 1)")
+    return _mirror_radii(a, b, d, wavelength)
 
 
 def _mirror_radii(a: float, b: float, d: float, wavelength: float) -> tuple[float, float]:
@@ -63,6 +69,8 @@ def propagate_spot(omega1: float, rho1: float, L1: float, wavelength: float) -> 
         raise ValueError(f"wavelength must be > 0, got {wavelength!r}")
     if L1 < 0:
         raise ValueError(f"L1 must be >= 0, got {L1!r}")
+    if rho1 == 0:  # tested here, not by a call, as this runs at every stable sweep point
+        _require_mirror_radius("rho1", rho1)
     geometric = 1.0 + L1 / rho1
     diffractive = L1 * wavelength / (math.pi * omega1 * omega1)
     return omega1 * math.sqrt(geometric * geometric + diffractive * diffractive)
@@ -70,7 +78,12 @@ def propagate_spot(omega1: float, rho1: float, L1: float, wavelength: float) -> 
 
 def _spot_radii(m: TransferMatrix, g: CavityGeometry) -> tuple[float, float, float]:
     """(omega1, omega2, omega3) of geometry g from its already-built round trip m."""
-    omega1, omega2 = mirror_spot_radii(m, g.wavelength)
+    return _spots((m.a, m.b, m.c, m.d), g)
+
+
+def _spots(m: tuple, g) -> tuple[float, float, float]:
+    # _spot_radii on the entries (a, b, c, d) of the round trip; g is anything with wavelength, rho1 and L1.
+    omega1, omega2 = _mirror_spots(m, g.wavelength)
     return omega1, omega2, propagate_spot(omega1, g.rho1, g.L1, g.wavelength)
 
 

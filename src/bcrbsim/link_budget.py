@@ -11,7 +11,7 @@ outputs are below-threshold artifacts and clamp to 0 W by default.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .ray_matrix import CavityGeometry, _layout
 
@@ -36,6 +36,9 @@ class LinkBudgetParams:
             raise ValueError(f"loss_scale must be > 0, got {self.loss_scale!r}")
         if self.pv_slope <= 0:
             raise ValueError(f"pv_slope must be > 0, got {self.pv_slope!r}")
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
 
 
 def transmission_loss(d: float, b: float, wavelength: float, loss_scale: float) -> float:

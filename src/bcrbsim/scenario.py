@@ -38,6 +38,8 @@ class ModelChoices:
             raise ValueError(f"log_base must be > 1, got {self.log_base!r}")
         if self.n_source not in LOSS_SCALE_SOURCES:
             raise ValueError(f"N_source must be one of {LOSS_SCALE_SOURCES}, got {self.n_source!r}")
+        if not math.isfinite(self.log_base):
+            raise ValueError(f"log_base must be finite, got {self.log_base!r}")
 
 
 @dataclass(frozen=True)
@@ -53,6 +55,8 @@ class Scenario:
     def __post_init__(self):
         if self.pump_input_power < 0:
             raise ValueError(f"pump_input_power must be >= 0, got {self.pump_input_power!r}")
+        if not math.isfinite(self.pump_input_power):
+            raise ValueError(f"pump_input_power must be finite, got {self.pump_input_power!r}")
 
 
 def default_scenario() -> Scenario:

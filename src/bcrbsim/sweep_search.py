@@ -36,10 +36,10 @@ from typing import Callable, Optional, Sequence
 
 from .comms import _data_signal, shot_noise, spectral_efficiency, thermal_noise
 from .errors import InfeasibleSearchError, NoStableRegionError, UnstableCavityError
-from .gaussian_beam import _mirror_radii, _spot_radii, cavity_spot_radii, propagate_spot
+from .gaussian_beam import _mirror_radii, _spots, propagate_spot
 from .link_budget import LinkBudgetParams, beam_power, effective_aperture, pv_output, transmission_loss
-from .ray_matrix import (CavityGeometry, TransferMatrix, _layout, _require_mirror_radius, _round_trip_reads,
-                         _stable, _sweep_round_trip, close_round_trip, is_stable, round_trip, round_trip_prefix)
+from .ray_matrix import (CavityGeometry, TransferMatrix, _close, _layout, _require_mirror_radius, _round_trip_reads,
+                         _stable, _sweep_round_trip, is_stable, round_trip, round_trip_prefix)
 from .scenario import Scenario, default_scenario, scenario_to_dict
 
 log = logging.getLogger(__name__)
@@ -99,15 +99,20 @@ class FigureDataset:
         return [row[idx] for row in self.rows]
 
 
-def _grid(lo: float, hi: float, n: int) -> list[float]:
-    """n >= 2 evenly spaced points from lo to hi, the same bits as numpy.linspace(lo, hi, n)."""
+def _grid(lo: float, hi: float, n: int, indices: Optional[Sequence[int]] = None) -> list[float]:
+    """n >= 2 evenly spaced points from lo to hi, the same bits as numpy.linspace(lo, hi, n).
+
+    With indices, which must be sorted, only the points at those indices.
+    """
     lo, hi = float(lo), float(hi)
     step = (hi - lo) / (n - 1)
+    indices = range(n) if indices is None else indices
     if step == 0.0:
-        points = [i / (n - 1) * (hi - lo) + lo for i in range(n)]
+        points = [i / (n - 1) * (hi - lo) + lo for i in indices]
     else:
-        points = [i * step + lo for i in range(n)]
-    points[-1] = hi
+        points = [i * step + lo for i in indices]
+    if indices and indices[-1] == n - 1:
+        points[-1] = hi
     return points
 
 
@@ -167,12 +172,13 @@ def _require_cap(name: str, value: float) -> None:
 
 
 def _distance_bands(x: TransferMatrix, offset: float, rho2: float, d_hi: float) -> list[tuple[float, float]]:
-    # Bands of d for the round trip close_round_trip(x, offset + d, rho2).
-    r = 1.0 / rho2
+    # Bands of d for the round trip close_round_trip(x, offset + d, rho2).  A point is tested
+    # as is_stable tests it, on the entries a and d ([::3]) of _close, with no matrix built.
+    r, m = 1.0 / rho2, (x.a, x.b, x.c, x.d)
     a0, a1 = x.a + offset * x.c, x.c
     d0, d1 = x.d - r * (x.b + offset * x.d), -r * x.d
     roots = _roots(0.0, a1, a0) + _roots(0.0, d1, d0) + _roots(a1 * d1, a0 * d1 + a1 * d0, a0 * d0 - 1.0)
-    return _bands(roots, d_hi, lambda d: is_stable(close_round_trip(x, offset + d, rho2)))
+    return _bands(roots, d_hi, lambda d: _stable(*_close(m, offset + d, rho2)[::3]))
 
 
 def stability_bands(g: CavityGeometry, d_hi: float, system: str = "bcrb") -> list[tuple[float, float]]:
@@ -215,13 +221,30 @@ def required_rho2(g: CavityGeometry, d: float, rho2_hi: float) -> float:
     rounding.
     """
     _require_cap("rho2_hi", rho2_hi)
-    x, _ = round_trip_prefix(replace(g, d=d), "bcrb")
-    a, b = x.a + d * x.c, x.b + d * x.d
+    return _required_rho2(round_trip_prefix(replace(g, d=d), "bcrb")[0], d, rho2_hi)
+
+
+def _required_rho2(x: TransferMatrix, d: float, rho2_hi: float) -> float:
+    # required_rho2 from the round trip's prefix x, which does not read d or rho2.
+    m, a, b = (x.a, x.b, x.c, x.d), x.a + d * x.c, x.b + d * x.d
     bands = _bands(_roots(0.0, x.d, -b) + _roots(0.0, a * x.d - 1.0, -a * b), rho2_hi,
-                   lambda rho2: is_stable(close_round_trip(x, d, rho2)))
+                   lambda rho2: _stable(*_close(m, d, rho2)[::3]))
     if not bands:
         raise InfeasibleSearchError(f"no rho2 in (0, {rho2_hi}] m stabilizes d = {d} m")
     return bands[0][0]
+
+
+def _spot_range(d_lo: float, d_hi: float, samples: int) -> float:
+    # The argument checks of max_spot_over_range, in its order; returns d_hi.
+    _require_cap("d_lo", d_lo)
+    if d_hi < d_lo:
+        raise ValueError(f"need d_lo <= d_hi, got [{d_lo!r}, {d_hi!r}]")
+    _require_cap("d_hi", d_hi)
+    _require_samples(samples)
+    return d_hi
+
+
+_CONDITIONED = 1e-4  # least A*D and 1 - A*D at which max_spot_over_range trusts the omega3 shape
 
 
 def max_spot_over_range(g: CavityGeometry, d_lo: float, d_hi: float, samples: int = 201) -> float:
@@ -232,13 +255,17 @@ def max_spot_over_range(g: CavityGeometry, d_lo: float, d_hi: float, samples: in
     omega1^4 ~ -B*D/(A*C) with A, B, C, D affine in d, so omega3 peaks only next to
     the ends or a root of one quadratic.  Only those samples are evaluated, then the
     neighbours of any within 1e-9 of the best, so that rounding hides no larger one.
+    That needs omega3 computed far within 1e-9 of the exact model.  The radicands
+    divide by A*D and A*D - 1, each a few ulps of 1 off (the prefix's determinant is
+    1 only to rounding): a relative error of ~1e-16 / min(A*D, 1 - A*D), 1e-12 at
+    _CONDITIONED.  If an evaluated sample is nearer an edge, all are evaluated, in order.
     """
-    _require_cap("d_lo", d_lo)
-    if d_hi < d_lo:
-        raise ValueError(f"need d_lo <= d_hi, got [{d_lo!r}, {d_hi!r}]")
-    _require_cap("d_hi", d_hi)
-    _require_samples(samples)
-    x, offset = round_trip_prefix(g, "bcrb")
+    _spot_range(d_lo, d_hi, samples)
+    return _max_spot(g, *round_trip_prefix(g, "bcrb"), d_lo, d_hi, samples)
+
+
+def _max_spot(g, x: TransferMatrix, offset: float, d_lo: float, d_hi: float, samples: int) -> float:
+    # max_spot_over_range from the round trip's prefix x and gap offset; g gives rho2 and the spot's fields.
     band = next(((lo, hi) for lo, hi in _distance_bands(x, offset, g.rho2, d_hi) if lo <= d_lo <= hi), None)
     if band is None or band[1] < d_hi:
         first_unstable = d_lo if band is None else band[1]
@@ -248,19 +275,26 @@ def max_spot_over_range(g: CavityGeometry, d_lo: float, d_hi: float, samples: in
     (c0, c1), (e0, e1) = (x.c - a0 / g.rho2, -a1 / g.rho2), (x.d - b0 / g.rho2, -b1 / g.rho2)
     p0, p1, p2 = b0 * e0, b0 * e1 + b1 * e0, b1 * e1
     q0, q1, q2 = a0 * c0, a0 * c1 + a1 * c0, a1 * c1
-    grid = _grid(d_lo, d_hi, samples)
+    m = (x.a, x.b, x.c, x.d)
     picks = {0, samples - 1}
     for root in _roots(p2 * q1 - p1 * q2, 2.0 * (p2 * q0 - p0 * q2), p1 * q0 - p0 * q1):
         if d_lo < root < d_hi:
             i = int((root - d_lo) / (d_hi - d_lo) * (samples - 1))
             picks.update(range(max(i - 1, 0), min(i + 3, samples)))
+
+    def omega3(d: float, entries: Optional[tuple] = None) -> float:
+        try:
+            return _spots(entries or _close(m, offset + d, g.rho2), g)[2]
+        except UnstableCavityError as exc:
+            raise UnstableCavityError(f"cavity unstable at d = {d:g} m inside [{d_lo:g}, {d_hi:g}] m") from exc
     spots, best = {}, -math.inf
     while picks:
-        for i in sorted(picks):
-            try:
-                spots[i] = _spot_radii(close_round_trip(x, offset + grid[i], g.rho2), g)[2]
-            except UnstableCavityError as exc:
-                raise UnstableCavityError(f"cavity unstable at d = {grid[i]:g} m inside [{d_lo:g}, {d_hi:g}] m") from exc
+        picks = sorted(picks)
+        for i, d in zip(picks, _grid(d_lo, d_hi, samples, picks)):
+            entries = _close(m, offset + d, g.rho2)
+            if not _CONDITIONED < entries[0] * entries[3] < 1.0 - _CONDITIONED:
+                return max(map(omega3, _grid(d_lo, d_hi, samples)))
+            spots[i] = omega3(d, entries)
             best = max(best, spots[i])
         picks = {j for i in picks if spots[i] >= best * (1.0 - 1e-9)
                  for j in (i - 1, i + 1) if 0 <= j < samples} - spots.keys()
@@ -319,12 +353,13 @@ def _cavity(a: float, b: float, d: float, wavelength: float, rho1: float, L1: fl
     return 1.0, a * d, omega1, omega2, propagate_spot(omega1, rho1, L1, wavelength)
 
 
-def _chain(s: Scenario, link: LinkBudgetParams, system: str, data: bool = False) -> Callable[..., tuple]:
-    """The model chain downstream of the cavity, staged: returns point(d, wavelength, p_in, mu, loss_scale).
+def _chain(s: Scenario, link: LinkBudgetParams, system: str, data: bool = False) -> tuple[Callable, Callable]:
+    """The model chain downstream of the cavity, in two stages split by what they read: (loss, point).
 
-    The aperture, the receiver and its thermal noise are read once.  point
-    takes plain floats, defaulting to the scenario's (loss_scale to
-    link.loss_scale), and gives the power branch (delta_t, beam_power,
+    The aperture, the receiver and its thermal noise are read once.  Both take
+    plain floats, defaulting to the scenario's (loss_scale to link.loss_scale).
+    loss(d, wavelength, loss_scale) is delta_t, once per row for all its p_in or
+    mu series; point(delta_t, p_in, mu) gives the power branch (delta_t, beam_power,
     pv_output); later stages see the beam power floored at 0.  With data, the
     data branch follows: (data_signal, shot_noise, thermal_noise, total_noise,
     spectral_efficiency).  Each step is the link_budget or comms function,
@@ -333,9 +368,10 @@ def _chain(s: Scenario, link: LinkBudgetParams, system: str, data: bool = False)
     g, rx, choices = s.geometry, s.receiver, s.model_choices
     b, clamp, thermal = effective_aperture(g, system), choices.clamp_negative_power, thermal_noise(rx)
 
-    def point(d: float = g.d, wavelength: float = g.wavelength, p_in: float = s.pump_input_power,
-              mu: float = rx.split_ratio, loss_scale: float = link.loss_scale) -> tuple:
-        delta_t = transmission_loss(d, b, wavelength, loss_scale)
+    def loss(d: float = g.d, wavelength: float = g.wavelength, loss_scale: float = link.loss_scale) -> float:
+        return transmission_loss(d, b, wavelength, loss_scale)
+
+    def point(delta_t: float, p_in: float = s.pump_input_power, mu: float = rx.split_ratio) -> tuple:
         p_beam = beam_power(p_in, delta_t, link, clamp)
         p_beam_floor = max(p_beam, 0.0)
         power = (delta_t, p_beam, pv_output(p_beam_floor, mu, link, clamp))
@@ -345,7 +381,7 @@ def _chain(s: Scenario, link: LinkBudgetParams, system: str, data: bool = False)
         shot = shot_noise(p_data, rx)
         total = shot + thermal
         return power + (p_data, shot, thermal, total, spectral_efficiency(p_data, total, choices.log_base))
-    return point
+    return loss, point
 
 
 def operating_point(s: Scenario, system: str = "bcrb",
@@ -365,10 +401,10 @@ def operating_point(s: Scenario, system: str = "bcrb",
         mu = s.receiver.split_ratio
     if link is None:
         link = resolve_link_params(s)
-    m = round_trip(g, system)
+    m, (loss, chain) = round_trip(g, system), _chain(s, link, system, data=True)
     point = dict(zip(("d", "p_in", "mu") + tuple(name for name, _ in _POINT_COLUMNS),
                      (g.d, p_in, mu, *_cavity(m.a, m.b, m.d, g.wavelength, g.rho1, g.L1),
-                      *_chain(s, link, system, data=True)(g.d, p_in=p_in, mu=mu))))
+                      *chain(loss(g.d), p_in, mu))))
     point["stable"] = bool(point["stable"])
     return point
 
@@ -407,26 +443,30 @@ def _series(key: str, values: Sequence[float]) -> dict:
 
 # Each figure builder returns its series column headers, a cells(x) function
 # giving the series cells of the row at grid value x, and its own metadata.
-# Grid-independent constants come from the _FIGURES table.
+# Grid-independent constants come from the _FIGURES table.  The search figures
+# build the round-trip prefix, which reads neither d nor rho2, once per
+# magnification, and check each series value once, at its first cell: the cell
+# that fails first is the one that failed when every cell was checked.
 
 def _fig6(s: Scenario, link: LinkBudgetParams, **_):
-    # Spot radius on the gain module and beam power vs distance, both systems.
+    # Spot radius on the gain module and beam power vs distance, both systems, as run_sweep's d points.
+    g, p = s.geometry, SimpleNamespace(**vars(s.geometry))
+    closes = [_sweep_round_trip(g, system, "d") for system in ("bcrb", "original")]
     stages = [_chain(s, link, system) for system in ("bcrb", "original")]
 
     def cells(d: float) -> list[float]:
-        g = replace(s.geometry, d=d)
-        return ([cavity_spot_radii(g, system).omega3 for system in ("bcrb", "original")] +
-                [point(d)[1] for point in stages])
+        p.d = d
+        return [_spots(close(p), g)[2] for close in closes] + [point(loss(d))[1] for loss, point in stages]
     return (["omega3_bcrb [m]", "omega3_original [m]", "beam_power_bcrb [W]", "beam_power_original [W]"],
             cells, {"sweep.p_in_w": s.pump_input_power})
 
 
 def _fig7(s: Scenario, link: LinkBudgetParams, **_):
     # Beam power and pump-to-beam efficiency vs input power at the reference distance.
-    stages = [_chain(s, link, system) for system in ("bcrb", "original")]
+    stages = [(point, loss()) for loss, point in (_chain(s, link, system) for system in ("bcrb", "original"))]
 
     def cells(p_in: float) -> list[float]:
-        powers = [point(p_in=p_in)[1] for point in stages]
+        powers = [point(delta_t, p_in)[1] for point, delta_t in stages]
         return powers + [power / p_in for power in powers]
     return (["beam_power_bcrb [W]", "beam_power_original [W]", "efficiency_bcrb [-]", "efficiency_original [-]"],
             cells, {"sweep.d_m": s.geometry.d})
@@ -434,57 +474,66 @@ def _fig7(s: Scenario, link: LinkBudgetParams, **_):
 
 def _fig8(s: Scenario, link: LinkBudgetParams, *, d_hi: float, m_values: Sequence[float], **_):
     # Maximum stable distance vs receiver-mirror curvature, one series per magnification.
+    prefix = cache(lambda m: round_trip_prefix(replace(s.geometry, magnification=m), "bcrb"))
     return ([f"d_max_M{_fmt(m)} [m]" for m in m_values],
-            lambda rho2: [max_stable_distance(replace(s.geometry, rho2=rho2, magnification=float(m)), d_hi)
-                          for m in m_values],
+            lambda rho2: [_first_band(_distance_bands(*prefix(float(m)), rho2, d_hi), d_hi)[1] for m in m_values],
             {"sweep.d_hi_m": d_hi, **_series("magnification", m_values)})
 
 
 def _fig9(s: Scenario, link: LinkBudgetParams, *, rho2_hi: float, d_values: Sequence[float], **_):
     # Required receiver-mirror curvature vs magnification, one series per distance.
+    distance = cache(lambda d: replace(s.geometry, d=d).d)
+
     def cells(m: float) -> list[float]:
-        g = replace(s.geometry, magnification=m)
-        return [required_rho2(g, float(d), rho2_hi) for d in d_values]
+        x, _ = round_trip_prefix(replace(s.geometry, magnification=m), "bcrb")
+        return [_required_rho2(x, distance(float(d)), rho2_hi) for d in d_values]
     return ([f"rho2_min_d{_fmt(d)} [m]" for d in d_values], cells,
             {"sweep.rho2_hi_m": rho2_hi, **_series("d_m", d_values)})
 
 
-def _fig10(s: Scenario, link: LinkBudgetParams, *, rho2: float, d_lo: float, d_values: Sequence[float], **_):
+def _fig10(s: Scenario, link: LinkBudgetParams, *, rho2: float, d_lo: float, samples: int,
+           d_values: Sequence[float], **_):
     # Worst-case gain-module spot radius vs magnification, one series per distance cap.
     # rho2 is large so that every distance range stays stable.
+    d_hi = cache(lambda d: _spot_range(d_lo, d, samples))
+
     def cells(m: float) -> list[float]:
         g = replace(s.geometry, magnification=m, rho2=rho2)
-        return [max_spot_over_range(g, d_lo, float(d)) for d in d_values]
+        x, offset = round_trip_prefix(g, "bcrb")
+        return [_max_spot(g, x, offset, d_lo, d_hi(float(d)), samples) for d in d_values]
     return ([f"omega3_max_d{_fmt(d)} [m]" for d in d_values], cells,
             {"sweep.rho2_m": rho2, "sweep.d_lo_m": d_lo, **_series("d_hi_m", d_values)})
 
 
 def _fig11(s: Scenario, link: LinkBudgetParams, *, mu: float, p_in_values: Sequence[float], **_):
     # PV output vs distance at full power split, one series per input power.
-    point = _chain(s, link, "bcrb")
+    loss, point = _chain(s, link, "bcrb")
 
     def cells(d: float) -> list[float]:
-        return [point(d, p_in=float(p_in), mu=mu)[2] for p_in in p_in_values]
+        delta_t = loss(d)
+        return [point(delta_t, float(p_in), mu)[2] for p_in in p_in_values]
     return ([f"P_out_Pin{_fmt(p)} [W]" for p in p_in_values], cells,
             {"sweep.mu": mu, **_series("p_in_w", p_in_values)})
 
 
 def _fig12(s: Scenario, link: LinkBudgetParams, *, p_in: float, mu_values: Sequence[float], **_):
     # Spectral efficiency vs distance, one series per power split ratio.
-    point = _chain(s, link, "bcrb", data=True)
+    loss, point = _chain(s, link, "bcrb", data=True)
 
     def cells(d: float) -> list[float]:
-        return [point(d, p_in=p_in, mu=mu)[-1] for mu in mu_values]
+        delta_t = loss(d)
+        return [point(delta_t, p_in, mu)[-1] for mu in mu_values]
     return ([f"spectral_efficiency_mu{_fmt(mu)} [bit/s/Hz]" for mu in mu_values], cells,
             {"sweep.p_in_w": p_in, **_series("mu", mu_values)})
 
 
 def _fig13(s: Scenario, link: LinkBudgetParams, *, mu: float, p_in_values: Sequence[float], **_):
     # Spectral efficiency vs distance, one series per input power.
-    point = _chain(s, link, "bcrb", data=True)
+    loss, point = _chain(s, link, "bcrb", data=True)
 
     def cells(d: float) -> list[float]:
-        return [point(d, p_in=p_in, mu=mu)[-1] for p_in in p_in_values]
+        delta_t = loss(d)
+        return [point(delta_t, p_in, mu)[-1] for p_in in p_in_values]
     return ([f"spectral_efficiency_Pin{_fmt(p)} [bit/s/Hz]" for p in p_in_values], cells,
             {"sweep.mu": mu, **_series("p_in_w", p_in_values)})
 
@@ -495,7 +544,7 @@ _FIGURES = {
     "fig7": (("P_in", "W", 150.0, 300.0, 151), _fig7),
     "fig8": (("rho2", "m", 5.0, 50.0, 10), partial(_fig8, d_hi=60.0)),
     "fig9": (("M", "-", 1.5, 6.0, 19), partial(_fig9, rho2_hi=80.0)),
-    "fig10": (("M", "-", 2.0, 5.0, 16), partial(_fig10, rho2=50.0, d_lo=1.0)),
+    "fig10": (("M", "-", 2.0, 5.0, 16), partial(_fig10, rho2=50.0, d_lo=1.0, samples=201)),
     "fig11": (("d", "m", 1.0, 250.0, 250), partial(_fig11, mu=1.0)),
     "fig12": (("d", "m", 1.0, 250.0, 250), partial(_fig12, p_in=200.0)),
     "fig13": (("d", "m", 1.0, 250.0, 250), partial(_fig13, mu=0.9)),
@@ -578,14 +627,14 @@ def run_sweep(spec: SweepSpec, s: Optional[Scenario] = None) -> FigureDataset:
         replace(g, **{variable: grid[0]})
     # The inputs of the point, as plain floats; each grid value is written into them in turn.
     p = SimpleNamespace(**vars(g), p_in=s.pump_input_power, mu=s.receiver.split_ratio, loss_scale=link.loss_scale)
-    close, point = _sweep_round_trip(g, system, variable), _chain(s, link, system, data=True)
+    close, (loss, point) = _sweep_round_trip(g, system, variable), _chain(s, link, system, data=True)
 
     def cavity() -> tuple:
         a, b, _, d = close(p)
         return _cavity(a, b, d, p.wavelength, p.rho1, p.L1)
 
     def chain() -> tuple:
-        return point(p.d, p.wavelength, p.p_in, p.mu, p.loss_scale)
+        return point(loss(p.d, p.wavelength, p.loss_scale), p.p_in, p.mu)
     if variable not in _round_trip_reads(system) | _SPOT_READS:
         cavity = cache(cavity)
     if variable not in _CHAIN_READS:

@@ -1,6 +1,7 @@
 """Detector signal level, noise variances, and spectral efficiency."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -138,3 +139,10 @@ class TestReceiverValidation:
     def test_invalid_constants(self, kwargs):
         with pytest.raises(ValueError):
             ReceiverParams(**kwargs)
+
+    @pytest.mark.parametrize("name", ["responsivity", "electron_charge", "background_current", "bandwidth",
+                                      "boltzmann", "temperature", "load_resistance"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be finite, got {value!r}")):
+            ReceiverParams(**{name: value})

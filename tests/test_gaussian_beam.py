@@ -1,12 +1,14 @@
 """Spot radii on the mirrors and the gain module."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from bcrbsim import (
     CavityGeometry,
+    InvalidElementError,
     TransferMatrix,
     UnstableCavityError,
     cavity_spot_radii,
@@ -91,6 +93,13 @@ class TestPropagateSpot:
         base.update(kwargs)
         with pytest.raises(ValueError):
             propagate_spot(base["omega1"], base["rho1"], base["L1"], base["wavelength"])
+
+    def test_flat_limit_needs_nonzero_rho1(self):
+        # rho1 = 0 once divided by zero; it gets the geometry's own message instead.
+        with pytest.raises(InvalidElementError, match=re.escape("rho1 must be nonzero (use |rho| >= 1e9")):
+            propagate_spot(1e-3, 0.0, 1e-3, 1e-6)
+        with pytest.raises(ValueError, match="L1 must be >= 0"):
+            propagate_spot(1e-3, 0.0, -1e-3, 1e-6)
 
 
 class TestCavitySpotRadii:

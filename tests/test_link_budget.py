@@ -156,3 +156,15 @@ class TestParamsValidation:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             LinkBudgetParams(**kwargs)
+
+    @pytest.mark.parametrize("name, value", [
+        (name, value) for name in ("intercept", "loss_scale", "pv_slope", "pv_intercept")
+        for value in (math.nan, math.inf, -math.inf) if value != -math.inf or "intercept" in name])
+    def test_non_finite_rejected_by_name(self, name, value):
+        # These pass the range checks (-inf scales fail them as <= 0), so only the finite check stops them.
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be finite, got {value!r}")):
+            LinkBudgetParams(**{name: value})
+
+    def test_range_checks_come_first(self):
+        with pytest.raises(ValueError, match=re.escape("reflectivity must be in (0, 1), got nan")):
+            LinkBudgetParams(reflectivity=math.nan)

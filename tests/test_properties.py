@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bcrbsim import (
@@ -235,8 +235,22 @@ def _outcome(search, *args):
         return f"{type(exc).__name__}: {exc}"
 
 
+class _Draws:
+    """Stands in for st.data() in an explicit example: each draw returns the next given value."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def draw(self, strategy):
+        return self.values.pop(0)
+
+
 @settings(max_examples=300, deadline=None)
 @given(geometry=GEOMETRIES, data=st.data(), samples=st.integers(2, 2001))
+# At the lower edge of the first band, A*D is 1 - 1 ulp: the sampled omega3 is rounding, not convex.
+@example(geometry=CavityGeometry(rho1=1.0, rho2=1.0, f_gain=1.0, f1=0.03125, magnification=0.5, L1=0.0, L2=0.03125,
+                                 d=1.0, wavelength=1.4541578503562296e-06),
+         data=_Draws(True, 0.0, 1.0, 16), samples=5)
 def test_max_spot_matches_scan_of_every_sample(geometry, data, samples):
     # Half the ranges are drawn inside the first stable band, down to a few ulps
     # wide, where rounding decides which sample is largest.

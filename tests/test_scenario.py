@@ -1,10 +1,14 @@
 """Scenario file loading, validation, defaults, and round-tripping."""
 
 import json
+import math
+import re
+from dataclasses import replace
 
 import pytest
 
-from bcrbsim import ScenarioError, default_scenario, load_scenario, save_scenario
+from bcrbsim import (LinkBudgetParams, ModelChoices, ScenarioError, default_scenario, load_scenario,
+                     operating_point, save_scenario)
 from bcrbsim.scenario import scenario_from_dict, scenario_to_dict
 
 
@@ -77,6 +81,22 @@ class TestValidation:
             load_scenario(write(tmp_path, {"geometry": {"d_m": "far"}}))
         with pytest.raises(ScenarioError, match="expected a number"):
             load_scenario(write(tmp_path, {"geometry": {"d_m": True}}))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_model_values_rejected_by_name(self, value):
+        with pytest.raises(ValueError, match=re.escape(f"log_base must be finite, got {value!r}")):
+            ModelChoices(log_base=value)
+        with pytest.raises(ValueError, match=re.escape(f"pump_input_power must be finite, got {value!r}")):
+            replace(default_scenario(), pump_input_power=value)
+
+    def test_explicit_loss_scale_cannot_be_nan(self):
+        # With n_source "explicit" the link's own N reaches the chain: a NaN there once
+        # gave spectral_efficiency = nan from operating_point without an error.
+        s = default_scenario()
+        explicit = replace(s, model_choices=replace(s.model_choices, n_source="explicit"))
+        assert math.isfinite(operating_point(explicit)["spectral_efficiency"])
+        with pytest.raises(ValueError, match="loss_scale must be finite, got nan"):
+            replace(explicit, link=LinkBudgetParams(loss_scale=math.nan))
 
     def test_n_source_values(self, tmp_path):
         with pytest.raises(ScenarioError):

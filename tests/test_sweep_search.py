@@ -3,6 +3,7 @@
 import math
 import re
 import statistics
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -30,6 +31,7 @@ from bcrbsim import (
     transmission_loss,
 )
 from bcrbsim import sweep_search
+from bcrbsim.ray_matrix import round_trip
 from bcrbsim.sweep_search import (
     ANCHOR_BEAM_POWER,
     ANCHOR_DISTANCE,
@@ -202,14 +204,31 @@ class TestMaxSpotOverRange:
 
     def test_fig10_closes_few_round_trips_per_cell(self, monkeypatch):
         # The band search and the samples next to the ends and to the stationary
-        # points of omega1; the 201-sample scan closed 204 per cell.
+        # points of omega1; the 201-sample scan closed 204 per cell.  Every close,
+        # band test or sample, goes through the float-level _close.
         calls = []
-        close = sweep_search.close_round_trip
-        monkeypatch.setattr(sweep_search, "close_round_trip", lambda *args: calls.append(1) or close(*args))
+        close = sweep_search._close
+        monkeypatch.setattr(sweep_search, "_close", lambda *args: calls.append(1) or close(*args))
         ds = generate_figure("fig10")
         cells = len(ds.rows) * (len(ds.columns) - 1)
         assert cells == 64
         assert len(calls) <= 10 * cells
+
+    @pytest.mark.parametrize("edge_gap, conditioned", [(1e-3, True), (1e-5, False)])
+    def test_shortcut_only_where_well_conditioned(self, monkeypatch, edge_gap, conditioned):
+        # A*D falls to 0 at the upper edge of this band.  A range that ends edge_gap short
+        # of it has A*D there on one side of _CONDITIONED: above it a few samples are
+        # evaluated, below it every one; both give the value of the full scan.
+        g = CavityGeometry(rho2=10.0)
+        d_hi = stability_bands(g, 60.0)[0][1] * (1.0 - edge_gap)
+        end = round_trip(replace(g, d=d_hi), "bcrb")
+        assert (sweep_search._CONDITIONED < end.a * end.d < 1.0 - sweep_search._CONDITIONED) == conditioned
+        calls = []
+        close = sweep_search._close
+        monkeypatch.setattr(sweep_search, "_close", lambda *args: calls.append(1) or close(*args))
+        got = max_spot_over_range(g, 1.0, d_hi, 201)
+        assert (len(calls) < 201) == conditioned
+        assert got == max(cavity_spot_radii(replace(g, d=d)).omega3 for d in sweep_search._grid(1.0, d_hi, 201))
 
 
 class TestSearchCaps:
@@ -413,6 +432,27 @@ class TestFigureDatasets:
         for fid in ("fig6", "fig7", "fig11"):
             ds = generate_figure(fid)
             assert all(len(row) == len(ds.columns) for row in ds.rows)
+
+    @pytest.mark.parametrize("fid", ["fig6", "fig8", "fig9", "fig10"])
+    def test_cells_build_no_objects(self, monkeypatch, fid):
+        # Geometry copies, validations, matrices and round-trip prefixes are built once per
+        # row or series, never per cell: with one and with four series each count stays
+        # within rows + series + 1 (the +1 is the link copy of the calibration).
+        s = default_scenario()
+        for series in (1, 4):
+            built = Counter()
+            with monkeypatch.context() as patch:
+                post_init, init = CavityGeometry.__post_init__, TransferMatrix.__init__
+                prefix = sweep_search.round_trip_prefix
+                patch.setattr(CavityGeometry, "__post_init__", lambda g: built.update(["checks"]) or post_init(g))
+                patch.setattr(TransferMatrix, "__init__", lambda m, *args: built.update(["matrices"]) or init(m, *args))
+                patch.setattr(sweep_search, "replace", lambda *args, **kw: built.update(["copies"]) or replace(*args, **kw))
+                patch.setattr(sweep_search, "round_trip_prefix", lambda *args: built.update(["prefixes"]) or prefix(*args))
+                ds = generate_figure(fid, s, m_values=(2.5, 3.0, 3.5, 5.0)[:series],
+                                     d_values=(10.0, 20.0, 30.0, 40.0)[:series])
+            rows, cells = len(ds.rows), len(ds.rows) * (len(ds.columns) - 1)
+            assert cells >= rows * series
+            assert all(count <= rows + series + 1 for count in built.values()), (series, built)
 
 
 class TestRunSweep:
