@@ -26,17 +26,9 @@ from .gaussian_beam import SpotRadii, cavity_spot_radii, mirror_spot_radii, prop
 from .link_budget import LinkBudgetParams, beam_power, effective_aperture, pv_output, transmission_loss
 from .ray_matrix import (
     CavityGeometry,
-    FreeSpace,
-    Magnifier,
-    Mirror,
-    OpticalElement,
     RayVector,
-    ThinLens,
     TransferMatrix,
     apply,
-    compose,
-    displacement,
-    element_matrix,
     is_stable,
     round_trip_bcrb,
     round_trip_closed_form,

@@ -41,6 +41,8 @@ def _mirror_spots(m: tuple, wavelength: float) -> tuple[float, float]:
         raise ValueError(f"wavelength must be > 0, got {wavelength!r}")
     if not _stable(a, d):
         raise UnstableCavityError(f"round trip unstable: a*d = {a * d!r} outside (0, 1)")
+    if not math.isfinite(wavelength):
+        raise ValueError(f"wavelength must be finite, got {wavelength!r}")
     return _mirror_radii(a, b, d, wavelength)
 
 
@@ -76,17 +78,13 @@ def propagate_spot(omega1: float, rho1: float, L1: float, wavelength: float) -> 
     return omega1 * math.sqrt(geometric * geometric + diffractive * diffractive)
 
 
-def _spot_radii(m: TransferMatrix, g: CavityGeometry) -> tuple[float, float, float]:
-    """(omega1, omega2, omega3) of geometry g from its already-built round trip m."""
-    return _spots((m.a, m.b, m.c, m.d), g)
-
-
 def _spots(m: tuple, g) -> tuple[float, float, float]:
-    # _spot_radii on the entries (a, b, c, d) of the round trip; g is anything with wavelength, rho1 and L1.
+    # (omega1, omega2, omega3) from the round trip's entries (a, b, c, d); g is anything with wavelength, rho1 and L1.
     omega1, omega2 = _mirror_spots(m, g.wavelength)
     return omega1, omega2, propagate_spot(omega1, g.rho1, g.L1, g.wavelength)
 
 
 def cavity_spot_radii(g: CavityGeometry, system: str = "bcrb") -> SpotRadii:
     """All three spot radii for a geometry, for either cavity layout."""
-    return SpotRadii(*_spot_radii(round_trip(g, system), g))
+    m = round_trip(g, system)
+    return SpotRadii(*_spots((m.a, m.b, m.c, m.d), g))

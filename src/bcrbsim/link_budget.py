@@ -55,6 +55,14 @@ def transmission_loss(d: float, b: float, wavelength: float, loss_scale: float) 
         raise ValueError(f"wavelength must be > 0, got {wavelength!r}")
     if loss_scale <= 0:
         raise ValueError(f"loss_scale must be > 0, got {loss_scale!r}")
+    if not math.isfinite(d):
+        raise ValueError(f"distance must be finite, got {d!r}")
+    if not math.isfinite(b):
+        raise ValueError(f"aperture radius must be finite, got {b!r}")
+    if not math.isfinite(wavelength):
+        raise ValueError(f"wavelength must be finite, got {wavelength!r}")
+    if not math.isfinite(loss_scale):
+        raise ValueError(f"loss_scale must be finite, got {loss_scale!r}")
     return loss_scale * math.exp(-2.0 * math.pi * b * b / (wavelength * d))
 
 

@@ -3,8 +3,8 @@
 Element matrices follow the sign convention in which a curved mirror of
 curvature radius rho contributes -1/rho to the C entry (signed rho, so the
 transmitter mirror of the reference design carries rho1 = -0.880 m).  The
-telescope pair is the traversal sequence displacement(+f1), magnifier(M),
-displacement(-f2) with f2 = M * f1, the overlapping-focus form that
+telescope pair is the traversal sequence _shift(+f1), _magnifier(M), _shift(-f2)
+of _LAYOUTS["bcrb"], with f2 = M * f1: the overlapping-focus form that
 cancels to the bare magnifier when M = 1.
 
 All functions are pure; values are plain floats and freely shareable
@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from .errors import InvalidElementError, SingularConfigurationError
 
@@ -59,43 +59,7 @@ class TransferMatrix:
     def det(self) -> float:
         return self.a * self.d - self.b * self.c
 
-    def __matmul__(self, other: "TransferMatrix") -> "TransferMatrix":
-        return TransferMatrix(*_product((self.a, self.b, self.c, self.d), (other.a, other.b, other.c, other.d)))
 
-    @staticmethod
-    def identity() -> "TransferMatrix":
-        return TransferMatrix(1.0, 0.0, 0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class Mirror:
-    """Curved mirror; curvature_radius is signed and nonzero [m]."""
-
-    curvature_radius: float
-
-
-@dataclass(frozen=True)
-class ThinLens:
-    """Thin lens (or the lens-like gain module); focal_length nonzero [m]."""
-
-    focal_length: float
-
-
-@dataclass(frozen=True)
-class FreeSpace:
-    """Free-space gap of nonnegative length [m]."""
-
-    length: float
-
-
-@dataclass(frozen=True)
-class Magnifier:
-    """Ideal beam compressor/expander with magnification M > 0."""
-
-    magnification: float
-
-
-OpticalElement = Union[Mirror, ThinLens, FreeSpace, Magnifier]
 _MIRROR, _LENS = "mirror curvature radius", "lens focal length"
 
 
@@ -124,47 +88,9 @@ def _magnifier(m: float) -> tuple:
     return m, 0.0, 0.0, 1.0 / m
 
 
-def displacement(offset: float) -> TransferMatrix:
-    """[[1, offset], [0, 1]].
-
-    Shared form for free-space gaps and for the telescope lens matrices,
-    which carry signed offsets +f1 / -f2.
-    """
-    return TransferMatrix(*_shift(offset))
-
-
-def element_matrix(e: OpticalElement) -> TransferMatrix:
-    """Transfer matrix of a single optical element."""
-    if isinstance(e, Mirror):
-        return TransferMatrix(*_focus(_MIRROR, e.curvature_radius))
-    if isinstance(e, ThinLens):
-        return TransferMatrix(*_focus(_LENS, e.focal_length))
-    if isinstance(e, FreeSpace):
-        if e.length < 0 or not math.isfinite(e.length):
-            raise InvalidElementError(f"free-space length must be finite and >= 0, got {e.length!r}")
-        return displacement(e.length)
-    if isinstance(e, Magnifier):
-        return TransferMatrix(*_magnifier(e.magnification))
-    raise InvalidElementError(f"unknown optical element {e!r}")
-
-
 def apply(m: TransferMatrix, r: RayVector) -> RayVector:
     """Propagate a ray through one matrix."""
     return RayVector(m.a * r.position + m.b * r.slope, m.c * r.position + m.d * r.slope)
-
-
-def compose(matrices: Iterable[TransferMatrix]) -> TransferMatrix:
-    """Product of matrices given in propagation order (first traversed first).
-
-    The last-traversed matrix ends up leftmost in the product, so the result
-    acts on a ray the same way as applying each matrix in sequence.
-    """
-    result = None
-    for m in matrices:
-        result = m if result is None else m @ result
-    if result is None:
-        raise ValueError("compose() requires at least one matrix")
-    return result
 
 
 @dataclass(frozen=True)
@@ -246,18 +172,18 @@ def _fold(p, elements: Sequence, m: Optional[tuple] = None) -> Optional[tuple]:
 
 def bcrb_elements(g: CavityGeometry) -> list[TransferMatrix]:
     """The nine single-pass element matrices, in propagation order."""
-    return ([TransferMatrix(*build(g)) for _, build in _LAYOUTS["bcrb"][0]] +
-            [displacement(g.d), element_matrix(Mirror(g.rho2))])
+    entries = [build(g) for _, build in _LAYOUTS["bcrb"][0]] + [_shift(g.d), _focus(_MIRROR, g.rho2)]
+    return [TransferMatrix(*e) for e in entries]
 
 
 def round_trip_prefix(g: CavityGeometry, system: str) -> tuple[TransferMatrix, float]:
     """The part of a layout's round trip that does not depend on d, and its gap offset.
 
-    The round trip at distance d is close_round_trip(prefix, offset + d, g.rho2).
+    The round trip at distance d has the entries _close(prefix, offset + d, g.rho2).
     For 'bcrb' the prefix is the first seven element matrices and the offset
     is 0; for 'original' it is mirror 1, L1 and the gain lens, and the gap is
-    L2 + d.  The prefix is a left fold, as in compose(), so closing it gives
-    the same bits as composing every element.
+    L2 + d.  The prefix is the _fold of the layout's _LAYOUTS elements, as in
+    the round trip itself, so closing it gives the round trip's bits.
     """
     elements, (_, offset) = _layout(system)
     return TransferMatrix(*_fold(g, elements)), offset(g)
@@ -283,25 +209,20 @@ def _sweep_round_trip(g: CavityGeometry, system: str, name: str) -> Callable[[ob
 
 
 def _close(m: tuple, gap: float, rho2: float) -> tuple:
-    # The entries of close_round_trip.
+    """Entries of the round trip from those of its prefix m: the free-space gap, then the receiver mirror.
+
+    A = m.a + gap * m.c and D = m.d - (m.b + gap * m.d) / rho2, so A*D is
+    quadratic in the gap and affine in 1/rho2.  The entries are those of
+    _product(_focus(_MIRROR, rho2), _product(_shift(gap), m)), bit for bit,
+    signed zeros included (x * 1.0 is exact, x * 0.0 is not dropped), and
+    rho2 is checked before the gap, as there.
+    """
     r = _focus(_MIRROR, rho2)[2]
     _require_finite("offset", gap)
     pa, pb, pc, pd = m
     a, b = pa + gap * pc, pb + gap * pd
     c, d = 0.0 * pa + pc, 0.0 * pb + pd
     return a + 0.0 * c, b + 0.0 * d, r * a + c, r * b + d
-
-
-def close_round_trip(prefix: TransferMatrix, gap: float, rho2: float) -> TransferMatrix:
-    """Round trip from its prefix: the free-space gap, then the receiver mirror.
-
-    A = prefix.a + gap * prefix.c and D = prefix.d - (prefix.b + gap * prefix.d) / rho2,
-    so A*D is quadratic in the gap and affine in 1/rho2.  The entries are
-    those of element_matrix(Mirror(rho2)) @ (displacement(gap) @ prefix),
-    bit for bit, signed zeros included (x * 1.0 is exact, x * 0.0 is not
-    dropped), and rho2 is checked before the gap, as there.
-    """
-    return TransferMatrix(*_close((prefix.a, prefix.b, prefix.c, prefix.d), gap, rho2))
 
 
 def _round_trip(g: CavityGeometry, system: str) -> TransferMatrix:

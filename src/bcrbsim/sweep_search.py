@@ -172,7 +172,7 @@ def _require_cap(name: str, value: float) -> None:
 
 
 def _distance_bands(x: TransferMatrix, offset: float, rho2: float, d_hi: float) -> list[tuple[float, float]]:
-    # Bands of d for the round trip close_round_trip(x, offset + d, rho2).  A point is tested
+    # Bands of d for the round trip with the entries _close(x, offset + d, rho2).  A point is tested
     # as is_stable tests it, on the entries a and d ([::3]) of _close, with no matrix built.
     r, m = 1.0 / rho2, (x.a, x.b, x.c, x.d)
     a0, a1 = x.a + offset * x.c, x.c
@@ -590,10 +590,11 @@ _SWEEP_UNITS = {
 _GEOMETRY_FIELDS = {f.name for f in fields(CavityGeometry)}
 
 # Geometry fields that the spot radii read besides the round trip, and the
-# variables that the chain reads: a sweep evaluates a stage once when its
-# variable is none of them.
+# variables that the chain's loss stage and the whole chain read: a sweep
+# evaluates a stage once when its variable is none of them.
 _SPOT_READS = {"wavelength", "rho1", "L1"}
-_CHAIN_READS = {"d", "wavelength", "p_in", "mu", "loss_scale"}
+_LOSS_READS = {"d", "wavelength", "loss_scale"}
+_CHAIN_READS = _LOSS_READS | {"p_in", "mu"}
 
 _POINT_COLUMNS = (
     ("stable", "-"), ("stability_product", "-"), ("omega1", "m"), ("omega2", "m"),
@@ -613,8 +614,9 @@ def run_sweep(spec: SweepSpec, s: Optional[Scenario] = None) -> FigureDataset:
     once up to the first element that reads the variable.  The cavity cells
     (round trip, stability, spot radii) and the chain after them are each
     evaluated once, at the first point, when they read nothing the variable
-    changes: p_in, mu and loss_scale leave the cavity fixed, and only d and
-    the wavelength among the geometry variables reach the chain.
+    changes: p_in, mu and loss_scale leave the cavity fixed, only d and the
+    wavelength among the geometry variables reach the chain, and p_in and mu
+    do not reach its aperture loss.
     """
     if s is None:
         s = default_scenario()
@@ -633,10 +635,15 @@ def run_sweep(spec: SweepSpec, s: Optional[Scenario] = None) -> FigureDataset:
         a, b, _, d = close(p)
         return _cavity(a, b, d, p.wavelength, p.rho1, p.L1)
 
+    def delta_t() -> float:
+        return loss(p.d, p.wavelength, p.loss_scale)
+
     def chain() -> tuple:
-        return point(loss(p.d, p.wavelength, p.loss_scale), p.p_in, p.mu)
+        return point(delta_t(), p.p_in, p.mu)
     if variable not in _round_trip_reads(system) | _SPOT_READS:
         cavity = cache(cavity)
+    if variable not in _LOSS_READS:
+        delta_t = cache(delta_t)
     if variable not in _CHAIN_READS:
         chain = cache(chain)
     mirror = variable in ("rho1", "rho2")

@@ -58,6 +58,16 @@ class TestMirrorSpotRadii:
         with pytest.raises(ValueError):
             mirror_spot_radii(m, 0.0)
 
+    @pytest.mark.parametrize("wavelength", [math.nan, math.inf, -math.inf])
+    def test_non_finite_wavelength(self, wavelength):
+        # Checked after the > 0 and stability checks, which keep their order and messages.
+        want = f"wavelength must be {'> 0' if wavelength < 0 else 'finite'}, got {wavelength!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            mirror_spot_radii(round_trip_bcrb(CavityGeometry()), wavelength)
+        if wavelength > 0 or math.isnan(wavelength):
+            with pytest.raises(UnstableCavityError):
+                mirror_spot_radii(TransferMatrix(1.2, 0.5, 0.88, 1.2), wavelength)
+
     def test_stable_scan_never_raises(self):
         # Radicands stay positive across a stable distance interval.
         g = CavityGeometry()

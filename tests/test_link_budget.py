@@ -50,6 +50,17 @@ class TestTransmissionLoss:
         with pytest.raises(ValueError):
             transmission_loss(*args)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position, name", [(0, "distance"), (1, "aperture radius"), (2, "wavelength"),
+                                                (3, "loss_scale")])
+    def test_non_finite_rejected_by_name(self, position, name, value):
+        # -inf fails the existing > 0 check first.
+        args = [3.0, 1.5e-3, LAMBDA, 1.0]
+        args[position] = value
+        want = f"{name} must be > 0, got -inf" if value < 0 else f"{name} must be finite, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            transmission_loss(*args)
+
 
 class TestBeamPower:
     def test_lossless_reference_inputs(self):

@@ -16,19 +16,15 @@ from bcrbsim import (
     BeamSimError,
     CavityGeometry,
     InfeasibleSearchError,
-    Mirror,
     ModelChoices,
     NoStableRegionError,
     SingularConfigurationError,
     SweepSpec,
-    TransferMatrix,
     UnstableCavityError,
     beam_power,
     data_signal,
     default_scenario,
-    displacement,
     effective_aperture,
-    element_matrix,
     is_stable,
     load_scenario,
     max_spot_over_range,
@@ -49,8 +45,8 @@ from bcrbsim import (
     transmission_loss,
 )
 from bcrbsim.cli import format_dataset_csv
-from bcrbsim.gaussian_beam import _spot_radii
-from bcrbsim.ray_matrix import close_round_trip, round_trip, round_trip_prefix
+from bcrbsim.gaussian_beam import _spots
+from bcrbsim.ray_matrix import _MIRROR, _close, _focus, _product, _shift, round_trip, round_trip_prefix
 from bcrbsim.sweep_search import (_SWEEP_UNITS, FigureDataset, _distance_bands, _grid, _require_cap,
                                   _stable_at, stability_bands)
 
@@ -217,10 +213,10 @@ def _scanned_max_spot(g, d_lo, d_hi, samples):
     if band is None or band[1] < d_hi:
         first_unstable = d_lo if band is None else band[1]
         raise UnstableCavityError(f"cavity unstable at d = {first_unstable:g} m inside [{d_lo:g}, {d_hi:g}] m")
-    best = -math.inf
+    best, m = -math.inf, (prefix.a, prefix.b, prefix.c, prefix.d)
     for d in _grid(d_lo, d_hi, samples):
         try:
-            omega3 = _spot_radii(close_round_trip(prefix, offset + d, g.rho2), g)[2]
+            omega3 = _spots(_close(m, offset + d, g.rho2), g)[2]
         except UnstableCavityError as exc:
             raise UnstableCavityError(f"cavity unstable at d = {d:g} m inside [{d_lo:g}, {d_hi:g}] m") from exc
         if omega3 > best:
@@ -282,8 +278,8 @@ def test_csv_rows_match_per_cell_format(width, data):
 
 
 def _closed(prefix, gap, rho2):
-    """close_round_trip as it was before it computed its entries directly."""
-    return element_matrix(Mirror(rho2)) @ (displacement(gap) @ prefix)
+    """_close as the element product it stands for: the gap, then mirror 2, after the prefix."""
+    return _product(_focus(_MIRROR, rho2), _product(_shift(gap), prefix))
 
 
 def _hex_outcome(close, *args):
@@ -291,7 +287,7 @@ def _hex_outcome(close, *args):
         m = close(*args)
     except (BeamSimError, ValueError) as exc:
         return f"{type(exc).__name__}: {exc}"
-    return [x.hex() for x in (m.a, m.b, m.c, m.d)]
+    return [x.hex() for x in m]
 
 
 # Prefix entries that are signed zeros, or not finite, as no validated layout gives.
@@ -310,9 +306,9 @@ def test_close_round_trip_is_mirror_after_gap_after_prefix(system, geometry, gap
     # Bit for bit, signed zeros included, and the same error, rho2 checked
     # first: on the layout's prefix, and on any prefix at a gap of either sign.
     prefix, _ = round_trip_prefix(geometry, system)
-    for x, x_gap in ((prefix, gap), (TransferMatrix(*entries), sign * gap)):
+    for x, x_gap in (((prefix.a, prefix.b, prefix.c, prefix.d), gap), (tuple(entries), sign * gap)):
         for args in ((x, x_gap, rho2), (x, x_gap, bad_rho2), (x, bad_gap, rho2), (x, bad_gap, bad_rho2)):
-            assert _hex_outcome(close_round_trip, *args) == _hex_outcome(_closed, *args)
+            assert _hex_outcome(_close, *args) == _hex_outcome(_closed, *args)
 
 
 # |det - 1| of a round trip, relative to |A*D| + |B*C|: the largest seen over

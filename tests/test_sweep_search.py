@@ -515,6 +515,15 @@ class TestRunSweep:
         assert len(checks) <= 1
         assert len(losses) == (101 if variable == "d" else 1)
 
+    @pytest.mark.parametrize("variable, lo, hi, calls", [("p_in", 150.0, 300.0, 1), ("mu", 0.0, 1.0, 1),
+                                                         ("d", 1.0, 6.0, 101), ("loss_scale", 0.5, 2.0, 101)])
+    def test_aperture_loss_once_unless_the_variable_reaches_it(self, monkeypatch, variable, lo, hi, calls):
+        losses = []
+        loss = sweep_search.transmission_loss
+        monkeypatch.setattr(sweep_search, "transmission_loss", lambda *args: losses.append(1) or loss(*args))
+        assert len(run_sweep(SweepSpec(variable, lo, hi, 101), default_scenario()).rows) == 101
+        assert len(losses) == calls
+
     @pytest.mark.parametrize("system", ["bcrb", "original"])
     @pytest.mark.parametrize("variable, lo, hi", [("d", 1.0, 6.0), ("rho2", 1.0, 50.0), ("p_in", 150.0, 300.0),
                                                   ("mu", 0.0, 1.0), ("magnification", 1.5, 6.0)])
