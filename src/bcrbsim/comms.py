@@ -51,6 +51,8 @@ def _data_signal(p_beam: float, responsivity: float, mu: float) -> float:
     # data_signal from the receiver's responsivity and split ratio as floats.
     if p_beam < 0:
         raise ValueError(f"beam power must be >= 0, got {p_beam!r}")
+    if not math.isfinite(p_beam):
+        raise ValueError(f"beam power must be finite, got {p_beam!r}")
     return responsivity * (1.0 - mu) * p_beam
 
 
@@ -58,6 +60,8 @@ def shot_noise(p_data: float, r: ReceiverParams) -> float:
     """Shot-noise variance 2 q (P_data + I_bg) B."""
     if p_data < 0:
         raise ValueError(f"signal level must be >= 0, got {p_data!r}")
+    if not math.isfinite(p_data):
+        raise ValueError(f"signal level must be finite, got {p_data!r}")
     return 2.0 * r.electron_charge * (p_data + r.background_current) * r.bandwidth
 
 
@@ -83,5 +87,11 @@ def spectral_efficiency(p_data: float, n2_total: float, log_base: float = 2.0) -
         raise ValueError(f"signal level must be >= 0, got {p_data!r}")
     if log_base <= 1.0:
         raise ValueError(f"log base must be > 1, got {log_base!r}")
+    if not math.isfinite(p_data):
+        raise ValueError(f"signal level must be finite, got {p_data!r}")
+    if not math.isfinite(n2_total):
+        raise ValueError(f"total noise must be finite, got {n2_total!r}")
+    if not math.isfinite(log_base):
+        raise ValueError(f"log base must be finite, got {log_base!r}")
     snr_like = p_data * p_data * math.e / (2.0 * math.pi * n2_total)
     return 0.5 * math.log1p(snr_like) / math.log(log_base)

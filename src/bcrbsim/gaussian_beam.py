@@ -8,14 +8,13 @@ the short mirror-to-gain gap with the usual Gaussian divergence law.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import UnstableCavityError
 from .ray_matrix import CavityGeometry, TransferMatrix, _require_mirror_radius, _stable, round_trip
 
 
-@dataclass(frozen=True)
-class SpotRadii:
+class SpotRadii(NamedTuple):
     """Beam spot radii [m] on mirror 1, mirror 2, and the gain module."""
 
     omega1: float
@@ -31,11 +30,6 @@ def mirror_spot_radii(m: TransferMatrix, wavelength: float) -> tuple[float, floa
     stability region; a nonpositive radicand (boundary operation included)
     raises rather than being clamped, naming the spot that failed.
     """
-    return _mirror_spots((m.a, m.b, m.c, m.d), wavelength)
-
-
-def _mirror_spots(m: tuple, wavelength: float) -> tuple[float, float]:
-    # mirror_spot_radii on the entries (a, b, c, d) of a round trip, with all its checks.
     a, b, _, d = m
     if wavelength <= 0:
         raise ValueError(f"wavelength must be > 0, got {wavelength!r}")
@@ -47,7 +41,7 @@ def _mirror_spots(m: tuple, wavelength: float) -> tuple[float, float]:
 
 
 def _mirror_radii(a: float, b: float, d: float, wavelength: float) -> tuple[float, float]:
-    # mirror_spot_radii from the entries of a round trip that is_stable accepts.
+    # (omega1, omega2) of a round trip that is_stable accepts, for mirror_spot_radii and _cavity.
     scale = (wavelength / math.pi) ** 2
     excess = a * d - 1.0  # negative inside the stability region
     rad1 = -scale * b * b * d / (a * excess)
@@ -73,18 +67,45 @@ def propagate_spot(omega1: float, rho1: float, L1: float, wavelength: float) -> 
         raise ValueError(f"L1 must be >= 0, got {L1!r}")
     if rho1 == 0:  # tested here, not by a call, as this runs at every stable sweep point
         _require_mirror_radius("rho1", rho1)
+    if not math.isfinite(omega1):
+        raise ValueError(f"omega1 must be finite, got {omega1!r}")
+    if not math.isfinite(rho1):
+        raise ValueError(f"rho1 must be finite, got {rho1!r}")
+    if not math.isfinite(L1):
+        raise ValueError(f"L1 must be finite, got {L1!r}")
+    if not math.isfinite(wavelength):
+        raise ValueError(f"wavelength must be finite, got {wavelength!r}")
     geometric = 1.0 + L1 / rho1
     diffractive = L1 * wavelength / (math.pi * omega1 * omega1)
     return omega1 * math.sqrt(geometric * geometric + diffractive * diffractive)
 
 
-def _spots(m: tuple, g) -> tuple[float, float, float]:
-    # (omega1, omega2, omega3) from the round trip's entries (a, b, c, d); g is anything with wavelength, rho1 and L1.
-    omega1, omega2 = _mirror_spots(m, g.wavelength)
-    return omega1, omega2, propagate_spot(omega1, g.rho1, g.L1, g.wavelength)
+# Fields of p that _cavity reads besides the round trip m.
+_SPOT_READS = {"wavelength", "rho1", "L1"}
+
+
+def _cavity(m: tuple, p) -> tuple:
+    """(stable, A*D, omega1, omega2, omega3) of a round trip m = (a, b, c, d), as sweep cells.
+
+    p is anything with the fields _SPOT_READS of a validated geometry.  stable is
+    1.0 or 0.0; the spot radii are NaN when the cavity is unstable.  operating_point
+    and run_sweep read these cells, the other spot readers read them through _spots.
+    """
+    a, b, _, d = m
+    if not _stable(a, d):
+        return 0.0, a * d, math.nan, math.nan, math.nan
+    omega1, omega2 = _mirror_radii(a, b, d, p.wavelength)
+    return 1.0, a * d, omega1, omega2, propagate_spot(omega1, p.rho1, p.L1, p.wavelength)
+
+
+def _spots(m: tuple, p) -> tuple[float, float, float]:
+    # The spot radii of _cavity, raising UnstableCavityError where it gives NaN.
+    cells = _cavity(m, p)
+    if not cells[0]:
+        raise UnstableCavityError(f"round trip unstable: a*d = {cells[1]!r} outside (0, 1)")
+    return cells[2:]
 
 
 def cavity_spot_radii(g: CavityGeometry, system: str = "bcrb") -> SpotRadii:
     """All three spot radii for a geometry, for either cavity layout."""
-    m = round_trip(g, system)
-    return SpotRadii(*_spots((m.a, m.b, m.c, m.d), g))
+    return SpotRadii(*_spots(round_trip(g, system), g))

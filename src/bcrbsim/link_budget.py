@@ -78,6 +78,8 @@ def beam_power(p_in: float, delta_t: float, p: LinkBudgetParams, clamp: bool = T
         raise ValueError(f"input power must be finite, got {p_in!r}")
     if delta_t < 0:
         raise ValueError(f"delta_t must be >= 0, got {delta_t!r}")
+    if not math.isfinite(delta_t):
+        raise ValueError(f"delta_t must be finite, got {delta_t!r}")
     r = p.reflectivity
     slope = 2.0 * (1.0 - r) * p.conversion_efficiency / ((1.0 + r) * (delta_t - math.log(r)))
     power = slope * p_in + p.intercept
@@ -103,6 +105,8 @@ def pv_output(p_beam: float, mu: float, p: LinkBudgetParams, clamp: bool = True)
         raise ValueError(f"split ratio mu must be in [0, 1], got {mu!r}")
     if p_beam < 0:
         raise ValueError(f"beam power must be >= 0, got {p_beam!r}")
+    if not math.isfinite(p_beam):
+        raise ValueError(f"beam power must be finite, got {p_beam!r}")
     power = p.pv_slope * mu * p_beam + p.pv_intercept
     if clamp and power < 0.0:
         return 0.0

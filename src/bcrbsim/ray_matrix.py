@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import InvalidElementError, SingularConfigurationError
 
@@ -34,18 +34,17 @@ def _require_mirror_radius(name: str, value: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class RayVector:
+class RayVector(NamedTuple):
     """Transverse ray state: offset from the axis [m] and paraxial slope [rad]."""
 
     position: float
     slope: float
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
+class TransferMatrix(NamedTuple):
     """2x2 ray transfer matrix [[a, b], [c, d]]; b in m, c in 1/m.
 
+    It is an entries tuple (a, b, c, d), as _product, _close and _fold take.
     Matrices built from validated elements have finite entries and unit
     determinant up to rounding; the container itself stays unchecked so
     that downstream guards (e.g. the NaN branch of is_stable) are honest.
@@ -64,7 +63,7 @@ _MIRROR, _LENS = "mirror curvature radius", "lens focal length"
 
 
 def _product(e: tuple, m: tuple) -> tuple:
-    """Entries (a, b, c, d) of e @ m; the sweep path carries matrices as such plain tuples."""
+    """Entries (a, b, c, d) of e @ m, as a plain tuple; a TransferMatrix is such a tuple too."""
     ea, eb, ec, ed = e
     ma, mb, mc, md = m
     return ea * ma + eb * mc, ea * mb + eb * md, ec * ma + ed * mc, ec * mb + ed * md
@@ -117,9 +116,8 @@ class CavityGeometry:
     wavelength: float = 1064e-9    # resonant-beam wavelength [m]
 
     def __post_init__(self):
-        for name in ("rho1", "rho2", "f_gain", "f1", "magnification", "L1", "L2",
-                     "d", "aperture_gain", "aperture_tim", "wavelength"):
-            _require_finite(name, getattr(self, name))
+        for f in fields(self):
+            _require_finite(f.name, getattr(self, f.name))
         _require_mirror_radius("rho1", self.rho1)
         _require_mirror_radius("rho2", self.rho2)
         for name in ("f_gain", "f1", "magnification", "d", "aperture_gain", "aperture_tim", "wavelength"):
@@ -133,14 +131,14 @@ class CavityGeometry:
 
     @property
     def f2(self) -> float:
-        """Convex-lens focal length, tied to f1 by the magnification; the -f2 element of _LAYOUTS reads it."""
+        """Convex-lens focal length, tied to f1 by the magnification; the -f2 element of _LAYOUTS is this product."""
         return self.f1 * self.magnification
 
 
 # Per layout: the round trip's elements before the gap to mirror 2, in
 # propagation order, each with the geometry fields its entries read; then, in
 # the same form, the part of that gap that is not d.  The elements read any
-# object with these fields (a sweep point too): -f2 comes from the f2 property.
+# object with these fields, a sweep point too.
 _HEAD = (
     (("rho1",), lambda g: _focus(_MIRROR, g.rho1)),
     (("L1",), lambda g: _shift(g.L1)),
@@ -151,7 +149,7 @@ _LAYOUTS = {
         (("L2",), lambda g: _shift(g.L2)),
         (("f1",), lambda g: _shift(g.f1)),
         (("magnification",), lambda g: _magnifier(g.magnification)),
-        (("f1", "magnification"), lambda g: _shift(-CavityGeometry.f2.fget(g))),
+        (("f1", "magnification"), lambda g: _shift(-(g.f1 * g.magnification))),
     ), ((), lambda g: 0.0)),
     "original": (_HEAD, (("L2",), lambda g: g.L2)),
 }
@@ -182,8 +180,8 @@ def round_trip_prefix(g: CavityGeometry, system: str) -> tuple[TransferMatrix, f
     The round trip at distance d has the entries _close(prefix, offset + d, g.rho2).
     For 'bcrb' the prefix is the first seven element matrices and the offset
     is 0; for 'original' it is mirror 1, L1 and the gain lens, and the gap is
-    L2 + d.  The prefix is the _fold of the layout's _LAYOUTS elements, as in
-    the round trip itself, so closing it gives the round trip's bits.
+    L2 + d.  The round trip itself is this prefix closed, so a search that
+    closes it sees the round trip's bits.
     """
     elements, (_, offset) = _layout(system)
     return TransferMatrix(*_fold(g, elements)), offset(g)
@@ -192,7 +190,7 @@ def round_trip_prefix(g: CavityGeometry, system: str) -> tuple[TransferMatrix, f
 def _round_trip_reads(system: str) -> set[str]:
     """Names of the geometry fields that the round trip of a layout reads."""
     elements, offset = _layout(system)
-    return {name for fields, _ in elements + (offset,) for name in fields} | {"d", "rho2"}
+    return {name for reads, _ in elements + (offset,) for name in reads} | {"d", "rho2"}
 
 
 def _sweep_round_trip(g: CavityGeometry, system: str, name: str) -> Callable[[object], tuple]:
@@ -226,8 +224,8 @@ def _close(m: tuple, gap: float, rho2: float) -> tuple:
 
 
 def _round_trip(g: CavityGeometry, system: str) -> TransferMatrix:
-    elements, (_, offset) = _layout(system)
-    return TransferMatrix(*_close(_fold(g, elements), offset(g) + g.d, g.rho2))
+    x, offset = round_trip_prefix(g, system)
+    return TransferMatrix(*_close(x, offset + g.d, g.rho2))
 
 
 def round_trip_bcrb(g: CavityGeometry) -> TransferMatrix:

@@ -1,14 +1,14 @@
 """Model chain, boundary searches, loss-model calibration, and figure datasets.
 
-The link model is written once here and every caller reads it from here.  A
-point is the cavity part (one round trip, its stability and spot radii) plus
-the chain from plain floats: the power branch (aperture loss -> beam power ->
-floor at 0 -> PV output), then the data branch (APD signal -> shot/thermal
-noise -> spectral efficiency).  operating_point evaluates one point and
-run_sweep the same program over a grid; the power-only figures and the CLI
-`power` command stop the chain after the power branch, because the data
-branch needs a positive total noise, which a dark, cold receiver lacks at
-zero signal.
+The link model is written once and every caller reads it from here.  A point
+is the cavity part (one round trip, its stability and spot radii, from
+gaussian_beam._cavity) plus the chain from plain floats: the power branch
+(aperture loss -> beam power -> floor at 0 -> PV output), then the data branch
+(APD signal -> shot/thermal noise -> spectral efficiency).  operating_point
+evaluates one point and run_sweep the same program over a grid; the
+power-only figures and the CLI `power` command stop the chain after the power
+branch, because the data branch needs a positive total noise, which a dark,
+cold receiver lacks at zero signal.
 
 Stability bands are exact: A*D of the round trip is quadratic in d and
 affine in 1/rho2, so band edges are roots found in closed form.  Every search
@@ -36,7 +36,7 @@ from typing import Callable, Optional, Sequence
 
 from .comms import _data_signal, shot_noise, spectral_efficiency, thermal_noise
 from .errors import InfeasibleSearchError, NoStableRegionError, UnstableCavityError
-from .gaussian_beam import _mirror_radii, _spots, propagate_spot
+from .gaussian_beam import _SPOT_READS, _cavity, _spots
 from .link_budget import LinkBudgetParams, beam_power, effective_aperture, pv_output, transmission_loss
 from .ray_matrix import (CavityGeometry, TransferMatrix, _close, _layout, _require_mirror_radius, _round_trip_reads,
                          _stable, _sweep_round_trip, is_stable, round_trip, round_trip_prefix)
@@ -174,11 +174,11 @@ def _require_cap(name: str, value: float) -> None:
 def _distance_bands(x: TransferMatrix, offset: float, rho2: float, d_hi: float) -> list[tuple[float, float]]:
     # Bands of d for the round trip with the entries _close(x, offset + d, rho2).  A point is tested
     # as is_stable tests it, on the entries a and d ([::3]) of _close, with no matrix built.
-    r, m = 1.0 / rho2, (x.a, x.b, x.c, x.d)
+    r = 1.0 / rho2
     a0, a1 = x.a + offset * x.c, x.c
     d0, d1 = x.d - r * (x.b + offset * x.d), -r * x.d
     roots = _roots(0.0, a1, a0) + _roots(0.0, d1, d0) + _roots(a1 * d1, a0 * d1 + a1 * d0, a0 * d0 - 1.0)
-    return _bands(roots, d_hi, lambda d: _stable(*_close(m, offset + d, rho2)[::3]))
+    return _bands(roots, d_hi, lambda d: _stable(*_close(x, offset + d, rho2)[::3]))
 
 
 def stability_bands(g: CavityGeometry, d_hi: float, system: str = "bcrb") -> list[tuple[float, float]]:
@@ -226,9 +226,9 @@ def required_rho2(g: CavityGeometry, d: float, rho2_hi: float) -> float:
 
 def _required_rho2(x: TransferMatrix, d: float, rho2_hi: float) -> float:
     # required_rho2 from the round trip's prefix x, which does not read d or rho2.
-    m, a, b = (x.a, x.b, x.c, x.d), x.a + d * x.c, x.b + d * x.d
+    a, b = x.a + d * x.c, x.b + d * x.d
     bands = _bands(_roots(0.0, x.d, -b) + _roots(0.0, a * x.d - 1.0, -a * b), rho2_hi,
-                   lambda rho2: _stable(*_close(m, d, rho2)[::3]))
+                   lambda rho2: _stable(*_close(x, d, rho2)[::3]))
     if not bands:
         raise InfeasibleSearchError(f"no rho2 in (0, {rho2_hi}] m stabilizes d = {d} m")
     return bands[0][0]
@@ -275,7 +275,6 @@ def _max_spot(g, x: TransferMatrix, offset: float, d_lo: float, d_hi: float, sam
     (c0, c1), (e0, e1) = (x.c - a0 / g.rho2, -a1 / g.rho2), (x.d - b0 / g.rho2, -b1 / g.rho2)
     p0, p1, p2 = b0 * e0, b0 * e1 + b1 * e0, b1 * e1
     q0, q1, q2 = a0 * c0, a0 * c1 + a1 * c0, a1 * c1
-    m = (x.a, x.b, x.c, x.d)
     picks = {0, samples - 1}
     for root in _roots(p2 * q1 - p1 * q2, 2.0 * (p2 * q0 - p0 * q2), p1 * q0 - p0 * q1):
         if d_lo < root < d_hi:
@@ -284,14 +283,14 @@ def _max_spot(g, x: TransferMatrix, offset: float, d_lo: float, d_hi: float, sam
 
     def omega3(d: float, entries: Optional[tuple] = None) -> float:
         try:
-            return _spots(entries or _close(m, offset + d, g.rho2), g)[2]
+            return _spots(entries or _close(x, offset + d, g.rho2), g)[2]
         except UnstableCavityError as exc:
             raise UnstableCavityError(f"cavity unstable at d = {d:g} m inside [{d_lo:g}, {d_hi:g}] m") from exc
     spots, best = {}, -math.inf
     while picks:
         picks = sorted(picks)
         for i, d in zip(picks, _grid(d_lo, d_hi, samples, picks)):
-            entries = _close(m, offset + d, g.rho2)
+            entries = _close(x, offset + d, g.rho2)
             if not _CONDITIONED < entries[0] * entries[3] < 1.0 - _CONDITIONED:
                 return max(map(omega3, _grid(d_lo, d_hi, samples)))
             spots[i] = omega3(d, entries)
@@ -339,18 +338,6 @@ def resolve_link_params(s: Scenario) -> LinkBudgetParams:
     n = calibrate_loss_scale(ANCHOR_DISTANCE, ANCHOR_BEAM_POWER, ANCHOR_INPUT_POWER,
                              s.geometry.aperture_gain, s.geometry.wavelength, s.link)
     return replace(s.link, loss_scale=n)
-
-
-def _cavity(a: float, b: float, d: float, wavelength: float, rho1: float, L1: float) -> tuple:
-    """(stable, A*D, omega1, omega2, omega3) of a round trip with entries a, b, d, as sweep cells.
-
-    stable is 1.0 or 0.0; the spot radii are NaN when the cavity is unstable.
-    The stability test runs once; the radii are those of cavity_spot_radii.
-    """
-    if not _stable(a, d):
-        return 0.0, a * d, math.nan, math.nan, math.nan
-    omega1, omega2 = _mirror_radii(a, b, d, wavelength)
-    return 1.0, a * d, omega1, omega2, propagate_spot(omega1, rho1, L1, wavelength)
 
 
 def _chain(s: Scenario, link: LinkBudgetParams, system: str, data: bool = False) -> tuple[Callable, Callable]:
@@ -403,7 +390,7 @@ def operating_point(s: Scenario, system: str = "bcrb",
         link = resolve_link_params(s)
     m, (loss, chain) = round_trip(g, system), _chain(s, link, system, data=True)
     point = dict(zip(("d", "p_in", "mu") + tuple(name for name, _ in _POINT_COLUMNS),
-                     (g.d, p_in, mu, *_cavity(m.a, m.b, m.d, g.wavelength, g.rho1, g.L1),
+                     (g.d, p_in, mu, *_cavity(m, g),
                       *chain(loss(g.d), p_in, mu))))
     point["stable"] = bool(point["stable"])
     return point
@@ -450,13 +437,13 @@ def _series(key: str, values: Sequence[float]) -> dict:
 
 def _fig6(s: Scenario, link: LinkBudgetParams, **_):
     # Spot radius on the gain module and beam power vs distance, both systems, as run_sweep's d points.
-    g, p = s.geometry, SimpleNamespace(**vars(s.geometry))
-    closes = [_sweep_round_trip(g, system, "d") for system in ("bcrb", "original")]
+    g = s.geometry
+    prefixes = [round_trip_prefix(g, system) for system in ("bcrb", "original")]
     stages = [_chain(s, link, system) for system in ("bcrb", "original")]
 
     def cells(d: float) -> list[float]:
-        p.d = d
-        return [_spots(close(p), g)[2] for close in closes] + [point(loss(d))[1] for loss, point in stages]
+        return ([_spots(_close(x, offset + d, g.rho2), g)[2] for x, offset in prefixes]
+                + [point(loss(d))[1] for loss, point in stages])
     return (["omega3_bcrb [m]", "omega3_original [m]", "beam_power_bcrb [W]", "beam_power_original [W]"],
             cells, {"sweep.p_in_w": s.pump_input_power})
 
@@ -589,10 +576,9 @@ _SWEEP_UNITS = {
 
 _GEOMETRY_FIELDS = {f.name for f in fields(CavityGeometry)}
 
-# Geometry fields that the spot radii read besides the round trip, and the
-# variables that the chain's loss stage and the whole chain read: a sweep
+# The variables that the chain's loss stage and the whole chain read (and
+# _SPOT_READS, those of the cavity cells besides the round trip): a sweep
 # evaluates a stage once when its variable is none of them.
-_SPOT_READS = {"wavelength", "rho1", "L1"}
 _LOSS_READS = {"d", "wavelength", "loss_scale"}
 _CHAIN_READS = _LOSS_READS | {"p_in", "mu"}
 
@@ -632,8 +618,7 @@ def run_sweep(spec: SweepSpec, s: Optional[Scenario] = None) -> FigureDataset:
     close, (loss, point) = _sweep_round_trip(g, system, variable), _chain(s, link, system, data=True)
 
     def cavity() -> tuple:
-        a, b, _, d = close(p)
-        return _cavity(a, b, d, p.wavelength, p.rho1, p.L1)
+        return _cavity(close(p), p)
 
     def delta_t() -> float:
         return loss(p.d, p.wavelength, p.loss_scale)

@@ -1,14 +1,19 @@
-"""The public API: retired parameters and names stay gone, every parameter is read, every definition is used."""
+"""The public API: retired parameters and names stay gone, every parameter is read, every definition is used,
+every float parameter rejects NaN and infinities by name, and every dataclass validates."""
 
 import ast
+import inspect
+import math
+import re
 from fnmatch import fnmatch
 from pathlib import Path
 
 import pytest
 
 import bcrbsim
-from bcrbsim import (CavityGeometry, TransferMatrix, gaussian_beam, max_stable_distance, ray_matrix, required_rho2,
-                     sweep_search)
+from bcrbsim import (BeamSimError, CavityGeometry, LinkBudgetParams, ModelChoices, ReceiverParams, TransferMatrix,
+                     default_scenario, gaussian_beam, max_stable_distance, ray_matrix, required_rho2,
+                     round_trip_bcrb, sweep_search)
 
 G = CavityGeometry()
 
@@ -117,3 +122,106 @@ def test_every_definition_is_used():
     unused = list(_unused_definitions())
     assert [hit for hit in unused if hit[1] not in ALLOWED_UNUSED] == []
     assert sorted(set(ALLOWED_UNUSED) - {name for _, name in unused}) == [], "allowlist entries that nothing needs"
+
+
+# One valid call per public callable that takes a float, by keyword; each
+# float parameter in turn is then set to NaN, +inf and -inf.
+VALID_CALLS = {
+    "CavityGeometry": {},
+    "LinkBudgetParams": {},
+    "ReceiverParams": {},
+    "ModelChoices": {},
+    "Scenario": {"geometry": G, "link": LinkBudgetParams(), "receiver": ReceiverParams(),
+                 "model_choices": ModelChoices()},
+    "SweepSpec": {"variable": "d", "lo": 1.0, "hi": 6.0, "samples": 5},
+    "beam_power": {"p_in": 200.0, "delta_t": 0.5, "p": LinkBudgetParams()},
+    "calibrate_loss_scale": {"anchor_d": 3.0, "anchor_beam_power": 5.0, "p_in": 210.0, "aperture": 1.5e-3,
+                             "wavelength": 1064e-9, "p": LinkBudgetParams()},
+    "data_signal": {"p_beam": 10.0, "r": ReceiverParams()},
+    "max_spot_over_range": {"g": CavityGeometry(rho2=50.0), "d_lo": 1.0, "d_hi": 5.0, "samples": 11},
+    "max_stable_distance": {"g": G, "d_hi": 20.0},
+    "mirror_spot_radii": {"m": round_trip_bcrb(G), "wavelength": 1064e-9},
+    "operating_point": {"s": default_scenario()},
+    "propagate_spot": {"omega1": 1e-3, "rho1": -0.88, "L1": 1e-3, "wavelength": 1064e-9},
+    "pv_output": {"p_beam": 10.0, "mu": 0.5, "p": LinkBudgetParams()},
+    "required_rho2": {"g": G, "d": 10.0, "rho2_hi": 80.0},
+    "shot_noise": {"p_data": 1.0, "r": ReceiverParams()},
+    "spectral_efficiency": {"p_data": 1.0, "n2_total": 1.0},
+    "stability_bands": {"g": G, "d_hi": 20.0},
+    "total_noise": {"p_data": 1.0, "r": ReceiverParams()},
+    "transmission_loss": {"d": 2.0, "b": 1e-3, "wavelength": 1064e-9, "loss_scale": 1.0},
+}
+
+# (callable, parameter) -> the words its error messages name it by, where they are not the parameter's name.
+WORDING = {
+    ("SweepSpec", "lo"): "sweep range",
+    ("SweepSpec", "hi"): "sweep range",
+    ("beam_power", "p_in"): "input power",
+    ("calibrate_loss_scale", "anchor_d"): "anchor distance",
+    ("calibrate_loss_scale", "anchor_beam_power"): "anchor beam power",
+    ("calibrate_loss_scale", "p_in"): "anchor input power",
+    ("data_signal", "p_beam"): "beam power",
+    ("operating_point", "p_in"): "input power",
+    ("operating_point", "mu"): "split ratio mu",
+    ("pv_output", "p_beam"): "beam power",
+    ("pv_output", "mu"): "split ratio mu",
+    ("shot_noise", "p_data"): "signal level",
+    ("spectral_efficiency", "p_data"): "signal level",
+    ("spectral_efficiency", "n2_total"): "total noise",
+    ("spectral_efficiency", "log_base"): "log base",
+    ("total_noise", "p_data"): "signal level",
+    ("transmission_loss", "d"): "distance",
+    ("transmission_loss", "b"): "aperture radius",
+}
+
+# Public callables with float parameters that take NaN and infinities -> why.
+ALLOWED_NON_FINITE = {
+    "TransferMatrix": "an unchecked container by design: is_stable's NaN branch tests a matrix with a NaN entry",
+    "RayVector": "an unchecked container by design, like TransferMatrix",
+    "SpotRadii": "an unchecked container by design, like TransferMatrix",
+}
+
+
+def _float_parameters():
+    """(callable name, parameter) for each parameter annotated float or Optional[float] of a bcrbsim export."""
+    for name, obj in sorted(vars(bcrbsim).items()):
+        if name.startswith("_") or not callable(obj) or (isinstance(obj, type) and issubclass(obj, BaseException)):
+            continue
+        for param in inspect.signature(obj).parameters.values():
+            # The modules postpone annotations, so they are strings (NamedTuple fields: forward references).
+            if getattr(param.annotation, "__forward_arg__", param.annotation) in ("float", "Optional[float]"):
+                yield name, param.name
+
+
+FLOAT_PARAMETERS = list(_float_parameters())
+
+
+def test_every_float_taking_callable_has_a_valid_call_or_a_reason():
+    names = {name for name, _ in FLOAT_PARAMETERS}
+    assert sorted(names - set(ALLOWED_NON_FINITE)) == sorted(VALID_CALLS)
+    assert set(ALLOWED_NON_FINITE) <= names, "allowlist entries that nothing needs"
+
+
+@pytest.mark.parametrize("name, param", [hit for hit in FLOAT_PARAMETERS if hit[0] not in ALLOWED_NON_FINITE],
+                         ids=lambda value: value)
+def test_non_finite_float_rejected_by_name(name, param):
+    call, kwargs = getattr(bcrbsim, name), VALID_CALLS[name]
+    call(**kwargs)
+    words = WORDING.get((name, param), param)
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises((ValueError, BeamSimError)) as info:
+            call(**{**kwargs, param: value})
+        assert re.search(rf"(^|\s){re.escape(words)}\b", str(info.value)), (value, str(info.value))
+
+
+def _decorator_name(node: ast.expr) -> str:
+    return ast.unparse(node.func if isinstance(node, ast.Call) else node)
+
+
+def test_every_dataclass_validates():
+    # A dataclass exists to check its fields; a value type without checks is a NamedTuple.
+    unchecked = [(path.name, node.name) for path in sorted(Path(bcrbsim.__file__).parent.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.ClassDef) and "dataclass" in map(_decorator_name, node.decorator_list)
+                 and not any(isinstance(n, ast.FunctionDef) and n.name == "__post_init__" for n in node.body)]
+    assert unchecked == []

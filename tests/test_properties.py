@@ -213,10 +213,10 @@ def _scanned_max_spot(g, d_lo, d_hi, samples):
     if band is None or band[1] < d_hi:
         first_unstable = d_lo if band is None else band[1]
         raise UnstableCavityError(f"cavity unstable at d = {first_unstable:g} m inside [{d_lo:g}, {d_hi:g}] m")
-    best, m = -math.inf, (prefix.a, prefix.b, prefix.c, prefix.d)
+    best = -math.inf
     for d in _grid(d_lo, d_hi, samples):
         try:
-            omega3 = _spots(_close(m, offset + d, g.rho2), g)[2]
+            omega3 = _spots(_close(prefix, offset + d, g.rho2), g)[2]
         except UnstableCavityError as exc:
             raise UnstableCavityError(f"cavity unstable at d = {d:g} m inside [{d_lo:g}, {d_hi:g}] m") from exc
         if omega3 > best:
@@ -306,7 +306,7 @@ def test_close_round_trip_is_mirror_after_gap_after_prefix(system, geometry, gap
     # Bit for bit, signed zeros included, and the same error, rho2 checked
     # first: on the layout's prefix, and on any prefix at a gap of either sign.
     prefix, _ = round_trip_prefix(geometry, system)
-    for x, x_gap in (((prefix.a, prefix.b, prefix.c, prefix.d), gap), (tuple(entries), sign * gap)):
+    for x, x_gap in ((prefix, gap), (tuple(entries), sign * gap)):
         for args in ((x, x_gap, rho2), (x, x_gap, bad_rho2), (x, bad_gap, rho2), (x, bad_gap, bad_rho2)):
             assert _hex_outcome(_close, *args) == _hex_outcome(_closed, *args)
 

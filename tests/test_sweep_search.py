@@ -442,10 +442,11 @@ class TestFigureDatasets:
         for series in (1, 4):
             built = Counter()
             with monkeypatch.context() as patch:
-                post_init, init = CavityGeometry.__post_init__, TransferMatrix.__init__
+                post_init, new = CavityGeometry.__post_init__, TransferMatrix.__new__
                 prefix = sweep_search.round_trip_prefix
                 patch.setattr(CavityGeometry, "__post_init__", lambda g: built.update(["checks"]) or post_init(g))
-                patch.setattr(TransferMatrix, "__init__", lambda m, *args: built.update(["matrices"]) or init(m, *args))
+                patch.setattr(TransferMatrix, "__new__",
+                              lambda cls, *args: built.update(["matrices"]) or new(cls, *args))
                 patch.setattr(sweep_search, "replace", lambda *args, **kw: built.update(["copies"]) or replace(*args, **kw))
                 patch.setattr(sweep_search, "round_trip_prefix", lambda *args: built.update(["prefixes"]) or prefix(*args))
                 ds = generate_figure(fid, s, m_values=(2.5, 3.0, 3.5, 5.0)[:series],
@@ -535,8 +536,8 @@ class TestRunSweep:
         for samples in (11, 1001):
             matrices, copies = [], []
             with monkeypatch.context() as patch:
-                init = TransferMatrix.__init__
-                patch.setattr(TransferMatrix, "__init__", lambda m, *args: matrices.append(1) or init(m, *args))
+                new = TransferMatrix.__new__
+                patch.setattr(TransferMatrix, "__new__", lambda cls, *args: matrices.append(1) or new(cls, *args))
                 patch.setattr(sweep_search, "replace", lambda *args, **kw: copies.append(1) or replace(*args, **kw))
                 assert len(run_sweep(SweepSpec(variable, lo, hi, samples, system), s).rows) == samples
             built[samples] = (len(matrices), len(copies))
