@@ -43,8 +43,11 @@ class ReceiverParams:
 
 
 def data_signal(p_beam: float, r: ReceiverParams) -> float:
-    """Signal level at the APD: gamma (1 - mu) P_beam."""
-    return _data_signal(p_beam, r.responsivity, r.split_ratio)
+    """Signal level at the APD: gamma (1 - mu) P_beam; a product too large for a float is rejected."""
+    p_data = _data_signal(p_beam, r.responsivity, r.split_ratio)
+    if not math.isfinite(p_data):
+        raise ValueError(f"signal level must be finite, got {p_data!r}")
+    return p_data
 
 
 def _data_signal(p_beam: float, responsivity: float, mu: float) -> float:
@@ -93,5 +96,10 @@ def spectral_efficiency(p_data: float, n2_total: float, log_base: float = 2.0) -
         raise ValueError(f"total noise must be finite, got {n2_total!r}")
     if not math.isfinite(log_base):
         raise ValueError(f"log base must be finite, got {log_base!r}")
-    snr_like = p_data * p_data * math.e / (2.0 * math.pi * n2_total)
+    denominator = 2.0 * math.pi * n2_total
+    snr_like = p_data * p_data * math.e / denominator
+    if snr_like == math.inf or (denominator == math.inf and p_data > 0):
+        # A product overflowed, so take the ratio x in logs: ln(1 + x) = max(ln x, 0) + log1p(exp(-|ln x|)).
+        ln_x = 2.0 * math.log(p_data) + 1.0 - math.log(2.0 * math.pi) - math.log(n2_total)
+        return 0.5 * (max(ln_x, 0.0) + math.log1p(math.exp(-abs(ln_x)))) / math.log(log_base)
     return 0.5 * math.log1p(snr_like) / math.log(log_base)

@@ -223,6 +223,18 @@ def _close(m: tuple, gap: float, rho2: float) -> tuple:
     return a + 0.0 * c, b + 0.0 * d, r * a + c, r * b + d
 
 
+def _affine(m: tuple, offset: float, rho2: float) -> tuple:
+    """Entries A, B, C, D of _close(m, offset + d, rho2), each as (value at d = 0, slope in d).
+
+    A = m.a + (offset + d)*m.c and B = m.b + (offset + d)*m.d do not read rho2;
+    C = m.c - A/rho2 and D = m.d - B/rho2.  So A*D is quadratic in d and affine
+    in 1/rho2.  The pairs round apart from _close's entries: judge a point on _close.
+    """
+    r = 1.0 / rho2
+    a, b = (m[0] + offset * m[2], m[2]), (m[1] + offset * m[3], m[3])
+    return a, b, (m[2] - r * a[0], -r * a[1]), (m[3] - r * b[0], -r * b[1])
+
+
 def _round_trip(g: CavityGeometry, system: str) -> TransferMatrix:
     x, offset = round_trip_prefix(g, system)
     return TransferMatrix(*_close(x, offset + g.d, g.rho2))

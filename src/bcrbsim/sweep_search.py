@@ -10,11 +10,11 @@ power-only figures and the CLI `power` command stop the chain after the power
 branch, because the data branch needs a positive total noise, which a dark,
 cold receiver lacks at zero signal.
 
-Stability bands are exact: A*D of the round trip is quadratic in d and
-affine in 1/rho2, so band edges are roots found in closed form.  Every search
-builds the round-trip prefix once and tests a point by closing it; _bands
-decides each interval and walks each edge to a point is_stable accepts.
-Disconnected bands are reported, not merged.
+Stability bands are exact: the round trip's entries are affine in d
+(ray_matrix._affine), so band edges are roots found in closed form.
+Every search builds the round-trip prefix once and tests a point by closing
+it; _bands decides each interval and walks each edge to a point is_stable
+accepts.  Disconnected bands are reported, not merged.
 The aperture-loss scale factor N is pinned by inverting the beam-power model
 at a reference measurement of the telescope-free system (5 W external beam at
 3 m with 210 W pump input).
@@ -38,8 +38,8 @@ from .comms import _data_signal, shot_noise, spectral_efficiency, thermal_noise
 from .errors import InfeasibleSearchError, NoStableRegionError, UnstableCavityError
 from .gaussian_beam import _SPOT_READS, _cavity, _spots
 from .link_budget import LinkBudgetParams, beam_power, effective_aperture, pv_output, transmission_loss
-from .ray_matrix import (CavityGeometry, TransferMatrix, _close, _layout, _require_mirror_radius, _round_trip_reads,
-                         _stable, _sweep_round_trip, is_stable, round_trip, round_trip_prefix)
+from .ray_matrix import (CavityGeometry, TransferMatrix, _affine, _close, _layout, _require_mirror_radius,
+                         _round_trip_reads, _stable, _sweep_round_trip, is_stable, round_trip, round_trip_prefix)
 from .scenario import Scenario, default_scenario, scenario_to_dict
 
 log = logging.getLogger(__name__)
@@ -174,9 +174,7 @@ def _require_cap(name: str, value: float) -> None:
 def _distance_bands(x: TransferMatrix, offset: float, rho2: float, d_hi: float) -> list[tuple[float, float]]:
     # Bands of d for the round trip with the entries _close(x, offset + d, rho2).  A point is tested
     # as is_stable tests it, on the entries a and d ([::3]) of _close, with no matrix built.
-    r = 1.0 / rho2
-    a0, a1 = x.a + offset * x.c, x.c
-    d0, d1 = x.d - r * (x.b + offset * x.d), -r * x.d
+    (a0, a1), _, _, (d0, d1) = _affine(x, offset, rho2)
     roots = _roots(0.0, a1, a0) + _roots(0.0, d1, d0) + _roots(a1 * d1, a0 * d1 + a1 * d0, a0 * d0 - 1.0)
     return _bands(roots, d_hi, lambda d: _stable(*_close(x, offset + d, rho2)[::3]))
 
@@ -184,10 +182,10 @@ def _distance_bands(x: TransferMatrix, offset: float, rho2: float, d_hi: float) 
 def stability_bands(g: CavityGeometry, d_hi: float, system: str = "bcrb") -> list[tuple[float, float]]:
     """Exact stable intervals of d in (0, d_hi], as (lowest, highest) stable distance per band.
 
-    With the d-independent prefix X of the round trip, A = a0 + a1*d and
-    D = d0 + d1*d, so the band edges are the roots of A = 0, D = 0 and
-    A*D = 1 (Kogelnik & Li, Appl. Opt. 5, 1550, 1966), each moved inward
-    until is_stable holds; a band open at d = 0 starts at 5e-324.
+    A and D are affine in d (ray_matrix._affine), so the band edges are the
+    roots of A = 0, D = 0 and A*D = 1 (Kogelnik & Li, Appl. Opt. 5, 1550,
+    1966), each moved inward until is_stable holds; a band open at d = 0
+    starts at 5e-324.
     """
     _require_cap("d_hi", d_hi)
     return _distance_bands(*round_trip_prefix(g, system), g.rho2, d_hi)
@@ -215,10 +213,10 @@ def max_stable_distance(g: CavityGeometry, d_hi: float, *, tol: float = 1e-3, sy
 def required_rho2(g: CavityGeometry, d: float, rho2_hi: float) -> float:
     """Smallest receiver-mirror curvature radius in (0, rho2_hi] that stabilizes distance d.
 
-    At fixed d, A does not depend on rho2 and D = X.d - B/rho2, so the edges
-    are rho2 = B/X.d (D = 0) and A*B/(A*X.d - 1) (A*D = 1).  The result is
-    the lower edge of the first band, a point is_stable accepts, exact to
-    rounding.
+    At fixed d, A and B do not read rho2 and fix D (ray_matrix._affine), so
+    with B' the slope of B in d the edges are rho2 = B/B' (D = 0) and
+    A*B/(A*B' - 1) (A*D = 1).  The result is the lower edge of the first
+    band, a point is_stable accepts, exact to rounding.
     """
     _require_cap("rho2_hi", rho2_hi)
     return _required_rho2(round_trip_prefix(replace(g, d=d), "bcrb")[0], d, rho2_hi)
@@ -226,8 +224,8 @@ def required_rho2(g: CavityGeometry, d: float, rho2_hi: float) -> float:
 
 def _required_rho2(x: TransferMatrix, d: float, rho2_hi: float) -> float:
     # required_rho2 from the round trip's prefix x, which does not read d or rho2.
-    a, b = x.a + d * x.c, x.b + d * x.d
-    bands = _bands(_roots(0.0, x.d, -b) + _roots(0.0, a * x.d - 1.0, -a * b), rho2_hi,
+    (a, _), (b, b_slope), _, _ = _affine(x, d, rho2_hi)  # A and B read no rho2
+    bands = _bands(_roots(0.0, b_slope, -b) + _roots(0.0, a * b_slope - 1.0, -a * b), rho2_hi,
                    lambda rho2: _stable(*_close(x, d, rho2)[::3]))
     if not bands:
         raise InfeasibleSearchError(f"no rho2 in (0, {rho2_hi}] m stabilizes d = {d} m")
@@ -270,9 +268,8 @@ def _max_spot(g, x: TransferMatrix, offset: float, d_lo: float, d_hi: float, sam
     if band is None or band[1] < d_hi:
         first_unstable = d_lo if band is None else band[1]
         raise UnstableCavityError(f"cavity unstable at d = {first_unstable:g} m inside [{d_lo:g}, {d_hi:g}] m")
-    # (B*D)' * (A*C) - (B*D) * (A*C)' from each entry's (value at d = 0, slope): the cubic terms cancel.
-    (a0, a1), (b0, b1) = (x.a + offset * x.c, x.c), (x.b + offset * x.d, x.d)
-    (c0, c1), (e0, e1) = (x.c - a0 / g.rho2, -a1 / g.rho2), (x.d - b0 / g.rho2, -b1 / g.rho2)
+    # (B*D)' * (A*C) - (B*D) * (A*C)' from the entries' (value at d = 0, slope) pairs: the cubic terms cancel.
+    (a0, a1), (b0, b1), (c0, c1), (e0, e1) = _affine(x, offset, g.rho2)
     p0, p1, p2 = b0 * e0, b0 * e1 + b1 * e0, b1 * e1
     q0, q1, q2 = a0 * c0, a0 * c1 + a1 * c0, a1 * c1
     picks = {0, samples - 1}
@@ -312,8 +309,10 @@ def calibrate_loss_scale(anchor_d: float, anchor_beam_power: float, p_in: float,
         raise ValueError(f"anchor distance must be > 0, got {anchor_d!r}")
     if p_in <= 0:
         raise ValueError(f"anchor input power must be > 0, got {p_in!r}")
-    if aperture <= 0 or wavelength <= 0:
-        raise ValueError("aperture and wavelength must be > 0")
+    if aperture <= 0:
+        raise ValueError(f"aperture must be > 0, got {aperture!r}")
+    if wavelength <= 0:
+        raise ValueError(f"wavelength must be > 0, got {wavelength!r}")
     for name, value in (("anchor distance", anchor_d), ("anchor beam power", anchor_beam_power),
                         ("anchor input power", p_in), ("aperture", aperture), ("wavelength", wavelength)):
         if not math.isfinite(value):
@@ -492,37 +491,27 @@ def _fig10(s: Scenario, link: LinkBudgetParams, *, rho2: float, d_lo: float, sam
             {"sweep.rho2_m": rho2, "sweep.d_lo_m": d_lo, **_series("d_hi_m", d_values)})
 
 
-def _fig11(s: Scenario, link: LinkBudgetParams, *, mu: float, p_in_values: Sequence[float], **_):
-    # PV output vs distance at full power split, one series per input power.
-    loss, point = _chain(s, link, "bcrb")
+def _chain_figure(s: Scenario, link: LinkBudgetParams, *, column: str, p_in_values: Sequence[float],
+                  mu_values: Sequence[float], label: Optional[str] = None, p_in: Optional[float] = None,
+                  mu: Optional[float] = None, **_):
+    # The chain output column of _POINT_COLUMNS vs distance, headed label (default: column).  The row
+    # fixes p_in or mu, and each value of the other is one series.  _POINT_COLUMNS gives the output's
+    # place in the chain's point, its unit, and whether it needs the data branch.
+    names, units = zip(*_POINT_COLUMNS)
+    k = names.index(column)
+    loss, point = _chain(s, link, "bcrb", data=k > names.index("pv_output"))
+    index, unit = k - names.index("delta_t"), units[k]
+    if mu is None:
+        tag, key, values, fixed = "mu", "mu", mu_values, {"sweep.p_in_w": p_in}
+        pairs = [(p_in, value) for value in values]
+    else:
+        tag, key, values, fixed = "Pin", "p_in_w", p_in_values, {"sweep.mu": mu}
+        pairs = [(float(value), mu) for value in values]
 
     def cells(d: float) -> list[float]:
         delta_t = loss(d)
-        return [point(delta_t, float(p_in), mu)[2] for p_in in p_in_values]
-    return ([f"P_out_Pin{_fmt(p)} [W]" for p in p_in_values], cells,
-            {"sweep.mu": mu, **_series("p_in_w", p_in_values)})
-
-
-def _fig12(s: Scenario, link: LinkBudgetParams, *, p_in: float, mu_values: Sequence[float], **_):
-    # Spectral efficiency vs distance, one series per power split ratio.
-    loss, point = _chain(s, link, "bcrb", data=True)
-
-    def cells(d: float) -> list[float]:
-        delta_t = loss(d)
-        return [point(delta_t, p_in, mu)[-1] for mu in mu_values]
-    return ([f"spectral_efficiency_mu{_fmt(mu)} [bit/s/Hz]" for mu in mu_values], cells,
-            {"sweep.p_in_w": p_in, **_series("mu", mu_values)})
-
-
-def _fig13(s: Scenario, link: LinkBudgetParams, *, mu: float, p_in_values: Sequence[float], **_):
-    # Spectral efficiency vs distance, one series per input power.
-    loss, point = _chain(s, link, "bcrb", data=True)
-
-    def cells(d: float) -> list[float]:
-        delta_t = loss(d)
-        return [point(delta_t, p_in, mu)[-1] for p_in in p_in_values]
-    return ([f"spectral_efficiency_Pin{_fmt(p)} [bit/s/Hz]" for p in p_in_values], cells,
-            {"sweep.mu": mu, **_series("p_in_w", p_in_values)})
+        return [point(delta_t, p_in, mu)[index] for p_in, mu in pairs]
+    return [f"{label or column}_{tag}{_fmt(v)} [{unit}]" for v in values], cells, {**fixed, **_series(key, values)}
 
 
 # figure id -> (grid axis (variable, unit, lo, hi, samples), builder with its constants)
@@ -532,9 +521,9 @@ _FIGURES = {
     "fig8": (("rho2", "m", 5.0, 50.0, 10), partial(_fig8, d_hi=60.0)),
     "fig9": (("M", "-", 1.5, 6.0, 19), partial(_fig9, rho2_hi=80.0)),
     "fig10": (("M", "-", 2.0, 5.0, 16), partial(_fig10, rho2=50.0, d_lo=1.0, samples=201)),
-    "fig11": (("d", "m", 1.0, 250.0, 250), partial(_fig11, mu=1.0)),
-    "fig12": (("d", "m", 1.0, 250.0, 250), partial(_fig12, p_in=200.0)),
-    "fig13": (("d", "m", 1.0, 250.0, 250), partial(_fig13, mu=0.9)),
+    "fig11": (("d", "m", 1.0, 250.0, 250), partial(_chain_figure, column="pv_output", label="P_out", mu=1.0)),
+    "fig12": (("d", "m", 1.0, 250.0, 250), partial(_chain_figure, column="spectral_efficiency", p_in=200.0)),
+    "fig13": (("d", "m", 1.0, 250.0, 250), partial(_chain_figure, column="spectral_efficiency", mu=0.9)),
 }
 
 FIGURE_IDS = tuple(_FIGURES)

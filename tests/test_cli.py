@@ -116,6 +116,12 @@ class TestComms:
         assert code == 0
         assert value_of(out, "spectral_efficiency") == pytest.approx(12.975, abs=0.05)
 
+    def test_huge_input_power_gives_finite_efficiency(self, capsys):
+        # P_data^2 overflows a float here; the efficiency is taken in logs.
+        code, out, err = run(capsys, "comms", "--P-in", "1e300", "--mu", "0.5")
+        assert code == 0
+        assert value_of(out, "spectral_efficiency") == pytest.approx(511.857016, rel=1e-9)
+
     def test_unit_suffix_on_every_numeric_line(self, capsys):
         code, out, err = run(capsys, "comms", "--d", "2.6")
         assert code == 0

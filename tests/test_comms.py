@@ -2,6 +2,8 @@
 
 import math
 import re
+import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -35,6 +37,11 @@ class TestDataSignal:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             data_signal(-1.0, ReceiverParams())
+
+    def test_overflowing_product_rejected(self):
+        # Finite inputs whose product overflows: rejected with shot_noise's message for that level.
+        with pytest.raises(ValueError, match="^signal level must be finite, got inf$"):
+            data_signal(1e308, ReceiverParams(responsivity=1e10, split_ratio=0.0))
 
 
 class TestShotNoise:
@@ -78,6 +85,17 @@ class TestTotalNoise:
             assert total_noise(p_data, r) == shot_noise(p_data, r) + thermal_noise(r)
 
 
+def _reference(p_data, n2_total, log_base):
+    """0.5 * log_base(1 + p_data^2 e / (2 pi n2_total)) in 400-digit decimals, with the float values of e and pi.
+
+    400 digits keep 1 + x exact enough for a ratio x as small as 1e-300.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 400
+        x = Decimal(p_data) ** 2 * Decimal(math.e) / (2 * Decimal(math.pi) * Decimal(n2_total))
+        return float((1 + x).ln() / 2 / Decimal(log_base).ln())
+
+
 class TestSpectralEfficiency:
     def test_zero_signal_zero_capacity(self):
         assert spectral_efficiency(0.0, 1e-12) == 0.0
@@ -112,6 +130,29 @@ class TestSpectralEfficiency:
         value2 = spectral_efficiency(0.05, 1e-11, log_base=2.0)
         value_e = spectral_efficiency(0.05, 1e-11, log_base=math.e)
         assert value_e == pytest.approx(value2 * math.log(2.0), rel=1e-12)
+
+    # (p_data, n2_total, log_base) where p_data^2 e or 2 pi n2_total overflows: the ratio
+    # itself overflows; p_data^2 overflows at a ratio of ~29; the noise product overflows.
+    @pytest.mark.parametrize("args", [(1e200, 1.0, 2.0), (1e300, 1e-300, math.e), (1.5e154, 1e306, 2.0),
+                                      (1e200, 1e308, 10.0), (1e10, 1e308, 2.0)])
+    def test_overflowing_ratio_taken_in_logs(self, args):
+        # The fallback sums logs of up to ~710, so ln x is off by ~1e-13 absolute at most.
+        assert spectral_efficiency(*args) == pytest.approx(_reference(*args), rel=1e-12, abs=0.0)
+
+    def test_reference_value_past_overflow(self):
+        # 0.5 * log2(1 + 1e400 e / (2 pi)), evaluated to 50 digits.
+        assert spectral_efficiency(1e200, 1.0) == pytest.approx(663.78121843318079, rel=1e-12)
+
+    @pytest.mark.parametrize("n2_total", [1e-300, 1.0, 1e306])
+    def test_monotone_across_overflow(self, n2_total):
+        # The least signal level at which the direct ratio overflows, by bisection.
+        lo, hi = 0.0, sys.float_info.max
+        while (mid := lo + 0.5 * (hi - lo)) not in (lo, hi):
+            lo, hi = (mid, hi) if mid * mid * math.e / (2.0 * math.pi * n2_total) < math.inf else (lo, mid)
+        values = [spectral_efficiency(hi * (1.0 + k * 1e-9), n2_total) for k in range(-3, 4)]
+        assert all(b > a for a, b in zip(values, values[1:])), values
+        below, above = spectral_efficiency(lo, n2_total), spectral_efficiency(hi, n2_total)
+        assert above == pytest.approx(below, rel=1e-12) and math.isfinite(above)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

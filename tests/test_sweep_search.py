@@ -284,6 +284,17 @@ class TestCalibration:
         with pytest.raises(ValueError):
             calibrate_loss_scale(3.0, 5.0, 0.0, 1.5e-3, LAMBDA, p)
 
+    @pytest.mark.parametrize("value", [0.0, -1e-3, -math.inf])
+    @pytest.mark.parametrize("position, name", [(3, "aperture"), (4, "wavelength")])
+    def test_nonpositive_aperture_or_wavelength_named(self, position, name, value):
+        args = [ANCHOR_DISTANCE, ANCHOR_BEAM_POWER, ANCHOR_INPUT_POWER, 1.5e-3, LAMBDA]
+        args[position] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be > 0, got {value!r}')}$"):
+            calibrate_loss_scale(*args, LinkBudgetParams())
+        # With both nonpositive, the aperture is named.
+        with pytest.raises(ValueError, match=f"^{re.escape(f'aperture must be > 0, got {value!r}')}$"):
+            calibrate_loss_scale(*args[:3], value, value, LinkBudgetParams())
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("position, name", [(0, "anchor distance"), (1, "anchor beam power"),
                                                 (2, "anchor input power"), (3, "aperture"), (4, "wavelength")])
