@@ -8,10 +8,12 @@ noise and the half-log capacity expression without a unit conversion.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 ELECTRON_CHARGE = 1.602e-19   # C
 BOLTZMANN = 1.38e-23          # J/K
+_NORMAL_MIN = sys.float_info.min  # below it a float keeps fewer than 53 bits
 
 
 @dataclass(frozen=True)
@@ -96,10 +98,11 @@ def spectral_efficiency(p_data: float, n2_total: float, log_base: float = 2.0) -
         raise ValueError(f"total noise must be finite, got {n2_total!r}")
     if not math.isfinite(log_base):
         raise ValueError(f"log base must be finite, got {log_base!r}")
-    denominator = 2.0 * math.pi * n2_total
-    snr_like = p_data * p_data * math.e / denominator
-    if snr_like == math.inf or (denominator == math.inf and p_data > 0):
-        # A product overflowed, so take the ratio x in logs: ln(1 + x) = max(ln x, 0) + log1p(exp(-|ln x|)).
+    square, denominator = p_data * p_data, 2.0 * math.pi * n2_total
+    snr_like = square * math.e / denominator
+    if snr_like == math.inf or (p_data > 0 and (square < _NORMAL_MIN or not _NORMAL_MIN <= denominator < math.inf)):
+        # A product overflowed or lost digits below the normal range, so take the ratio x in logs:
+        # ln(1 + x) = max(ln x, 0) + log1p(exp(-|ln x|)).
         ln_x = 2.0 * math.log(p_data) + 1.0 - math.log(2.0 * math.pi) - math.log(n2_total)
         return 0.5 * (max(ln_x, 0.0) + math.log1p(math.exp(-abs(ln_x)))) / math.log(log_base)
     return 0.5 * math.log1p(snr_like) / math.log(log_base)

@@ -13,14 +13,11 @@ between threads.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import InvalidElementError, SingularConfigurationError
-
-log = logging.getLogger(__name__)
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -294,6 +291,7 @@ def _stable(a: float, d: float) -> bool:
     # is_stable on the entries a and d of a round trip.
     product = a * d
     if math.isnan(product):
-        log.warning("stability test saw NaN: a=%r d=%r", a, d)
+        import logging  # only here: a clean run never loads it
+        logging.getLogger(__name__).warning("stability test saw NaN: a=%r d=%r", a, d)
         return False
     return 0.0 < product < 1.0

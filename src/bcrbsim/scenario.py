@@ -9,11 +9,9 @@ error in strict mode.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, replace
-from decimal import Decimal
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -70,9 +68,17 @@ def default_scenario() -> Scenario:
 
 
 def _shift_decimal(value: float, places: int) -> float:
-    # Scale by a power of ten in decimal space so that mm <-> m conversions
-    # of round config numbers survive a save/load round trip bit-exactly.
-    return float(Decimal(repr(value)).scaleb(places))
+    """value * 10**places, shifted in decimal so that 880 mm reads as exactly 0.88 m.
+
+    repr(value) is the shortest decimal string that reads back as value;
+    adding places to its exponent gives that decimal number times 10**places
+    exactly, and float() rounds it once, correctly.  So mm <-> m conversions
+    of round config numbers survive a save/load round trip bit-exactly.
+    """
+    if not math.isfinite(value):
+        return value
+    mantissa, _, exponent = repr(value).partition("e")
+    return float(f"{mantissa}e{int(exponent or 0) + places}")
 
 
 def _to_external(value: float, exponent: int) -> float:
@@ -216,6 +222,8 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 def load_scenario(path, strict: bool = False) -> Scenario:
     """Load and validate a scenario file; empty file means all defaults."""
+    import json  # only a --config run reads a file
+
     text = Path(path).read_text(encoding="utf-8")
     if text.strip() == "":
         raw = {}
@@ -229,4 +237,6 @@ def load_scenario(path, strict: bool = False) -> Scenario:
 
 def save_scenario(s: Scenario, path) -> None:
     """Write a scenario as JSON in external units; load_scenario inverts it."""
+    import json
+
     Path(path).write_text(json.dumps(scenario_to_dict(s), indent=2) + "\n", encoding="utf-8")

@@ -26,7 +26,6 @@ datasets.
 
 from __future__ import annotations
 
-import logging
 import math
 import operator
 from dataclasses import dataclass, fields, replace
@@ -41,8 +40,6 @@ from .link_budget import LinkBudgetParams, beam_power, effective_aperture, pv_ou
 from .ray_matrix import (CavityGeometry, TransferMatrix, _affine, _close, _layout, _require_mirror_radius,
                          _round_trip_reads, _stable, _sweep_round_trip, is_stable, round_trip, round_trip_prefix)
 from .scenario import Scenario, default_scenario, scenario_to_dict
-
-log = logging.getLogger(__name__)
 
 # Reference measurement pinning the loss scale: the telescope-free system
 # delivers 5 W external beam power at 3 m for 210 W pump input.
@@ -196,8 +193,9 @@ def _first_band(bands: list[tuple[float, float]], d_hi: float) -> tuple[float, f
     if not bands:
         raise NoStableRegionError(f"no stable distance found in (0, {d_hi}] m")
     if len(bands) > 1:
-        log.warning("found %d stability bands in (0, %g] m; returning the upper edge of the first",
-                    len(bands), d_hi)
+        import logging  # only here: a single band never loads it
+        logging.getLogger(__name__).warning(
+            "found %d stability bands in (0, %g] m; returning the upper edge of the first", len(bands), d_hi)
     return bands[0]
 
 

@@ -53,8 +53,8 @@ class TestStability:
         code, out, err = run(capsys, "--config", str(config), "stability", "--d-hi", "20")
         assert code == 0
         assert value_of(out, "stability_bands") == 2
-        assert [r.getMessage() for r in caplog.records] == [
-            "found 2 stability bands in (0, 20] m; returning the upper edge of the first"]
+        assert [(r.name, r.getMessage()) for r in caplog.records] == [
+            ("bcrbsim.sweep_search", "found 2 stability bands in (0, 20] m; returning the upper edge of the first")]
 
     def test_invalid_search_cap_prints_nothing(self, capsys):
         code, out, err = run(capsys, "stability", "--d-hi", "-1")
@@ -255,6 +255,13 @@ class TestUsage:
         assert (code1, out1) == (code2, out2)
 
 
+def _imported(*argv):
+    """Names of the modules a fresh interpreter run with these arguments imports (from -X importtime)."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run([sys.executable, "-m", "bcrbsim", "stability", "--d", "2.6"],
@@ -263,6 +270,8 @@ class TestEntryPoint:
         assert "stable = true" in proc.stdout
 
     def test_import_leaves_numpy_out(self):
-        proc = subprocess.run([sys.executable, "-c", "import sys, bcrbsim.cli; print('numpy' in sys.modules)"],
-                              capture_output=True, text=True)
-        assert (proc.returncode, proc.stdout) == (0, "False\n")
+        # numpy is a test extra; logging, json and decimal are loaded only where a command uses them.
+        # Modules the bare interpreter already loads (site and what it pulls in) do not count.
+        bare = _imported("-c", "pass")
+        for argv in (["-c", "import bcrbsim.cli"], ["-m", "bcrbsim", "spot"]):
+            assert sorted({"numpy", "logging", "json", "decimal"} & (_imported(*argv) - bare)) == [], argv

@@ -133,10 +133,14 @@ class TestSpectralEfficiency:
 
     # (p_data, n2_total, log_base) where p_data^2 e or 2 pi n2_total overflows: the ratio
     # itself overflows; p_data^2 overflows at a ratio of ~29; the noise product overflows.
+    # Then where p_data^2, or it and 2 pi n2_total, fall below the normal range: both at a
+    # ratio of ~0.4; p_data^2 alone with a base near 1; p_data^2 alone at a ratio of ~4e-21.
     @pytest.mark.parametrize("args", [(1e200, 1.0, 2.0), (1e300, 1e-300, math.e), (1.5e154, 1e306, 2.0),
-                                      (1e200, 1e308, 10.0), (1e10, 1e308, 2.0)])
+                                      (1e200, 1e308, 10.0), (1e10, 1e308, 2.0),
+                                      (3e-161, 1e-321, 2.0), (1.5853375162713977e-162, 3.142226304996946e-21, 1.0001),
+                                      (1e-170, 1e-320, 2.0)])
     def test_overflowing_ratio_taken_in_logs(self, args):
-        # The fallback sums logs of up to ~710, so ln x is off by ~1e-13 absolute at most.
+        # The fallback sums logs of up to ~745, so ln x is off by ~1e-13 absolute at most.
         assert spectral_efficiency(*args) == pytest.approx(_reference(*args), rel=1e-12, abs=0.0)
 
     def test_reference_value_past_overflow(self):
@@ -153,6 +157,28 @@ class TestSpectralEfficiency:
         assert all(b > a for a, b in zip(values, values[1:])), values
         below, above = spectral_efficiency(lo, n2_total), spectral_efficiency(hi, n2_total)
         assert above == pytest.approx(below, rel=1e-12) and math.isfinite(above)
+
+    @pytest.mark.parametrize("n2_total", [1e-300, 1e-200, 1e-21])
+    def test_monotone_across_signal_underflow(self, n2_total):
+        # The least signal level whose square is a normal float, by bisection.
+        lo, hi = 0.0, 1.0
+        while (mid := lo + 0.5 * (hi - lo)) not in (lo, hi):
+            lo, hi = (lo, mid) if mid * mid >= sys.float_info.min else (mid, hi)
+        values = [spectral_efficiency(hi * (1.0 + k * 1e-9), n2_total) for k in range(-3, 4)]
+        assert all(b > a for a, b in zip(values, values[1:])), values
+        below, above = spectral_efficiency(lo, n2_total), spectral_efficiency(hi, n2_total)
+        assert above == pytest.approx(below, rel=1e-12) and above > 0.0
+
+    @pytest.mark.parametrize("p_data", [1e-150, 1e-100, 1.0])
+    def test_monotone_across_noise_underflow(self, p_data):
+        # The least total noise whose 2 pi multiple is a normal float, by bisection.
+        lo, hi = 0.0, 1.0
+        while (mid := lo + 0.5 * (hi - lo)) not in (lo, hi):
+            lo, hi = (lo, mid) if 2.0 * math.pi * mid >= sys.float_info.min else (mid, hi)
+        values = [spectral_efficiency(p_data, hi * (1.0 + k * 1e-9)) for k in range(-3, 4)]
+        assert all(b < a for a, b in zip(values, values[1:])), values
+        below, above = spectral_efficiency(p_data, lo), spectral_efficiency(p_data, hi)
+        assert above == pytest.approx(below, rel=1e-12) and math.isfinite(below)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

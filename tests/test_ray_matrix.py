@@ -284,8 +284,10 @@ class TestIsStable:
     def test_product_exactly_one_unstable(self):
         assert not is_stable(TransferMatrix(1.0, 0.0, 0.0, 1.0))
 
-    def test_nan_entries_false(self):
+    def test_nan_entries_false(self, caplog):
         assert not is_stable(TransferMatrix(float("nan"), 0.0, 0.0, 1.0))
+        assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("bcrbsim.ray_matrix", "WARNING", "stability test saw NaN: a=nan d=1.0")]
 
     def test_depends_only_on_diagonal_product(self):
         rng = np.random.default_rng(23)

@@ -3,13 +3,17 @@
 import json
 import math
 import re
+import sys
 from dataclasses import replace
+from decimal import Decimal
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bcrbsim import (LinkBudgetParams, ModelChoices, ScenarioError, default_scenario, load_scenario,
                      operating_point, save_scenario)
-from bcrbsim.scenario import scenario_from_dict, scenario_to_dict
+from bcrbsim.scenario import _shift_decimal, scenario_from_dict, scenario_to_dict
 
 
 def write(tmp_path, payload):
@@ -51,6 +55,18 @@ class TestUnits:
     def test_lambda_nm(self, tmp_path):
         s = load_scenario(write(tmp_path, {"model_choices": {"lambda_nm": 532}}))
         assert s.geometry.wavelength == pytest.approx(532e-9)
+
+    @settings(max_examples=2000, deadline=None)
+    @given(value=st.floats(allow_nan=False), places=st.sampled_from([-9, -3, 3, 9]))
+    @example(value=5e-324, places=-3).via("smallest subnormal, shifted to 0")
+    @example(value=-5e-324, places=9).via("negative smallest subnormal, shifted nine decades up")
+    @example(value=sys.float_info.max, places=3).via("largest float, shifted to inf")
+    @example(value=-0.0, places=9).via("negative zero keeps its sign")
+    @example(value=880.0, places=-3).via("a round config number")
+    def test_shift_is_decimal_scaleb(self, value, places):
+        # The decimal shift is one correctly rounded parse of the number Decimal(repr(value)).scaleb(places)
+        # holds exactly, so the two agree bit for bit, signed zeros and infinities included.
+        assert _shift_decimal(value, places).hex() == float(Decimal(repr(value)).scaleb(places)).hex()
 
 
 class TestValidation:
