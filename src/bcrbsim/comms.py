@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+
+from .errors import _INF, _reject
 
 ELECTRON_CHARGE = 1.602e-19   # C
 BOLTZMANN = 1.38e-23          # J/K
@@ -30,43 +32,32 @@ class ReceiverParams:
     load_resistance: float = 1e4           # load resistor [ohm]
 
     def __post_init__(self):
-        if not 0.0 <= self.split_ratio <= 1.0:
-            raise ValueError(f"split_ratio must be in [0, 1], got {self.split_ratio!r}")
-        for name in ("responsivity", "electron_charge", "bandwidth", "boltzmann", "load_resistance"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
-        # zero is meaningful for these two: dark background, cold limit
-        for name in ("background_current", "temperature"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
+        # zero is meaningful for background_current and temperature: dark background, cold limit
+        _reject(ValueError, ("responsivity", self.responsivity, "> 0"),
+                ("split_ratio", self.split_ratio, "in [0, 1]"), ("electron_charge", self.electron_charge, "> 0"),
+                ("background_current", self.background_current, ">= 0"), ("bandwidth", self.bandwidth, "> 0"),
+                ("boltzmann", self.boltzmann, "> 0"), ("temperature", self.temperature, ">= 0"),
+                ("load_resistance", self.load_resistance, "> 0"))
 
 
 def data_signal(p_beam: float, r: ReceiverParams) -> float:
     """Signal level at the APD: gamma (1 - mu) P_beam; a product too large for a float is rejected."""
     p_data = _data_signal(p_beam, r.responsivity, r.split_ratio)
-    if not math.isfinite(p_data):
-        raise ValueError(f"signal level must be finite, got {p_data!r}")
+    _reject(ValueError, ("signal level", p_data, None))
     return p_data
 
 
 def _data_signal(p_beam: float, responsivity: float, mu: float) -> float:
     # data_signal from the receiver's responsivity and split ratio as floats.
-    if p_beam < 0:
-        raise ValueError(f"beam power must be >= 0, got {p_beam!r}")
-    if not math.isfinite(p_beam):
-        raise ValueError(f"beam power must be finite, got {p_beam!r}")
+    if not 0.0 <= p_beam < _INF:
+        _reject(ValueError, ("beam power", p_beam, ">= 0"))
     return responsivity * (1.0 - mu) * p_beam
 
 
 def shot_noise(p_data: float, r: ReceiverParams) -> float:
     """Shot-noise variance 2 q (P_data + I_bg) B."""
-    if p_data < 0:
-        raise ValueError(f"signal level must be >= 0, got {p_data!r}")
-    if not math.isfinite(p_data):
-        raise ValueError(f"signal level must be finite, got {p_data!r}")
+    if not 0.0 <= p_data < _INF:
+        _reject(ValueError, ("signal level", p_data, ">= 0"))
     return 2.0 * r.electron_charge * (p_data + r.background_current) * r.bandwidth
 
 
@@ -86,18 +77,9 @@ def spectral_efficiency(p_data: float, n2_total: float, log_base: float = 2.0) -
     Base 2 yields bit/s/Hz; the base is a reporting choice and is carried in
     dataset metadata.
     """
-    if n2_total <= 0:
-        raise ValueError(f"total noise must be > 0, got {n2_total!r}")
-    if p_data < 0:
-        raise ValueError(f"signal level must be >= 0, got {p_data!r}")
-    if log_base <= 1.0:
-        raise ValueError(f"log base must be > 1, got {log_base!r}")
-    if not math.isfinite(p_data):
-        raise ValueError(f"signal level must be finite, got {p_data!r}")
-    if not math.isfinite(n2_total):
-        raise ValueError(f"total noise must be finite, got {n2_total!r}")
-    if not math.isfinite(log_base):
-        raise ValueError(f"log base must be finite, got {log_base!r}")
+    if not (0.0 <= p_data < _INF and 0.0 < n2_total < _INF and 1.0 < log_base < _INF):
+        _reject(ValueError, ("signal level", p_data, ">= 0"), ("total noise", n2_total, "> 0"),
+                ("log base", log_base, "> 1"))
     square, denominator = p_data * p_data, 2.0 * math.pi * n2_total
     snr_like = square * math.e / denominator
     if snr_like == math.inf or (p_data > 0 and (square < _NORMAL_MIN or not _NORMAL_MIN <= denominator < math.inf)):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import UnstableCavityError
+from .errors import _INF, UnstableCavityError, _reject
 from .ray_matrix import CavityGeometry, TransferMatrix, _require_mirror_radius, _stable, round_trip
 
 
@@ -59,22 +59,11 @@ def propagate_spot(omega1: float, rho1: float, L1: float, wavelength: float) -> 
     omega3^2 = omega1^2 [(1 + L1/rho1)^2 + (L1 lambda / (pi omega1^2))^2];
     exact identity omega3 == omega1 at L1 = 0.
     """
-    if omega1 <= 0:
-        raise ValueError(f"omega1 must be > 0, got {omega1!r}")
-    if wavelength <= 0:
-        raise ValueError(f"wavelength must be > 0, got {wavelength!r}")
-    if L1 < 0:
-        raise ValueError(f"L1 must be >= 0, got {L1!r}")
-    if rho1 == 0:  # tested here, not by a call, as this runs at every stable sweep point
+    if not (0.0 < omega1 < _INF and -_INF < rho1 < _INF and rho1 != 0.0 and 0.0 <= L1 < _INF
+            and 0.0 < wavelength < _INF):
+        _reject(ValueError, ("omega1", omega1, "> 0"), ("rho1", rho1, None), ("L1", L1, ">= 0"),
+                ("wavelength", wavelength, "> 0"))
         _require_mirror_radius("rho1", rho1)
-    if not math.isfinite(omega1):
-        raise ValueError(f"omega1 must be finite, got {omega1!r}")
-    if not math.isfinite(rho1):
-        raise ValueError(f"rho1 must be finite, got {rho1!r}")
-    if not math.isfinite(L1):
-        raise ValueError(f"L1 must be finite, got {L1!r}")
-    if not math.isfinite(wavelength):
-        raise ValueError(f"wavelength must be finite, got {wavelength!r}")
     geometric = 1.0 + L1 / rho1
     diffractive = L1 * wavelength / (math.pi * omega1 * omega1)
     return omega1 * math.sqrt(geometric * geometric + diffractive * diffractive)

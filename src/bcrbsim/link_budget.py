@@ -11,8 +11,9 @@ outputs are below-threshold artifacts and clamp to 0 W by default.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
+from .errors import _INF, _reject
 from .ray_matrix import CavityGeometry, _layout
 
 
@@ -28,17 +29,10 @@ class LinkBudgetParams:
     pv_intercept: float = -1.535           # PV cell intercept b1 [W]
 
     def __post_init__(self):
-        if not 0.0 < self.reflectivity < 1.0:
-            raise ValueError(f"reflectivity must be in (0, 1), got {self.reflectivity!r}")
-        if not 0.0 < self.conversion_efficiency <= 1.0:
-            raise ValueError(f"conversion_efficiency must be in (0, 1], got {self.conversion_efficiency!r}")
-        if self.loss_scale <= 0:
-            raise ValueError(f"loss_scale must be > 0, got {self.loss_scale!r}")
-        if self.pv_slope <= 0:
-            raise ValueError(f"pv_slope must be > 0, got {self.pv_slope!r}")
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
+        _reject(ValueError, ("reflectivity", self.reflectivity, "in (0, 1)"),
+                ("conversion_efficiency", self.conversion_efficiency, "in (0, 1]"),
+                ("intercept", self.intercept, None), ("loss_scale", self.loss_scale, "> 0"),
+                ("pv_slope", self.pv_slope, "> 0"), ("pv_intercept", self.pv_intercept, None))
 
 
 def transmission_loss(d: float, b: float, wavelength: float, loss_scale: float) -> float:
@@ -47,22 +41,9 @@ def transmission_loss(d: float, b: float, wavelength: float, loss_scale: float) 
     Strictly increasing in d (0 at d -> 0+, N at d -> inf) and decreasing in
     the aperture radius b.
     """
-    if d <= 0:
-        raise ValueError(f"distance must be > 0, got {d!r}")
-    if b <= 0:
-        raise ValueError(f"aperture radius must be > 0, got {b!r}")
-    if wavelength <= 0:
-        raise ValueError(f"wavelength must be > 0, got {wavelength!r}")
-    if loss_scale <= 0:
-        raise ValueError(f"loss_scale must be > 0, got {loss_scale!r}")
-    if not math.isfinite(d):
-        raise ValueError(f"distance must be finite, got {d!r}")
-    if not math.isfinite(b):
-        raise ValueError(f"aperture radius must be finite, got {b!r}")
-    if not math.isfinite(wavelength):
-        raise ValueError(f"wavelength must be finite, got {wavelength!r}")
-    if not math.isfinite(loss_scale):
-        raise ValueError(f"loss_scale must be finite, got {loss_scale!r}")
+    if not (0.0 < d < _INF and 0.0 < b < _INF and 0.0 < wavelength < _INF and 0.0 < loss_scale < _INF):
+        _reject(ValueError, ("distance", d, "> 0"), ("aperture radius", b, "> 0"), ("wavelength", wavelength, "> 0"),
+                ("loss_scale", loss_scale, "> 0"))
     return loss_scale * math.exp(-2.0 * math.pi * b * b / (wavelength * d))
 
 
@@ -72,14 +53,8 @@ def beam_power(p_in: float, delta_t: float, p: LinkBudgetParams, clamp: bool = T
     P_beam = 2 (1 - R) eta_c / ((1 + R) (delta_t - ln R)) * P_in + C, clamped
     at 0 from below (below lasing threshold) unless clamp=False.
     """
-    if p_in < 0:
-        raise ValueError(f"input power must be >= 0, got {p_in!r}")
-    if not math.isfinite(p_in):
-        raise ValueError(f"input power must be finite, got {p_in!r}")
-    if delta_t < 0:
-        raise ValueError(f"delta_t must be >= 0, got {delta_t!r}")
-    if not math.isfinite(delta_t):
-        raise ValueError(f"delta_t must be finite, got {delta_t!r}")
+    if not (0.0 <= p_in < _INF and 0.0 <= delta_t < _INF):
+        _reject(ValueError, ("input power", p_in, ">= 0"), ("delta_t", delta_t, ">= 0"))
     r = p.reflectivity
     slope = 2.0 * (1.0 - r) * p.conversion_efficiency / ((1.0 + r) * (delta_t - math.log(r)))
     power = slope * p_in + p.intercept
@@ -101,12 +76,8 @@ def effective_aperture(g: CavityGeometry, system: str) -> float:
 
 def pv_output(p_beam: float, mu: float, p: LinkBudgetParams, clamp: bool = True) -> float:
     """PV electrical output P_out = a1 * mu * P_beam + b1, clamped at 0."""
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"split ratio mu must be in [0, 1], got {mu!r}")
-    if p_beam < 0:
-        raise ValueError(f"beam power must be >= 0, got {p_beam!r}")
-    if not math.isfinite(p_beam):
-        raise ValueError(f"beam power must be finite, got {p_beam!r}")
+    if not (0.0 <= p_beam < _INF and 0.0 <= mu <= 1.0):
+        _reject(ValueError, ("beam power", p_beam, ">= 0"), ("split ratio mu", mu, "in [0, 1]"))
     power = p.pv_slope * mu * p_beam + p.pv_intercept
     if clamp and power < 0.0:
         return 0.0

@@ -14,15 +14,10 @@ between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .errors import InvalidElementError, SingularConfigurationError
-
-
-def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise InvalidElementError(f"{name} must be finite, got {value!r}")
+from .errors import _INF, InvalidElementError, SingularConfigurationError, _reject
 
 
 def _require_mirror_radius(name: str, value: float) -> float:
@@ -67,7 +62,8 @@ def _product(e: tuple, m: tuple) -> tuple:
 
 
 def _shift(offset: float) -> tuple:
-    _require_finite("offset", offset)
+    if not -_INF < offset < _INF:
+        _reject(InvalidElementError, ("offset", offset, None))
     return 1.0, offset, 0.0, 1.0
 
 
@@ -113,18 +109,15 @@ class CavityGeometry:
     wavelength: float = 1064e-9    # resonant-beam wavelength [m]
 
     def __post_init__(self):
-        for f in fields(self):
-            _require_finite(f.name, getattr(self, f.name))
-        _require_mirror_radius("rho1", self.rho1)
-        _require_mirror_radius("rho2", self.rho2)
-        for name in ("f_gain", "f1", "magnification", "d", "aperture_gain", "aperture_tim", "wavelength"):
-            if getattr(self, name) <= 0:
-                raise InvalidElementError(f"{name} must be > 0, got {getattr(self, name)!r}")
         # L1 = 0 (mirror flush with gain module) and L2 = 0 are physically
         # meaningful degenerate placements, so only negative gaps are rejected.
-        for name in ("L1", "L2"):
-            if getattr(self, name) < 0:
-                raise InvalidElementError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        _reject(InvalidElementError, ("rho1", self.rho1, None), ("rho2", self.rho2, None),
+                ("f_gain", self.f_gain, "> 0"), ("f1", self.f1, "> 0"), ("magnification", self.magnification, "> 0"),
+                ("L1", self.L1, ">= 0"), ("L2", self.L2, ">= 0"), ("d", self.d, "> 0"),
+                ("aperture_gain", self.aperture_gain, "> 0"), ("aperture_tim", self.aperture_tim, "> 0"),
+                ("wavelength", self.wavelength, "> 0"))
+        _require_mirror_radius("rho1", self.rho1)
+        _require_mirror_radius("rho2", self.rho2)
 
     @property
     def f2(self) -> float:
@@ -213,7 +206,8 @@ def _close(m: tuple, gap: float, rho2: float) -> tuple:
     rho2 is checked before the gap, as there.
     """
     r = _focus(_MIRROR, rho2)[2]
-    _require_finite("offset", gap)
+    if not -_INF < gap < _INF:
+        _reject(InvalidElementError, ("offset", gap, None))
     pa, pb, pc, pd = m
     a, b = pa + gap * pc, pb + gap * pd
     c, d = 0.0 * pa + pc, 0.0 * pb + pd

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .comms import ReceiverParams
-from .errors import ScenarioError
+from .errors import ScenarioError, _reject
 from .link_budget import LinkBudgetParams
 from .ray_matrix import CavityGeometry
 
@@ -32,12 +32,9 @@ class ModelChoices:
     clamp_negative_power: bool = True
 
     def __post_init__(self):
-        if self.log_base <= 1.0:
-            raise ValueError(f"log_base must be > 1, got {self.log_base!r}")
+        _reject(ValueError, ("log_base", self.log_base, "> 1"))
         if self.n_source not in LOSS_SCALE_SOURCES:
             raise ValueError(f"N_source must be one of {LOSS_SCALE_SOURCES}, got {self.n_source!r}")
-        if not math.isfinite(self.log_base):
-            raise ValueError(f"log_base must be finite, got {self.log_base!r}")
 
 
 @dataclass(frozen=True)
@@ -51,10 +48,7 @@ class Scenario:
     pump_input_power: float = 210.0   # default pump electrical input [W]
 
     def __post_init__(self):
-        if self.pump_input_power < 0:
-            raise ValueError(f"pump_input_power must be >= 0, got {self.pump_input_power!r}")
-        if not math.isfinite(self.pump_input_power):
-            raise ValueError(f"pump_input_power must be finite, got {self.pump_input_power!r}")
+        _reject(ValueError, ("pump_input_power", self.pump_input_power, ">= 0"))
 
 
 def default_scenario() -> Scenario:
@@ -236,7 +230,15 @@ def load_scenario(path, strict: bool = False) -> Scenario:
 
 
 def save_scenario(s: Scenario, path) -> None:
-    """Write a scenario as JSON in external units; load_scenario inverts it."""
+    """Write a scenario as JSON in external units; load_scenario inverts it.
+
+    A length that overflows in its file unit is a ScenarioError naming the key, and no file is written.
+    """
     import json
 
-    Path(path).write_text(json.dumps(scenario_to_dict(s), indent=2) + "\n", encoding="utf-8")
+    raw = scenario_to_dict(s)
+    for k in _KEYS:
+        if k.exponent and not math.isfinite(external := raw[k.section][k.key]):
+            raise ScenarioError(f"{k.section}.{k.key}: {getattr(getattr(s, k.owner), k.field)!r} m overflows to "
+                                f"{external!r} in the file's unit")
+    Path(path).write_text(json.dumps(raw, indent=2) + "\n", encoding="utf-8")

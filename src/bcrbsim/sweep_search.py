@@ -34,7 +34,7 @@ from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 from .comms import _data_signal, shot_noise, spectral_efficiency, thermal_noise
-from .errors import InfeasibleSearchError, NoStableRegionError, UnstableCavityError
+from .errors import InfeasibleSearchError, NoStableRegionError, UnstableCavityError, _reject
 from .gaussian_beam import _SPOT_READS, _cavity, _spots
 from .link_budget import LinkBudgetParams, beam_power, effective_aperture, pv_output, transmission_loss
 from .ray_matrix import (CavityGeometry, TransferMatrix, _affine, _close, _layout, _require_mirror_radius,
@@ -162,10 +162,7 @@ def _bands(roots: Sequence[float], hi: float,
 
 
 def _require_cap(name: str, value: float) -> None:
-    if value <= 0:
-        raise ValueError(f"{name} must be > 0, got {value!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+    _reject(ValueError, (name, value, "> 0"))
 
 
 def _distance_bands(x: TransferMatrix, offset: float, rho2: float, d_hi: float) -> list[tuple[float, float]]:
@@ -303,18 +300,8 @@ def calibrate_loss_scale(anchor_d: float, anchor_beam_power: float, p_in: float,
     anchor, then divides out the geometric exponential.  An anchor power at or
     above the zero-loss value needs delta_t* <= 0 and is infeasible.
     """
-    if anchor_d <= 0:
-        raise ValueError(f"anchor distance must be > 0, got {anchor_d!r}")
-    if p_in <= 0:
-        raise ValueError(f"anchor input power must be > 0, got {p_in!r}")
-    if aperture <= 0:
-        raise ValueError(f"aperture must be > 0, got {aperture!r}")
-    if wavelength <= 0:
-        raise ValueError(f"wavelength must be > 0, got {wavelength!r}")
-    for name, value in (("anchor distance", anchor_d), ("anchor beam power", anchor_beam_power),
-                        ("anchor input power", p_in), ("aperture", aperture), ("wavelength", wavelength)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+    _reject(ValueError, ("anchor distance", anchor_d, "> 0"), ("anchor beam power", anchor_beam_power, None),
+            ("anchor input power", p_in, "> 0"), ("aperture", aperture, "> 0"), ("wavelength", wavelength, "> 0"))
     net = anchor_beam_power - p.intercept
     if net <= 0:
         raise InfeasibleSearchError(

@@ -14,6 +14,7 @@ import bcrbsim
 from bcrbsim import (BeamSimError, CavityGeometry, LinkBudgetParams, ModelChoices, ReceiverParams, TransferMatrix,
                      default_scenario, gaussian_beam, max_stable_distance, ray_matrix, required_rho2,
                      round_trip_bcrb, sweep_search)
+from bcrbsim.errors import _IN_RANGE
 
 G = CavityGeometry()
 
@@ -212,6 +213,130 @@ def test_non_finite_float_rejected_by_name(name, param):
         with pytest.raises((ValueError, BeamSimError)) as info:
             call(**{**kwargs, param: value})
         assert re.search(rf"(^|\s){re.escape(words)}\b", str(info.value)), (value, str(info.value))
+
+
+# Float parameters without a range rule -> why the range-policy tests leave them out.
+NO_RANGE_RULE = {
+    ("CavityGeometry", "rho1"): "a signed mirror radius: any finite value but 0, whose message has its own form",
+    ("CavityGeometry", "rho2"): "a signed mirror radius, like rho1",
+    ("propagate_spot", "rho1"): "a signed mirror radius, like the geometry's rho1",
+    ("LinkBudgetParams", "intercept"): "finite-only: a fitted intercept of either sign",
+    ("LinkBudgetParams", "pv_intercept"): "finite-only: a fitted intercept of either sign",
+    ("calibrate_loss_scale", "anchor_beam_power"): "finite-only: an unreachable anchor is an InfeasibleSearchError",
+    ("SweepSpec", "lo"): "the sweep range is checked as one pair, lo < hi, with its own message",
+    ("SweepSpec", "hi"): "the sweep range is checked as one pair, lo < hi, with its own message",
+    ("max_spot_over_range", "d_hi"): "d_lo <= d_hi is checked before d_hi > 0, with its own message",
+}
+
+RANGE_PARAMETERS = [hit for hit in FLOAT_PARAMETERS if hit[0] not in ALLOWED_NON_FINITE and hit not in NO_RANGE_RULE]
+
+
+def _message(name: str, **changes):
+    """The message of the error that the valid call of name raises with changes, or None if it succeeds."""
+    try:
+        getattr(bcrbsim, name)(**{**VALID_CALLS[name], **changes})
+    except (ValueError, BeamSimError) as exc:
+        return str(exc)
+    return None
+
+
+def _range_rule(name: str, param: str) -> tuple[str, str]:
+    # (words, rule) from the message at -1.0, a value that every range rule rejects.
+    words = WORDING.get((name, param), param)
+    message = _message(name, **{param: -1.0})
+    found = re.fullmatch(rf"{re.escape(words)} must be (.+), got -1\.0", message or "")
+    assert found and found[1] in _IN_RANGE, message
+    return words, found[1]
+
+
+def test_no_range_rule_entries_are_needed():
+    for name, param in NO_RANGE_RULE:
+        assert (name, param) in FLOAT_PARAMETERS
+        assert not re.search(r"must be .+, got -1\.0$", _message(name, **{param: -1.0}) or ""), (name, param)
+
+
+@pytest.mark.parametrize("name, param", RANGE_PARAMETERS, ids=lambda value: value)
+def test_ranges_are_checked_before_finiteness(name, param):
+    # -inf is out of every range; NaN and +inf are out of a two-sided range only, else merely not finite.
+    words, rule = _range_rule(name, param)
+    for value in (-math.inf, -1.0, 0.0):
+        assert _message(name, **{param: value}) in (None, f"{words} must be {rule}, got {value!r}"), value
+    for value in (math.nan, math.inf):
+        expected = rule if rule.startswith("in ") else "finite"
+        assert _message(name, **{param: value}) == f"{words} must be {expected}, got {value!r}"
+
+
+# Callables whose float parameters are checked in stages, not in one pass -> why.
+STAGED = {
+    "operating_point": "it runs the model chain in order, and each step checks its own input as it is reached: "
+                       "the geometry d, then beam_power p_in, then pv_output mu",
+}
+
+
+def _nan_then_out_of_range():
+    """(callable, earlier, later): an earlier parameter that NaN leaves in range, a later one with a range rule."""
+    for name in VALID_CALLS:
+        params = [param for n, param in FLOAT_PARAMETERS if n == name]
+        for i, earlier in enumerate(params):
+            if " must be in " in (_message(name, **{earlier: -1.0}) or ""):
+                continue  # a two-sided range rejects NaN itself
+            yield from ((name, earlier, later) for later in params[i + 1:] if (name, later) in RANGE_PARAMETERS)
+
+
+NAN_THEN_OUT_OF_RANGE = list(_nan_then_out_of_range())
+
+
+@pytest.mark.parametrize("name, earlier, later", [hit for hit in NAN_THEN_OUT_OF_RANGE if hit[0] not in STAGED],
+                         ids=lambda value: value)
+def test_a_later_range_failure_is_named_before_an_earlier_nan(name, earlier, later):
+    words, rule = _range_rule(name, later)
+    assert _message(name, **{earlier: math.nan, later: -1.0}) == f"{words} must be {rule}, got -1.0"
+
+
+def test_staged_callables_name_the_earlier_nan():
+    for name in STAGED:
+        _, earlier, later = next(hit for hit in NAN_THEN_OUT_OF_RANGE if hit[0] == name)
+        words = WORDING.get((name, earlier), earlier)
+        assert _message(name, **{earlier: math.nan, later: -1.0}) == f"{words} must be finite, got nan"
+
+
+# Functions outside errors.py that word a range or finiteness message themselves -> why.  Every other
+# check words it through errors._reject.  (scenario._string/_boolean and the d_lo <= d_hi check of
+# max_spot_over_range keep their own forms too, but name no range or finiteness.)
+OWN_WORDING = {
+    "scenario._number": "a file value is named by its path: 'geometry.d_m: must be finite, got nan'",
+    "ray_matrix._focus": "one test with one message: 'must be finite and nonzero'",
+    "ray_matrix._magnifier": "one test with one message: 'must be finite and > 0'",
+    "ray_matrix._require_mirror_radius": "a zero radius gets a hint: 'nonzero (use |rho| >= 1e9 for near-flat)'",
+    "sweep_search._require_samples": "an integer count: 'must be >= 2'",
+    "sweep_search.SweepSpec.__post_init__": "the range is one pair: 'sweep range must be finite, got [lo, hi]'",
+    "gaussian_beam.mirror_spot_radii": "the stability test runs between its two wavelength checks",
+}
+_RULE_WORDING = re.compile(r"must be (finite|nonzero|in [\[(]|[<>]=? )")
+
+
+def _own_rule_wording():
+    """(module.function, text) for each string outside errors.py that words a range or finiteness rule."""
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from visit(child, f"{name}.{child.name}")
+            elif isinstance(child, ast.Expr) and isinstance(child.value, ast.Constant):
+                continue  # a docstring
+            elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+                if _RULE_WORDING.search(child.value):
+                    yield name, child.value
+            else:
+                yield from visit(child, name)
+    for path in sorted(Path(bcrbsim.__file__).parent.glob("*.py")):
+        if path.name != "errors.py":
+            yield from visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+
+
+def test_range_and_finite_messages_are_worded_in_errors_only():
+    found = {name for name, _ in _own_rule_wording()}
+    assert sorted(found - set(OWN_WORDING)) == [], "word the rule through errors._reject"
+    assert sorted(set(OWN_WORDING) - found) == [], "allowlist entries that nothing needs"
 
 
 def _decorator_name(node: ast.expr) -> str:

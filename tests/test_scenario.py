@@ -162,3 +162,16 @@ class TestRoundTrip:
     def test_dict_round_trip(self):
         s = default_scenario()
         assert scenario_from_dict(scenario_to_dict(s)) == s
+
+    @pytest.mark.parametrize("field, value, key", [("rho1", -1e307, "geometry.rho1_mm"),
+                                                   ("wavelength", 1e300, "model_choices.lambda_nm")])
+    def test_save_rejects_a_length_that_overflows_in_file_units(self, tmp_path, field, value, key):
+        # A finite SI value whose file-unit value is not finite would be written as (-)Infinity,
+        # which load_scenario rejects; save_scenario names the key and writes nothing.
+        s = default_scenario()
+        s = replace(s, geometry=replace(s.geometry, **{field: value}))
+        path = tmp_path / "out.json"
+        with pytest.raises(ScenarioError, match=rf"^{re.escape(key)}: "):
+            save_scenario(s, path)
+        assert not path.exists()
+        assert not math.isfinite(scenario_to_dict(s)[key.split(".")[0]][key.split(".")[1]])
