@@ -13,8 +13,10 @@ Exit codes: 0 success, 1 domain/validation error, 2 infeasible search.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import BeamSimError, InfeasibleSearchError, NoStableRegionError
@@ -61,13 +63,37 @@ def _meta_str(value) -> str:
     return str(value)
 
 
+def _row_template(rows) -> tuple[str, list[int]]:
+    """The %-template of a data row, and the indices of the cells it leaves to format.
+
+    A column whose cells all print alike is written into the template once: its first and last
+    cells are equal, every cell equals the first, and its zeros have one sign (0.0 == -0.0, but
+    they print 0 and -0).
+    """
+    if not rows:
+        return "", []
+    fields, varying = [], []
+    for k, (first, last) in enumerate(zip(rows[0], rows[-1])):
+        if first == last:
+            column = list(map(itemgetter(k), rows))
+            if column.count(first) == len(column) and (
+                    first != 0 or len({math.copysign(1.0, cell) for cell in column}) == 1):
+                fields.append(_num(first).replace("%", "%%"))
+                continue
+        fields.append("%.9g")  # the same text as _num() of each cell
+        varying.append(k)
+    return ",".join(fields), varying
+
+
 def format_dataset_csv(ds: FigureDataset) -> str:
     """CSV text for a dataset: metadata comments, one header row, data rows."""
     lines = [f"# {key} = {_meta_str(value)}" for key, value in ds.metadata.items()]
     lines.append(",".join(ds.columns))
-    row_format = ",".join(["%.9g"] * len(ds.columns))  # the same text as _num() of each cell
-    lines.extend(row_format % tuple(row) for row in ds.rows)
-    return "\n".join(lines) + "\n"
+    row_format, varying = _row_template(ds.rows)
+    cells = map(itemgetter(*varying), ds.rows) if varying else [()] * len(ds.rows)
+    lines.extend(map(row_format.__mod__, cells))
+    lines.append("")
+    return "\n".join(lines)
 
 
 def write_dataset(ds: FigureDataset, path) -> None:

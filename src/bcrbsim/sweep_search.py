@@ -87,9 +87,9 @@ class FigureDataset:
     metadata: dict
 
     def __post_init__(self):
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValueError(f"row width {len(row)} != column count {len(self.columns)}")
+        width = next(filter(len(self.columns).__ne__, map(len, self.rows)), None)
+        if width is not None:
+            raise ValueError(f"row width {width} != column count {len(self.columns)}")
 
     def column(self, name: str) -> list[float]:
         idx = self.columns.index(name)
@@ -298,7 +298,8 @@ def calibrate_loss_scale(anchor_d: float, anchor_beam_power: float, p_in: float,
 
     Inverts the beam-power expression for the aperture loss delta_t* at the
     anchor, then divides out the geometric exponential.  An anchor power at or
-    above the zero-loss value needs delta_t* <= 0 and is infeasible.
+    above the zero-loss value needs delta_t* <= 0 and is infeasible; so is an
+    anchor whose exponential is too small for N to be a finite float.
     """
     _reject(ValueError, ("anchor distance", anchor_d, "> 0"), ("anchor beam power", anchor_beam_power, None),
             ("anchor input power", p_in, "> 0"), ("aperture", aperture, "> 0"), ("wavelength", wavelength, "> 0"))
@@ -312,7 +313,15 @@ def calibrate_loss_scale(anchor_d: float, anchor_beam_power: float, p_in: float,
     if delta_star <= 0:
         raise InfeasibleSearchError(
             f"anchor requires aperture loss {delta_star:g} <= 0; beam power too high to calibrate against")
-    return delta_star / math.exp(-2.0 * math.pi * aperture * aperture / (wavelength * anchor_d))
+    try:
+        n = delta_star / math.exp(-2.0 * math.pi * aperture * aperture / (wavelength * anchor_d))
+    except ZeroDivisionError:  # the exponential, or wavelength * anchor_d, underflows to 0
+        n = math.inf
+    if not math.isfinite(n):
+        raise InfeasibleSearchError(
+            f"loss scale N is not finite for anchor distance {anchor_d!r} m, aperture {aperture!r} m "
+            f"and wavelength {wavelength!r} m")
+    return n
 
 
 def resolve_link_params(s: Scenario) -> LinkBudgetParams:
@@ -399,7 +408,7 @@ def _dataset(figure_id: str, s: Scenario, link: LinkBudgetParams,
     meta.update(extra_meta)
     meta.update(_scenario_metadata(s, link))
     return FigureDataset(figure_id=figure_id, columns=tuple(columns),
-                         rows=tuple(tuple(row) for row in rows), metadata=meta)
+                         rows=tuple(rows), metadata=meta)
 
 
 def _fmt(value: float) -> str:

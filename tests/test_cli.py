@@ -7,9 +7,13 @@ import sys
 
 import pytest
 
-from bcrbsim.cli import run_command
+from bcrbsim import SweepSpec, run_sweep
+from bcrbsim.cli import _row_template, run_command
 
 UNIT_LINE = re.compile(r"^[\w*]+ = \S+ \[[^\]]+\]$")
+# The sweep columns of the chain after the cavity.
+CHAIN_CELLS = ["delta_t", "beam_power", "pv_output", "data_signal", "shot_noise", "thermal_noise", "total_noise",
+               "spectral_efficiency"]
 
 
 def run(capsys, *argv):
@@ -139,6 +143,16 @@ class TestCalibrate:
         code, out, err = run(capsys, "calibrate", "--anchor-P-beam", "50")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["power", "comms", "calibrate"])
+    def test_underflowing_loss_exponential_exit_2(self, tmp_path, capsys, command):
+        # At 2 nm the anchor's exp(-2*pi*b^2/(lambda*d)) is 0, so no finite N fits.
+        config = tmp_path / "s.json"
+        config.write_text(json.dumps({"model_choices": {"lambda_nm": 2}}))
+        code, out, err = run(capsys, "--config", str(config), command)
+        assert (code, out) == (2, "")
+        assert err == ("error: loss scale N is not finite for anchor distance 3.0 m, aperture 0.0015 m "
+                       "and wavelength 2e-09 m\n")
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("flag, name", [("--anchor-d", "anchor distance"),
                                             ("--anchor-P-beam", "anchor beam power"),
@@ -204,6 +218,20 @@ class TestSweep:
         code, out, err = run(capsys, "sweep", "--variable", "d", "--lo", "5", "--hi", "1",
                              "--samples", "4", "--out", str(tmp_path / "x.csv"))
         assert code == 1
+
+    @pytest.mark.parametrize("variable, lo, hi, system, constant", [
+        ("p_in", 150.0, 300.0, "bcrb", ["stable", "stability_product", "omega1", "omega2", "omega3", "delta_t",
+                                        "thermal_noise"]),
+        ("rho2", 1.0, 50.0, "bcrb", CHAIN_CELLS),
+        ("magnification", 1.5, 6.0, "bcrb", ["stable", *CHAIN_CELLS]),
+        ("d", 1.0, 60.0, "original", ["thermal_noise"]),
+    ])
+    def test_constant_columns_enter_the_row_template(self, variable, lo, hi, system, constant):
+        # A regression guard: the columns that the swept variable never reaches
+        # are formatted once per file, not once per row.
+        ds = run_sweep(SweepSpec(variable, lo, hi, 101, system))
+        _, varying = _row_template(ds.rows)
+        assert [name.split(" [")[0] for k, name in enumerate(ds.columns) if k not in varying] == constant
 
     @pytest.mark.parametrize("variable", ["p_in", "loss_scale", "d"])
     def test_non_finite_range_exit_1(self, tmp_path, capsys, variable):

@@ -277,6 +277,41 @@ def test_csv_rows_match_per_cell_format(width, data):
     assert format_dataset_csv(ds) == "\n".join(per_cell) + "\n"
 
 
+@st.composite
+def constant_columns(draw):
+    """Columns of one length, most of them constant or nearly so, as lists of cells."""
+    n = draw(st.integers(0, 50))
+    column = st.one_of(
+        CELLS.map(lambda cell: [cell] * n),                                      # one value repeated
+        st.lists(st.sampled_from([0.0, -0.0, 0, False]), min_size=n, max_size=n),  # equal, but 0 and -0
+        st.lists(st.sampled_from([True, 1, 1.0]), min_size=n, max_size=n),       # equal, all print 1
+        st.just([math.nan] * n),                                                 # one NaN object
+        st.builds(lambda: [float("nan") for _ in range(n)]),                     # distinct NaN objects
+        st.lists(CELLS, min_size=n, max_size=n))
+    return draw(st.lists(column, min_size=1, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(columns=constant_columns())
+@example(columns=[[2.5] * 3, [1.0, 2.0, 3.0]])                              # constant first column
+@example(columns=[[1.0, 2.0, 3.0], [-7.25e-300] * 3])                       # constant last column
+@example(columns=[[4.0] * 3, [-0.0] * 3, [True] * 3, [math.inf] * 3])       # every column constant
+@example(columns=[[0.0, -0.0, 0.0], [-0.0, 0, -0.0], [False, 0.0, -0.0]])   # equal zeros, two signs
+@example(columns=[[True, 1, 1.0], [1.0, True, 1]])                          # True, 1 and 1.0 print 1
+@example(columns=[[1.0, 2.0, 1.0], [0.5, -0.5, 0.5]])                       # equal ends, another middle
+@example(columns=[[math.nan] * 3, [float("nan"), float("nan"), float("nan")]])  # one NaN, distinct NaNs
+@example(columns=[[], []])                                                  # no rows
+@example(columns=[[5e-324]])                                                # one row
+@example(columns=[[0.1] * 50, list(range(50))])                            # 50 rows
+def test_csv_constant_columns_match_per_cell_format(columns):
+    # A column whose every cell prints the same text is formatted once; the
+    # bytes must still be those of formatting each cell.
+    rows = list(zip(*columns))
+    ds = FigureDataset("t", tuple(f"c{k}" for k in range(len(columns))), tuple(rows), {})
+    per_cell = [",".join(ds.columns)] + [",".join(f"{cell:.9g}" for cell in row) for row in rows]
+    assert format_dataset_csv(ds) == "\n".join(per_cell) + "\n"
+
+
 def _closed(prefix, gap, rho2):
     """_close as the element product it stands for: the gap, then mirror 2, after the prefix."""
     return _product(_focus(_MIRROR, rho2), _product(_shift(gap), prefix))

@@ -270,6 +270,22 @@ class TestCalibration:
         with pytest.raises(InfeasibleSearchError):
             calibrate_loss_scale(ANCHOR_DISTANCE, lossless + 5.0, ANCHOR_INPUT_POWER, 1.5e-3, LAMBDA, p)
 
+    @pytest.mark.parametrize("anchor_d, aperture", [
+        (3.0, 2.0),                                                 # the exponential underflows to 0
+        (5e-324, 1.5e-3),                                           # so does wavelength * anchor_d
+        (3.0, math.sqrt(720.0 * LAMBDA * 3.0 / (2.0 * math.pi))),   # exp(-720): N overflows
+    ])
+    def test_non_finite_scale_infeasible(self, anchor_d, aperture):
+        message = f"anchor distance {anchor_d!r} m, aperture {aperture!r} m and wavelength {LAMBDA!r} m"
+        with pytest.raises(InfeasibleSearchError, match=re.escape(message)):
+            calibrate_loss_scale(anchor_d, 5.0, 210.0, aperture, LAMBDA, LinkBudgetParams())
+
+    def test_large_finite_scale_kept(self):
+        # exp(-700) is a normal float, and N = delta_t* * e**700 is finite.
+        aperture = math.sqrt(700.0 * LAMBDA * 3.0 / (2.0 * math.pi))
+        n = calibrate_loss_scale(3.0, 5.0, 210.0, aperture, LAMBDA, LinkBudgetParams())
+        assert n == pytest.approx(0.12296430469056308 * math.exp(700.0), rel=1e-9)
+
     def test_resolve_link_params(self):
         s = default_scenario()
         link = resolve_link_params(s)
@@ -330,6 +346,12 @@ class TestFigureDatasets:
     def test_unknown_figure(self):
         with pytest.raises(ValueError):
             generate_figure("fig99")
+
+    @pytest.mark.parametrize("rows, width", [(((1.0, 2.0), (3.0,), (4.0, 5.0, 6.0)), 1), (((3.0, 4.0, 5.0),), 3),
+                                             (((1.0, 2.0), ()), 0)])
+    def test_first_bad_row_width_named(self, rows, width):
+        with pytest.raises(ValueError, match=f"^row width {width} != column count 2$"):
+            sweep_search.FigureDataset("t", ("a", "b"), rows, {})
 
     def test_deterministic_regeneration(self):
         s = default_scenario()
