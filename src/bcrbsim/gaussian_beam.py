@@ -69,27 +69,23 @@ def propagate_spot(omega1: float, rho1: float, L1: float, wavelength: float) -> 
     return omega1 * math.sqrt(geometric * geometric + diffractive * diffractive)
 
 
-# Fields of p that _cavity reads besides the round trip m.
-_SPOT_READS = {"wavelength", "rho1", "L1"}
-
-
-def _cavity(m: tuple, p) -> tuple:
+def _cavity(m: tuple, wavelength: float, rho1: float, L1: float) -> tuple:
     """(stable, A*D, omega1, omega2, omega3) of a round trip m = (a, b, c, d), as sweep cells.
 
-    p is anything with the fields _SPOT_READS of a validated geometry.  stable is
-    1.0 or 0.0; the spot radii are NaN when the cavity is unstable.  operating_point
+    wavelength, rho1 and L1 are those of a validated geometry.  stable is 1.0
+    or 0.0; the spot radii are NaN when the cavity is unstable.  operating_point
     and run_sweep read these cells, the other spot readers read them through _spots.
     """
     a, b, _, d = m
     if not _stable(a, d):
         return 0.0, a * d, math.nan, math.nan, math.nan
-    omega1, omega2 = _mirror_radii(a, b, d, p.wavelength)
-    return 1.0, a * d, omega1, omega2, propagate_spot(omega1, p.rho1, p.L1, p.wavelength)
+    omega1, omega2 = _mirror_radii(a, b, d, wavelength)
+    return 1.0, a * d, omega1, omega2, propagate_spot(omega1, rho1, L1, wavelength)
 
 
 def _spots(m: tuple, p) -> tuple[float, float, float]:
-    # The spot radii of _cavity, raising UnstableCavityError where it gives NaN.
-    cells = _cavity(m, p)
+    # The spot radii of _cavity for the wavelength, rho1 and L1 of p, raising UnstableCavityError where it gives NaN.
+    cells = _cavity(m, p.wavelength, p.rho1, p.L1)
     if not cells[0]:
         raise UnstableCavityError(f"round trip unstable: a*d = {cells[1]!r} outside (0, 1)")
     return cells[2:]

@@ -44,7 +44,10 @@ def transmission_loss(d: float, b: float, wavelength: float, loss_scale: float) 
     if not (0.0 < d < _INF and 0.0 < b < _INF and 0.0 < wavelength < _INF and 0.0 < loss_scale < _INF):
         _reject(ValueError, ("distance", d, "> 0"), ("aperture radius", b, "> 0"), ("wavelength", wavelength, "> 0"),
                 ("loss_scale", loss_scale, "> 0"))
-    return loss_scale * math.exp(-2.0 * math.pi * b * b / (wavelength * d))
+    try:
+        return loss_scale * math.exp(-2.0 * math.pi * b * b / (wavelength * d))
+    except ZeroDivisionError:  # wavelength * d underflows to 0: the limit at d -> 0+
+        return 0.0
 
 
 def beam_power(p_in: float, delta_t: float, p: LinkBudgetParams, clamp: bool = True) -> float:

@@ -30,12 +30,13 @@ import math
 import operator
 from dataclasses import dataclass, fields, replace
 from functools import cache, partial
+from itertools import repeat
 from types import SimpleNamespace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .comms import _data_signal, shot_noise, spectral_efficiency, thermal_noise
 from .errors import InfeasibleSearchError, NoStableRegionError, UnstableCavityError, _reject
-from .gaussian_beam import _SPOT_READS, _cavity, _spots
+from .gaussian_beam import _cavity, _spots
 from .link_budget import LinkBudgetParams, beam_power, effective_aperture, pv_output, transmission_loss
 from .ray_matrix import (CavityGeometry, TransferMatrix, _affine, _close, _layout, _require_mirror_radius,
                          _round_trip_reads, _stable, _sweep_round_trip, is_stable, round_trip, round_trip_prefix)
@@ -313,10 +314,8 @@ def calibrate_loss_scale(anchor_d: float, anchor_beam_power: float, p_in: float,
     if delta_star <= 0:
         raise InfeasibleSearchError(
             f"anchor requires aperture loss {delta_star:g} <= 0; beam power too high to calibrate against")
-    try:
-        n = delta_star / math.exp(-2.0 * math.pi * aperture * aperture / (wavelength * anchor_d))
-    except ZeroDivisionError:  # the exponential, or wavelength * anchor_d, underflows to 0
-        n = math.inf
+    exponential = transmission_loss(anchor_d, aperture, wavelength, 1.0)
+    n = delta_star / exponential if exponential else math.inf
     if not math.isfinite(n):
         raise InfeasibleSearchError(
             f"loss scale N is not finite for anchor distance {anchor_d!r} m, aperture {aperture!r} m "
@@ -383,7 +382,7 @@ def operating_point(s: Scenario, system: str = "bcrb",
         link = resolve_link_params(s)
     m, (loss, chain) = round_trip(g, system), _chain(s, link, system, data=True)
     point = dict(zip(("d", "p_in", "mu") + tuple(name for name, _ in _POINT_COLUMNS),
-                     (g.d, p_in, mu, *_cavity(m, g),
+                     (g.d, p_in, mu, *_cavity(m, g.wavelength, g.rho1, g.L1),
                       *chain(loss(g.d), p_in, mu))))
     point["stable"] = bool(point["stable"])
     return point
@@ -559,18 +558,23 @@ _SWEEP_UNITS = {
 
 _GEOMETRY_FIELDS = {f.name for f in fields(CavityGeometry)}
 
-# The variables that the chain's loss stage and the whole chain read (and
-# _SPOT_READS, those of the cavity cells besides the round trip): a sweep
-# evaluates a stage once when its variable is none of them.
-_LOSS_READS = {"d", "wavelength", "loss_scale"}
-_CHAIN_READS = _LOSS_READS | {"p_in", "mu"}
-
 _POINT_COLUMNS = (
     ("stable", "-"), ("stability_product", "-"), ("omega1", "m"), ("omega2", "m"),
     ("omega3", "m"), ("delta_t", "-"), ("beam_power", "W"), ("pv_output", "W"),
     ("data_signal", "a.u."), ("shot_noise", "a.u.^2"), ("thermal_noise", "a.u.^2"),
     ("total_noise", "a.u.^2"), ("spectral_efficiency", "bit/s/Hz"),
 )
+
+
+def _over(f: Callable, *columns: Iterable) -> Iterator:
+    # The column of f over the rows of its input columns: f runs per row when a column varies (a list, the
+    # grid, or a map, a stage that varies), else once, when the first row is drawn, and its value repeats.
+    if any(isinstance(column, (list, map)) for column in columns):
+        return map(f, *columns)
+
+    def once() -> Iterator:
+        yield from repeat(f(*map(next, columns)))
+    return once()
 
 
 def run_sweep(spec: SweepSpec, s: Optional[Scenario] = None) -> FigureDataset:
@@ -580,12 +584,10 @@ def run_sweep(spec: SweepSpec, s: Optional[Scenario] = None) -> FigureDataset:
     at grid[0] only: the grid is finite and rising, so every > 0 and >= 0 rule
     that holds there holds at every point; a mirror radius, which a rising
     grid can carry across 0, is checked per point.  The round trip is folded
-    once up to the first element that reads the variable.  The cavity cells
-    (round trip, stability, spot radii) and the chain after them are each
-    evaluated once, at the first point, when they read nothing the variable
-    changes: p_in, mu and loss_scale leave the cavity fixed, only d and the
-    wavelength among the geometry variables reach the chain, and p_in and mu
-    do not reach its aperture loss.
+    once up to the first element that reads the variable.  Each stage (round
+    trip, cavity cells, aperture loss, the rest of the chain) reads its inputs
+    as columns, and one that reads no column the variable changes runs once,
+    at the first point, in its place among that point's checks.
     """
     if s is None:
         s = default_scenario()
@@ -596,31 +598,25 @@ def run_sweep(spec: SweepSpec, s: Optional[Scenario] = None) -> FigureDataset:
     grid = _grid(spec.lo, spec.hi, spec.samples)
     if variable in _GEOMETRY_FIELDS:
         replace(g, **{variable: grid[0]})
-    # The inputs of the point, as plain floats; each grid value is written into them in turn.
+    # The inputs of the point, as plain floats: a fixed input is a repeated column, and the round trip reads p,
+    # into which each grid value is written in turn.
     p = SimpleNamespace(**vars(g), p_in=s.pump_input_power, mu=s.receiver.split_ratio, loss_scale=link.loss_scale)
-    close, (loss, point) = _sweep_round_trip(g, system, variable), _chain(s, link, system, data=True)
+    close, mirror = _sweep_round_trip(g, system, variable), variable in ("rho1", "rho2")
 
-    def cavity() -> tuple:
-        return _cavity(close(p), p)
+    def column(name: str) -> Iterable:
+        return grid if name == variable else repeat(getattr(p, name))
 
-    def delta_t() -> float:
-        return loss(p.d, p.wavelength, p.loss_scale)
-
-    def chain() -> tuple:
-        return point(delta_t(), p.p_in, p.mu)
-    if variable not in _round_trip_reads(system) | _SPOT_READS:
-        cavity = cache(cavity)
-    if variable not in _LOSS_READS:
-        delta_t = cache(delta_t)
-    if variable not in _CHAIN_READS:
-        chain = cache(chain)
-    mirror = variable in ("rho1", "rho2")
-    rows = []
-    for value in grid:
+    def round_trip_at(value: float) -> tuple:
         if mirror:
             _require_mirror_radius(variable, value)
         setattr(p, variable, value)
-        rows.append((value, *cavity(), *chain()))
+        return close(p)
+    loss, point = _chain(s, link, system, data=True)
+    trips = _over(round_trip_at, grid if variable in _round_trip_reads(system) else repeat(grid[0]))
+    cavity = _over(_cavity, trips, column("wavelength"), column("rho1"), column("L1"))
+    chain = _over(point, _over(loss, column("d"), column("wavelength"), column("loss_scale")),
+                  column("p_in"), column("mu"))
+    rows = [(value, *c, *q) for value, c, q in zip(grid, cavity, chain)]
     columns = [f"{variable} [{_SWEEP_UNITS[variable]}]"] + [f"{name} [{unit}]" for name, unit in _POINT_COLUMNS]
     extra = {"sweep.variable": variable, "sweep.lo": spec.lo, "sweep.hi": spec.hi,
              "sweep.samples": spec.samples, "sweep.system": spec.system}

@@ -143,6 +143,12 @@ class TestCalibrate:
         code, out, err = run(capsys, "calibrate", "--anchor-P-beam", "50")
         assert code == 2
 
+    def test_anchor_below_intercept_exit_2(self, capsys):
+        # The intercept is -51.83 W: no aperture loss brings the beam power down to -60 W.
+        code, out, err = run(capsys, "calibrate", "--anchor-P-beam", "-60")
+        assert (code, out) == (2, "")
+        assert err == "error: anchor beam power -60.0 W is unreachable for intercept -51.83 W\n"
+
     @pytest.mark.parametrize("command", ["power", "comms", "calibrate"])
     def test_underflowing_loss_exponential_exit_2(self, tmp_path, capsys, command):
         # At 2 nm the anchor's exp(-2*pi*b^2/(lambda*d)) is 0, so no finite N fits.
@@ -240,6 +246,25 @@ class TestSweep:
                              "--samples", "3", "--out", str(out_path))
         assert (code, out, err) == (1, "", "error: sweep range must be finite, got [1.0, inf]\n")
         assert not out_path.exists()
+
+
+class TestDistanceUnderflow:
+    # Below d ~ 2e-318, wavelength * d underflows to 0 at 1064 nm; the aperture loss is its limit there, 0.
+    @pytest.mark.parametrize("command, d", [("power", "5e-324"), ("comms", "1e-320")])
+    def test_point_commands_exit_0(self, capsys, command, d):
+        code, out, err = run(capsys, command, "--d", d)
+        assert (code, err) == (0, "")
+        assert value_of(out, "d") == float(d)
+        assert value_of(out, "P_beam") == pytest.approx(10.214292485043146, rel=1e-6)
+
+    def test_sweep_exit_0(self, tmp_path, capsys):
+        out_path = tmp_path / "sweep.csv"
+        code, out, err = run(capsys, "sweep", "--variable", "d", "--lo", "5e-324", "--hi", "1",
+                             "--samples", "3", "--out", str(out_path))
+        assert (code, err) == (0, "")
+        header, *rows = [line.split(",") for line in out_path.read_text().splitlines() if not line.startswith("#")]
+        assert len(rows) == 3
+        assert float(rows[0][header.index("delta_t [-]")]) == 0.0
 
 
 class TestConfigHandling:

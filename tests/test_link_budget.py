@@ -30,6 +30,12 @@ class TestTransmissionLoss:
     def test_small_distance_limit_is_zero(self):
         assert transmission_loss(1e-6, 1.5e-3, LAMBDA, 1.0) == 0.0
 
+    @pytest.mark.parametrize("d", [5e-324, 1e-320, 2e-318])
+    def test_underflowing_distance_gives_the_limit(self, d):
+        # LAMBDA * d underflows to 0 here; the loss is its limit at d -> 0+, not a ZeroDivisionError.
+        assert LAMBDA * d == 0.0
+        assert transmission_loss(d, 1.5e-3, LAMBDA, 10.0) == 0.0
+
     def test_strictly_increasing_in_distance(self):
         values = [transmission_loss(float(d), 1.5e-3, LAMBDA, 2.0) for d in np.linspace(0.5, 300.0, 50)]
         assert all(b > a for a, b in zip(values, values[1:]))

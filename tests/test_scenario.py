@@ -98,6 +98,25 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="expected a number"):
             load_scenario(write(tmp_path, {"geometry": {"d_m": True}}))
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"model_choices": {"N_source": 3}}, "model_choices.N_source: expected a string, got 3"),
+        ({"model_choices": {"clamp_negative_power": "yes"}},
+         "model_choices.clamp_negative_power: expected a boolean, got 'yes'"),
+    ])
+    def test_string_and_boolean_types_checked(self, tmp_path, payload, message):
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            load_scenario(write(tmp_path, payload))
+
+    @pytest.mark.parametrize("token, value", [("Infinity", math.inf), ("-Infinity", -math.inf), ("NaN", math.nan)])
+    def test_non_finite_json_numbers_rejected(self, tmp_path, token, value):
+        # json.loads accepts these tokens, so the number check has to reject them.
+        with pytest.raises(ScenarioError, match=re.escape(f"geometry.d_m: must be finite, got {value!r}")):
+            load_scenario(write(tmp_path, '{"geometry": {"d_m": %s}}' % token))
+
+    def test_scenario_level_check(self, tmp_path):
+        with pytest.raises(ScenarioError, match=re.escape("pump_input_power must be >= 0, got -1.0")):
+            load_scenario(write(tmp_path, {"pump_input_power_w": -1}))
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_model_values_rejected_by_name(self, value):
         with pytest.raises(ValueError, match=re.escape(f"log_base must be finite, got {value!r}")):

@@ -37,6 +37,7 @@ from bcrbsim.sweep_search import (
     ANCHOR_DISTANCE,
     ANCHOR_INPUT_POWER,
     FIGURE_IDS,
+    _bands,
     _stable_at,
     stability_bands,
 )
@@ -133,6 +134,10 @@ class TestExactBands:
             for lo, hi in stability_bands(g, 20.0):
                 assert 0.0 < lo < hi
                 assert _stable_at(g, lo) and _stable_at(g, hi)
+
+    def test_stable_neighbours_joined_across_a_tangent_root(self):
+        # Stable on both sides of the root 0.5, so it is a tangent point: one band, walked in from 0.
+        assert _bands([0.5], 1.0, lambda x: True) == [(5e-324, 1.0)]
 
     def test_unstable_gap_between_spot_samples_is_seen(self):
         # A 2.5 mm unstable gap at 0.4726 m, narrower than the 4.5 mm spacing
@@ -538,7 +543,8 @@ class TestRunSweep:
                                                   ("L2", 0.0, 0.3), ("f_gain", 0.3, 2.0)])
     def test_geometry_sweep_validates_once(self, monkeypatch, variable, lo, hi, system):
         # One geometry check per sweep, at the first grid point; the chain runs
-        # once when the variable does not reach it.
+        # once when the variable does not reach it.  The loss scale's calibration
+        # calls transmission_loss once more.
         s = default_scenario()
         checks, losses = [], []
         post_init = CavityGeometry.__post_init__
@@ -547,7 +553,7 @@ class TestRunSweep:
         monkeypatch.setattr(sweep_search, "transmission_loss", lambda *args: losses.append(1) or loss(*args))
         assert len(run_sweep(SweepSpec(variable, lo, hi, 101, system), s).rows) == 101
         assert len(checks) <= 1
-        assert len(losses) == (101 if variable == "d" else 1)
+        assert len(losses) == 1 + (101 if variable == "d" else 1)
 
     @pytest.mark.parametrize("variable, lo, hi, calls", [("p_in", 150.0, 300.0, 1), ("mu", 0.0, 1.0, 1),
                                                          ("d", 1.0, 6.0, 101), ("loss_scale", 0.5, 2.0, 101)])
@@ -556,7 +562,7 @@ class TestRunSweep:
         loss = sweep_search.transmission_loss
         monkeypatch.setattr(sweep_search, "transmission_loss", lambda *args: losses.append(1) or loss(*args))
         assert len(run_sweep(SweepSpec(variable, lo, hi, 101), default_scenario()).rows) == 101
-        assert len(losses) == calls
+        assert len(losses) == 1 + calls  # the loss scale's calibration, then the chain's calls
 
     @pytest.mark.parametrize("system", ["bcrb", "original"])
     @pytest.mark.parametrize("variable, lo, hi", [("d", 1.0, 6.0), ("rho2", 1.0, 50.0), ("p_in", 150.0, 300.0),
@@ -577,3 +583,50 @@ class TestRunSweep:
         matrices, copies = built[1001]
         assert built[11] == (matrices, copies)
         assert matrices == 0 and copies <= 2
+
+    # Sweep variable -> (range, whether it reaches the cavity cells on bcrb and on original, the
+    # aperture loss, and beam_power).  A stage runs at every point when its variable reaches it, else once.
+    STAGE_READS = {
+        "d": ((1.0, 6.0), True, True, True, True),
+        "p_in": ((150.0, 300.0), False, False, False, True),
+        "mu": ((0.0, 1.0), False, False, False, True),
+        "rho1": ((-2.0, -0.5), True, True, False, False),
+        "rho2": ((1.0, 50.0), True, True, False, False),
+        "f_gain": ((0.3, 2.0), True, True, False, False),
+        "f1": ((0.002, 0.05), True, False, False, False),
+        "magnification": ((1.5, 6.0), True, False, False, False),
+        "L1": ((0.0, 0.01), True, True, False, False),
+        "L2": ((0.0, 0.3), True, True, False, False),
+        "loss_scale": ((0.5, 2.0), False, False, True, True),
+        "wavelength": ((500e-9, 1500e-9), True, True, True, True),
+    }
+
+    @pytest.mark.parametrize("system", ["bcrb", "original"])
+    @pytest.mark.parametrize("variable", sorted(STAGE_READS))
+    def test_each_stage_runs_once_or_per_point(self, monkeypatch, variable, system):
+        # N is explicit, so every transmission_loss call is the chain's, none the calibration's.
+        s = default_scenario()
+        s = replace(s, model_choices=replace(s.model_choices, n_source="explicit"))
+        stages, calls = ("_cavity", "transmission_loss", "beam_power"), Counter()
+        for name in stages:
+            stage = getattr(sweep_search, name)
+            monkeypatch.setattr(sweep_search, name, lambda *args, name=name, stage=stage:
+                                calls.update([name]) or stage(*args))
+        (lo, hi), cavity_bcrb, cavity_original, loss, power = self.STAGE_READS[variable]
+        assert len(run_sweep(SweepSpec(variable, lo, hi, 11, system), s).rows) == 11
+        reached = (cavity_bcrb if system == "bcrb" else cavity_original, loss, power)
+        assert [calls[name] for name in stages] == [11 if reads else 1 for reads in reached]
+
+    @pytest.mark.parametrize("variable, lo, hi", [("rho2", 1.0, 50.0), ("magnification", 1.5, 6.0),
+                                                  ("p_in", 150.0, 300.0), ("wavelength", 500e-9, 1500e-9)])
+    def test_a_stage_run_once_runs_in_its_place(self, monkeypatch, variable, lo, hi):
+        # The first point's cavity fails before its chain runs, whichever of the two runs only once:
+        # no stage is evaluated ahead of the row that first draws it.
+        def fail(stage):
+            def raise_(*args):
+                raise RuntimeError(stage)
+            return raise_
+        monkeypatch.setattr(sweep_search, "_cavity", fail("cavity"))
+        monkeypatch.setattr(sweep_search, "spectral_efficiency", fail("chain"))
+        with pytest.raises(RuntimeError, match="^cavity$"):
+            run_sweep(SweepSpec(variable, lo, hi, 11), default_scenario())
