@@ -42,7 +42,10 @@ def mirror_spot_radii(m: TransferMatrix, wavelength: float) -> tuple[float, floa
 
 def _mirror_radii(a: float, b: float, d: float, wavelength: float) -> tuple[float, float]:
     # (omega1, omega2) of a round trip that is_stable accepts, for mirror_spot_radii and _cavity.
-    scale = (wavelength / math.pi) ** 2
+    try:
+        scale = (wavelength / math.pi) ** 2
+    except OverflowError:  # float ** raises where * would give inf
+        raise ValueError(f"wavelength {wavelength!r} m is too long: (wavelength/pi)^2 overflows") from None
     excess = a * d - 1.0  # negative inside the stability region
     rad1 = -scale * b * b * d / (a * excess)
     rad2 = -scale * b * b * a / (d * excess)
@@ -65,7 +68,10 @@ def propagate_spot(omega1: float, rho1: float, L1: float, wavelength: float) -> 
                 ("wavelength", wavelength, "> 0"))
         _require_mirror_radius("rho1", rho1)
     geometric = 1.0 + L1 / rho1
-    diffractive = L1 * wavelength / (math.pi * omega1 * omega1)
+    spread = math.pi * omega1 * omega1
+    if not spread:  # omega1^2 underflows to 0: the same radius, as the hypotenuse of its two legs
+        return math.hypot(omega1 * geometric, L1 * wavelength / (math.pi * omega1))
+    diffractive = L1 * wavelength / spread
     return omega1 * math.sqrt(geometric * geometric + diffractive * diffractive)
 
 

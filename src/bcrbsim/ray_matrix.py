@@ -14,8 +14,11 @@ between threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from functools import partial
+from itertools import repeat
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import _INF, InvalidElementError, SingularConfigurationError, _reject
 
@@ -126,22 +129,23 @@ class CavityGeometry:
 
 
 # Per layout: the round trip's elements before the gap to mirror 2, in
-# propagation order, each with the geometry fields its entries read; then, in
-# the same form, the part of that gap that is not d.  The elements read any
-# object with these fields, a sweep point too.
+# propagation order, each as the geometry fields it reads and a builder that
+# takes just those fields, in that order; then, in the same form, the part of
+# that gap that is not d.  _fold calls the builders with a geometry's fields,
+# _round_trip_over over columns of them.
 _HEAD = (
-    (("rho1",), lambda g: _focus(_MIRROR, g.rho1)),
-    (("L1",), lambda g: _shift(g.L1)),
-    (("f_gain",), lambda g: _focus(_LENS, g.f_gain)),
+    (("rho1",), partial(_focus, _MIRROR)),
+    (("L1",), _shift),
+    (("f_gain",), partial(_focus, _LENS)),
 )
 _LAYOUTS = {
     "bcrb": (_HEAD + (
-        (("L2",), lambda g: _shift(g.L2)),
-        (("f1",), lambda g: _shift(g.f1)),
-        (("magnification",), lambda g: _magnifier(g.magnification)),
-        (("f1", "magnification"), lambda g: _shift(-(g.f1 * g.magnification))),
-    ), ((), lambda g: 0.0)),
-    "original": (_HEAD, (("L2",), lambda g: g.L2)),
+        (("L2",), _shift),
+        (("f1",), _shift),
+        (("magnification",), _magnifier),
+        (("f1", "magnification"), lambda f1, m: _shift(-(f1 * m))),
+    ), ((), lambda: 0.0)),
+    "original": (_HEAD, (("L2",), lambda L2: L2)),
 }
 
 
@@ -151,16 +155,17 @@ def _layout(system: str) -> tuple:
     return _LAYOUTS[system]
 
 
-def _fold(p, elements: Sequence, m: Optional[tuple] = None) -> Optional[tuple]:
-    """Entries of m, then each element built from p, composed in propagation order (None if none)."""
-    for _, build in elements:
-        m = build(p) if m is None else _product(build(p), m)
+def _fold(g, elements: Sequence, m: Optional[tuple] = None) -> Optional[tuple]:
+    """Entries of m, then each element built from the fields of g, composed in propagation order (None if none)."""
+    for reads, build in elements:
+        e = build(*[getattr(g, name) for name in reads])
+        m = e if m is None else _product(e, m)
     return m
 
 
 def bcrb_elements(g: CavityGeometry) -> list[TransferMatrix]:
     """The nine single-pass element matrices, in propagation order."""
-    entries = [build(g) for _, build in _LAYOUTS["bcrb"][0]] + [_shift(g.d), _focus(_MIRROR, g.rho2)]
+    entries = [_fold(g, [element]) for element in _LAYOUTS["bcrb"][0]] + [_shift(g.d), _focus(_MIRROR, g.rho2)]
     return [TransferMatrix(*e) for e in entries]
 
 
@@ -173,27 +178,34 @@ def round_trip_prefix(g: CavityGeometry, system: str) -> tuple[TransferMatrix, f
     L2 + d.  The round trip itself is this prefix closed, so a search that
     closes it sees the round trip's bits.
     """
-    elements, (_, offset) = _layout(system)
-    return TransferMatrix(*_fold(g, elements)), offset(g)
+    elements, (reads, offset) = _layout(system)
+    return TransferMatrix(*_fold(g, elements)), offset(*[getattr(g, name) for name in reads])
 
 
-def _round_trip_reads(system: str) -> set[str]:
-    """Names of the geometry fields that the round trip of a layout reads."""
-    elements, offset = _layout(system)
-    return {name for reads, _ in elements + (offset,) for name in reads} | {"d", "rho2"}
+def _over(f: Callable, *columns: Iterable) -> Iterator:
+    # The column of f over the rows of its input columns: f runs per row when a column varies (a list, or a
+    # map: a stage that varies or a checked column), else once, when the first row is drawn, and its value repeats.
+    if any(isinstance(column, (list, map)) for column in columns):
+        return map(f, *columns)
+
+    def once() -> Iterator:
+        yield from repeat(f(*map(next, columns)))
+    return once()
 
 
-def _sweep_round_trip(g: CavityGeometry, system: str, name: str) -> Callable[[object], tuple]:
-    """Entries of a layout's round trip, bit for bit, at a point p that differs from g in field name only.
+def _round_trip_over(system: str, column: Callable[[str], Iterable]) -> Iterator:
+    """The column of a layout's round-trip entries, with column(name) the column of the field name.
 
-    p is any object with g's field names as attributes.  The elements
-    before the first one that reads name are folded once, from g; each call
-    folds only the rest, from p, then closes the gap and mirror 2.
+    Every element, partial product, the gap (offset + d) and the close is an _over
+    stage, composed as in _fold and _close, so each row keeps the round trip's bits.
     """
-    elements, (_, offset) = _layout(system)
-    first = next((k for k, (reads, _) in enumerate(elements) if name in reads), len(elements))
-    head, tail = _fold(g, elements[:first]), elements[first:]
-    return lambda p: _close(_fold(p, tail, head), offset(p) + p.d, p.rho2)
+    elements, (offset_reads, offset) = _layout(system)
+    m = None
+    for reads, build in elements:
+        e = _over(build, *map(column, reads))
+        m = e if m is None else _over(_product, e, m)
+    gap = _over(operator.add, _over(offset, *map(column, offset_reads)), column("d"))
+    return _over(_close, m, gap, column("rho2"))
 
 
 def _close(m: tuple, gap: float, rho2: float) -> tuple:

@@ -31,15 +31,14 @@ import operator
 from dataclasses import dataclass, fields, replace
 from functools import cache, partial
 from itertools import repeat
-from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .comms import _data_signal, shot_noise, spectral_efficiency, thermal_noise
 from .errors import InfeasibleSearchError, NoStableRegionError, UnstableCavityError, _reject
 from .gaussian_beam import _cavity, _spots
 from .link_budget import LinkBudgetParams, beam_power, effective_aperture, pv_output, transmission_loss
-from .ray_matrix import (CavityGeometry, TransferMatrix, _affine, _close, _layout, _require_mirror_radius,
-                         _round_trip_reads, _stable, _sweep_round_trip, is_stable, round_trip, round_trip_prefix)
+from .ray_matrix import (CavityGeometry, TransferMatrix, _affine, _close, _layout, _over, _require_mirror_radius,
+                         _round_trip_over, _stable, is_stable, round_trip, round_trip_prefix)
 from .scenario import Scenario, default_scenario, scenario_to_dict
 
 # Reference measurement pinning the loss scale: the telescope-free system
@@ -180,7 +179,9 @@ def stability_bands(g: CavityGeometry, d_hi: float, system: str = "bcrb") -> lis
     A and D are affine in d (ray_matrix._affine), so the band edges are the
     roots of A = 0, D = 0 and A*D = 1 (Kogelnik & Li, Appl. Opt. 5, 1550,
     1966), each moved inward until is_stable holds; a band open at d = 0
-    starts at 5e-324.
+    starts at 5e-324.  With (x, offset) = round_trip_prefix(g, system), D = x.d - B/rho2
+    and B = x.b + (offset + d)*x.d, so the D = 0 edge is d = rho2 - offset - x.b/x.d;
+    for the reference design it is the upper edge, d_max = rho2 - c(M) with c = x.b/x.d.
     """
     _require_cap("d_hi", d_hi)
     return _distance_bands(*round_trip_prefix(g, system), g.rho2, d_hi)
@@ -212,7 +213,8 @@ def required_rho2(g: CavityGeometry, d: float, rho2_hi: float) -> float:
     At fixed d, A and B do not read rho2 and fix D (ray_matrix._affine), so
     with B' the slope of B in d the edges are rho2 = B/B' (D = 0) and
     A*B/(A*B' - 1) (A*D = 1).  The result is the lower edge of the first
-    band, a point is_stable accepts, exact to rounding.
+    band, a point is_stable accepts, exact to rounding.  With x the d-free prefix,
+    B/B' = d + x.b/x.d; for the reference design that D = 0 edge binds: d + c(M).
     """
     _require_cap("rho2_hi", rho2_hi)
     return _required_rho2(round_trip_prefix(replace(g, d=d), "bcrb")[0], d, rho2_hi)
@@ -363,27 +365,41 @@ def _chain(s: Scenario, link: LinkBudgetParams, system: str, data: bool = False)
     return loss, point
 
 
+def _points(s: Scenario, link: LinkBudgetParams, system: str, varying: dict) -> Iterator[tuple]:
+    """The _POINT_COLUMNS cells of each row of the columns (lists) in varying; other inputs are s's and link's.
+
+    The round trip, _cavity, the aperture loss and the rest of _chain are _over
+    stages; a varying mirror radius is checked per row, as a rising one can cross 0.
+    """
+    fixed = dict(vars(s.geometry), p_in=s.pump_input_power, mu=s.receiver.split_ratio, loss_scale=link.loss_scale)
+
+    def column(name: str) -> Iterable:
+        if name not in varying:
+            return repeat(fixed[name])
+        return map(partial(_require_mirror_radius, name), varying[name]) if name in ("rho1", "rho2") else varying[name]
+    trips, (loss, point) = _round_trip_over(system, column), _chain(s, link, system, data=True)
+    cavity = _over(_cavity, trips, column("wavelength"), column("rho1"), column("L1"))
+    chain = _over(point, _over(loss, column("d"), column("wavelength"), column("loss_scale")),
+                  column("p_in"), column("mu"))
+    return map(operator.add, cavity, chain)
+
+
 def operating_point(s: Scenario, system: str = "bcrb",
                     d: Optional[float] = None, p_in: Optional[float] = None,
                     mu: Optional[float] = None,
                     link: Optional[LinkBudgetParams] = None) -> dict:
     """Evaluate the full model chain at one distance; fixed key order.
 
-    Spot radii are NaN when the cavity is unstable at this distance.  The
-    power/data branches do not depend on the cavity matrix and are always
-    evaluated.
+    This is run_sweep's program, _points, over one row: d, p_in and mu are
+    one-cell columns.  Spot radii are NaN when the cavity is unstable at this
+    distance; the power and data branches do not read the cavity.
     """
     g = s.geometry if d is None else replace(s.geometry, d=d)
-    if p_in is None:
-        p_in = s.pump_input_power
-    if mu is None:
-        mu = s.receiver.split_ratio
-    if link is None:
-        link = resolve_link_params(s)
-    m, (loss, chain) = round_trip(g, system), _chain(s, link, system, data=True)
-    point = dict(zip(("d", "p_in", "mu") + tuple(name for name, _ in _POINT_COLUMNS),
-                     (g.d, p_in, mu, *_cavity(m, g.wavelength, g.rho1, g.L1),
-                      *chain(loss(g.d), p_in, mu))))
+    p_in = s.pump_input_power if p_in is None else p_in
+    mu = s.receiver.split_ratio if mu is None else mu
+    link = resolve_link_params(s) if link is None else link
+    cells = next(_points(s, link, system, {"d": [g.d], "p_in": [p_in], "mu": [mu]}))
+    point = dict(zip(("d", "p_in", "mu") + tuple(name for name, _ in _POINT_COLUMNS), (g.d, p_in, mu, *cells)))
     point["stable"] = bool(point["stable"])
     return point
 
@@ -566,57 +582,23 @@ _POINT_COLUMNS = (
 )
 
 
-def _over(f: Callable, *columns: Iterable) -> Iterator:
-    # The column of f over the rows of its input columns: f runs per row when a column varies (a list, the
-    # grid, or a map, a stage that varies), else once, when the first row is drawn, and its value repeats.
-    if any(isinstance(column, (list, map)) for column in columns):
-        return map(f, *columns)
-
-    def once() -> Iterator:
-        yield from repeat(f(*map(next, columns)))
-    return once()
-
-
 def run_sweep(spec: SweepSpec, s: Optional[Scenario] = None) -> FigureDataset:
-    """Sweep one scalar parameter; each row is operating_point at its grid value.
+    """Sweep one scalar parameter; each row is operating_point at its grid value, by _points over {variable: grid}.
 
-    A point carries only the swept float.  A geometry variable is validated
-    at grid[0] only: the grid is finite and rising, so every > 0 and >= 0 rule
-    that holds there holds at every point; a mirror radius, which a rising
-    grid can carry across 0, is checked per point.  The round trip is folded
-    once up to the first element that reads the variable.  Each stage (round
-    trip, cavity cells, aperture loss, the rest of the chain) reads its inputs
-    as columns, and one that reads no column the variable changes runs once,
-    at the first point, in its place among that point's checks.
+    A geometry variable is validated at grid[0] only: the grid is finite and rising, so every > 0 and
+    >= 0 rule that holds there holds at every point.  A stage (a round-trip element or partial product
+    too) whose inputs do not vary runs once, at the first point, in its place among that point's checks.
     """
     if s is None:
         s = default_scenario()
-    variable, system, g = spec.variable, spec.system, s.geometry
+    variable = spec.variable
     if variable not in _SWEEP_UNITS:
         raise ValueError(f"unknown sweep variable {variable!r}; expected one of {sorted(_SWEEP_UNITS)}")
     link = resolve_link_params(s)
     grid = _grid(spec.lo, spec.hi, spec.samples)
     if variable in _GEOMETRY_FIELDS:
-        replace(g, **{variable: grid[0]})
-    # The inputs of the point, as plain floats: a fixed input is a repeated column, and the round trip reads p,
-    # into which each grid value is written in turn.
-    p = SimpleNamespace(**vars(g), p_in=s.pump_input_power, mu=s.receiver.split_ratio, loss_scale=link.loss_scale)
-    close, mirror = _sweep_round_trip(g, system, variable), variable in ("rho1", "rho2")
-
-    def column(name: str) -> Iterable:
-        return grid if name == variable else repeat(getattr(p, name))
-
-    def round_trip_at(value: float) -> tuple:
-        if mirror:
-            _require_mirror_radius(variable, value)
-        setattr(p, variable, value)
-        return close(p)
-    loss, point = _chain(s, link, system, data=True)
-    trips = _over(round_trip_at, grid if variable in _round_trip_reads(system) else repeat(grid[0]))
-    cavity = _over(_cavity, trips, column("wavelength"), column("rho1"), column("L1"))
-    chain = _over(point, _over(loss, column("d"), column("wavelength"), column("loss_scale")),
-                  column("p_in"), column("mu"))
-    rows = [(value, *c, *q) for value, c, q in zip(grid, cavity, chain)]
+        replace(s.geometry, **{variable: grid[0]})
+    rows = [(value, *cells) for value, cells in zip(grid, _points(s, link, spec.system, {variable: grid}))]
     columns = [f"{variable} [{_SWEEP_UNITS[variable]}]"] + [f"{name} [{unit}]" for name, unit in _POINT_COLUMNS]
     extra = {"sweep.variable": variable, "sweep.lo": spec.lo, "sweep.hi": spec.hi,
              "sweep.samples": spec.samples, "sweep.system": spec.system}

@@ -1,10 +1,12 @@
 """The public API: retired parameters and names stay gone, every parameter is read, every definition is used,
-every float parameter rejects NaN and infinities by name, and every dataclass validates."""
+every float parameter rejects NaN and infinities by name and gives a result or a typed error at the finite
+extremes, and every dataclass validates."""
 
 import ast
 import inspect
 import math
 import re
+import sys
 from fnmatch import fnmatch
 from pathlib import Path
 
@@ -60,8 +62,6 @@ def test_spot_radii_helper_is_gone():
 ALLOWED_UNREAD = {
     ("_fig*", "link"): "figure builders share the signature (s, link, **constants) that generate_figure "
                        "calls; the stability figures read no link parameter",
-    ("lambda g: 0.0", "g"): "every gap offset in ray_matrix._LAYOUTS is called with the geometry; "
-                            "the bcrb layout's offset is 0 for every geometry",
 }
 
 
@@ -213,6 +213,20 @@ def test_non_finite_float_rejected_by_name(name, param):
         with pytest.raises((ValueError, BeamSimError)) as info:
             call(**{**kwargs, param: value})
         assert re.search(rf"(^|\s){re.escape(words)}\b", str(info.value)), (value, str(info.value))
+
+
+# The finite extremes: the least subnormal, the least normal order, a large value and the largest
+# float (1.8e308 itself rounds to inf), with their negatives.
+FINITE_EXTREMES = [value for magnitude in (5e-324, 1e-308, 1e308, sys.float_info.max)
+                   for value in (magnitude, -magnitude)]
+
+
+@pytest.mark.parametrize("name, param", [hit for hit in FLOAT_PARAMETERS if hit[0] not in ALLOWED_NON_FINITE],
+                         ids=lambda value: value)
+def test_finite_extremes_give_a_result_or_a_typed_error(name, param):
+    # No overflow, underflow or division by zero escapes as a bare ArithmeticError.
+    for value in FINITE_EXTREMES:
+        _message(name, **{param: value})
 
 
 # Float parameters without a range rule -> why the range-policy tests leave them out.

@@ -1,14 +1,27 @@
 """Command-line interface: subcommands, exit codes, CSV output."""
 
+import io
 import json
+import math
+import os
 import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bcrbsim import SweepSpec, run_sweep
 from bcrbsim.cli import _row_template, run_command
+from bcrbsim.ray_matrix import _LAYOUTS
+from bcrbsim.scenario import _KEYS, _number
+from bcrbsim.sweep_search import _SWEEP_UNITS
+
+LAYOUTS = sorted(_LAYOUTS)
 
 UNIT_LINE = re.compile(r"^[\w*]+ = \S+ \[[^\]]+\]$")
 # The sweep columns of the chain after the cavity.
@@ -265,6 +278,74 @@ class TestDistanceUnderflow:
         header, *rows = [line.split(",") for line in out_path.read_text().splitlines() if not line.startswith("#")]
         assert len(rows) == 3
         assert float(rows[0][header.index("delta_t [-]")]) == 0.0
+
+
+class TestWavelengthOverflow:
+    # (wavelength/pi)^2 overflows above ~4e154 m: the command exits 1 with an error that names the wavelength.
+    def test_sweep_exit_1(self, tmp_path, capsys):
+        out_path = tmp_path / "sweep.csv"
+        code, out, err = run(capsys, "sweep", "--variable", "wavelength", "--lo", "1", "--hi", "1e300",
+                             "--samples", "3", "--out", str(out_path))
+        assert (code, out, err) == (1, "", "error: wavelength 5e+299 m is too long: (wavelength/pi)^2 overflows\n")
+        assert not out_path.exists()
+
+    def test_spot_from_scenario_exit_1(self, tmp_path, capsys):
+        config = tmp_path / "s.json"
+        config.write_text(json.dumps({"model_choices": {"lambda_nm": 1e300}}))
+        code, out, err = run(capsys, "--config", str(config), "spot")
+        assert (code, out, err) == (1, "", "error: wavelength 1e+291 m is too long: (wavelength/pi)^2 overflows\n")
+
+
+# Every numeric input of the CLI, at the finite extremes, zeros, non-finite values or any float, ends in an
+# exit code: a flag of a point command, a sweep range of any variable on either layout, a scenario file key.
+EXTREMES = [value for magnitude in (0.0, 5e-324, 1e-308, 1.0, 1e308, sys.float_info.max, math.inf)
+            for value in (magnitude, -magnitude)] + [math.nan]
+VALUES = st.one_of(st.sampled_from(EXTREMES), st.floats())
+FLOAT_FLAGS = {"stability": ("--d", "--d-hi"), "spot": ("--d",), "power": ("--d", "--P-in", "--mu"),
+               "comms": ("--d", "--P-in", "--mu"), "calibrate": ("--anchor-d", "--anchor-P-beam", "--P-in")}
+SCENARIO_COMMANDS = [["stability"], ["spot"], ["power"], ["comms"], ["calibrate"],
+                     ["figure", "fig7", "--out", os.devnull],
+                     ["sweep", "--variable", "d", "--lo", "1", "--hi", "6", "--samples", "3", "--out", os.devnull]]
+NUMERIC_KEYS = [(k.section, k.key) for k in _KEYS if k.check is _number]
+
+
+def exit_code(argv, scenario=None):
+    """run_command's exit code, with its output discarded; any exception escapes."""
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        if scenario is not None:
+            (Path(tmp) / "s.json").write_text(json.dumps(scenario))
+            argv = ["--config", str(Path(tmp) / "s.json"), *argv]
+        return run_command(argv)
+
+
+@st.composite
+def flag_commands(draw):
+    command = draw(st.sampled_from(sorted(FLOAT_FLAGS)))
+    flags = draw(st.lists(st.sampled_from(FLOAT_FLAGS[command]), unique=True, min_size=1, max_size=2))
+    return [command, *(f"{flag}={draw(VALUES)!r}" for flag in flags), f"--system={draw(st.sampled_from(LAYOUTS))}"]
+
+
+class TestNoTraceback:
+    @settings(max_examples=150, deadline=None)
+    @given(argv=flag_commands())
+    def test_float_flags(self, argv):
+        assert exit_code(argv) in (0, 1, 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(variable=st.sampled_from(sorted(_SWEEP_UNITS)), lo=VALUES, hi=VALUES, samples=st.integers(2, 5),
+           system=st.sampled_from(LAYOUTS))
+    @example(variable="wavelength", lo=1.0, hi=1e300, samples=3, system="bcrb")
+    def test_sweep_ranges(self, variable, lo, hi, samples, system):
+        argv = ["sweep", "--variable", variable, f"--lo={lo!r}", f"--hi={hi!r}", f"--samples={samples}",
+                f"--system={system}", "--out", os.devnull]
+        assert exit_code(argv) in (0, 1, 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(key=st.sampled_from(NUMERIC_KEYS), value=VALUES, argv=st.sampled_from(SCENARIO_COMMANDS))
+    @example(key=("model_choices", "lambda_nm"), value=1e300, argv=["spot"])
+    def test_scenario_keys(self, key, value, argv):
+        section, name = key
+        assert exit_code(argv, {section: {name: value}} if section else {name: value}) in (0, 1, 2)
 
 
 class TestConfigHandling:

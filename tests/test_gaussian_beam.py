@@ -12,7 +12,9 @@ from bcrbsim import (
     TransferMatrix,
     UnstableCavityError,
     cavity_spot_radii,
+    default_scenario,
     mirror_spot_radii,
+    operating_point,
     propagate_spot,
     round_trip_bcrb,
 )
@@ -68,6 +70,17 @@ class TestMirrorSpotRadii:
             with pytest.raises(UnstableCavityError):
                 mirror_spot_radii(TransferMatrix(1.2, 0.5, 0.88, 1.2), wavelength)
 
+    @pytest.mark.parametrize("wavelength", [1e155, 1e200, 1.7976931348623157e308])
+    def test_overflowing_wavelength_named(self, wavelength):
+        # (wavelength/pi)^2 overflows above ~4e154 m; the error names the wavelength, not an inf radius.
+        want = f"wavelength {wavelength!r} m is too long"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}"):
+            mirror_spot_radii(round_trip_bcrb(CavityGeometry()), wavelength)
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}"):
+            cavity_spot_radii(CavityGeometry(wavelength=wavelength))
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}"):
+            operating_point(replace(default_scenario(), geometry=CavityGeometry(wavelength=wavelength)))
+
     def test_stable_scan_never_raises(self):
         # Radicands stay positive across a stable distance interval.
         g = CavityGeometry()
@@ -80,6 +93,14 @@ class TestMirrorSpotRadii:
 class TestPropagateSpot:
     def test_zero_distance_identity(self):
         assert propagate_spot(0.3e-3, -0.880, 0.0, LAMBDA) == 0.3e-3
+
+    @pytest.mark.parametrize("omega1", [5e-324, 1e-308, 1e-170])
+    def test_underflowing_omega1_squared(self, omega1):
+        # pi*omega1^2 underflows to 0; omega3 is then the hypotenuse of the two legs, omega1 at L1 = 0.
+        assert math.pi * omega1 * omega1 == 0.0
+        assert propagate_spot(omega1, -0.880, 0.0, LAMBDA) == omega1
+        legs = (omega1 * (1.0 - 1e-3 / 0.880), 1e-3 * LAMBDA / (math.pi * omega1))
+        assert propagate_spot(omega1, -0.880, 1e-3, LAMBDA) == math.hypot(*legs)
 
     def test_short_gap_value(self):
         # Direct evaluation with omega1 = 0.3 mm, rho1 = -0.880 m, L1 = 1 mm:

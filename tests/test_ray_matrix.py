@@ -120,7 +120,7 @@ class TestApply:
 
 def elements(*entries):
     # A _LAYOUTS-style element sequence, in propagation order, that builds the given entries.
-    return [((), lambda p, e=e: e) for e in entries]
+    return [((), lambda e=e: e) for e in entries]
 
 
 class TestCompose:

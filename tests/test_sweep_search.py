@@ -31,7 +31,7 @@ from bcrbsim import (
     transmission_loss,
 )
 from bcrbsim import sweep_search
-from bcrbsim.ray_matrix import round_trip
+from bcrbsim.ray_matrix import round_trip, round_trip_prefix
 from bcrbsim.sweep_search import (
     ANCHOR_BEAM_POWER,
     ANCHOR_DISTANCE,
@@ -170,6 +170,39 @@ class TestRequiredRho2:
     def test_infeasible(self):
         with pytest.raises(InfeasibleSearchError):
             required_rho2(CavityGeometry(), 10.0, 1.0)
+
+
+class TestStabilityBoundaryLaw:
+    """For the reference design the binding edge is D = 0, i.e. rho2 = d + c(M) with c(M) = x.b / x.d of
+    the d-free bcrb prefix x: every fig8 cell is rho2 - c(M) and every fig9 cell is d + c(M).
+
+    Both sides round: c takes one division and the law one addition, the search's root comes from
+    _roots and its edge is walked inward to a point is_stable accepts.  The bound is 4 ulps of the
+    law's value; the largest gap on these grids is 3 ulps (1.4e-14 m in fig8, 2.1e-14 m in fig9).
+    """
+
+    @staticmethod
+    def c(m):
+        x, _ = round_trip_prefix(CavityGeometry(magnification=m), "bcrb")
+        return x.b / x.d
+
+    @staticmethod
+    def assert_law(cell, law):
+        assert abs(cell - law) <= 4 * math.ulp(law), (cell, law)
+
+    def test_law_constants(self):
+        assert [round(self.c(m), 6) for m in (2.5, 3.5, 5.0)] == [0.668757, 1.324764, 2.725028]
+        self.assert_law(max_stable_distance(CavityGeometry(), 100.0), 10.0 - self.c(3.5))
+
+    def test_fig8_cells_are_rho2_minus_c(self):
+        for rho2, *cells in generate_figure("fig8").rows:
+            for m, cell in zip((2.5, 3.5, 5.0), cells):
+                self.assert_law(cell, rho2 - self.c(m))
+
+    def test_fig9_cells_are_d_plus_c(self):
+        for m, *cells in generate_figure("fig9").rows:
+            for d, cell in zip((10.0, 20.0, 30.0, 40.0), cells):
+                self.assert_law(cell, d + self.c(m))
 
 
 class TestMaxSpotOverRange:
