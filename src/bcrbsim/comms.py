@@ -11,7 +11,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import _INF, _reject
+from .errors import _INF, _column, _reject, _rows
 
 ELECTRON_CHARGE = 1.602e-19   # C
 BOLTZMANN = 1.38e-23          # J/K
@@ -47,18 +47,23 @@ def data_signal(p_beam: float, r: ReceiverParams) -> float:
     return p_data
 
 
-def _data_signal(p_beam: float, responsivity: float, mu: float) -> float:
-    # data_signal from the receiver's responsivity and split ratio as floats.
-    if not 0.0 <= p_beam < _INF:
-        _reject(ValueError, ("beam power", p_beam, ">= 0"))
-    return responsivity * (1.0 - mu) * p_beam
+def _data_signal(p_beam, responsivity: float, mu):
+    # data_signal from the receiver's responsivity and split ratio, over columns (lists) and floats of p_beam and mu.
+    _reject(ValueError, ("beam power", p_beam, ">= 0"))
+    rows = _rows(p_beam, mu)
+    return _column(rows, [responsivity * (1.0 - m) * x for x, m in rows])
 
 
 def shot_noise(p_data: float, r: ReceiverParams) -> float:
     """Shot-noise variance 2 q (P_data + I_bg) B."""
-    if not 0.0 <= p_data < _INF:
-        _reject(ValueError, ("signal level", p_data, ">= 0"))
-    return 2.0 * r.electron_charge * (p_data + r.background_current) * r.bandwidth
+    return _shot_noise(p_data, r)
+
+
+def _shot_noise(p_data, r: ReceiverParams):
+    # shot_noise over a column (list) of p_data, or a float.
+    _reject(ValueError, ("signal level", p_data, ">= 0"))
+    rows, k, i_bg, bandwidth = _rows(p_data), 2.0 * r.electron_charge, r.background_current, r.bandwidth
+    return _column(rows, [k * (x + i_bg) * bandwidth for x, in rows])
 
 
 def thermal_noise(r: ReceiverParams) -> float:
@@ -77,14 +82,23 @@ def spectral_efficiency(p_data: float, n2_total: float, log_base: float = 2.0) -
     Base 2 yields bit/s/Hz; the base is a reporting choice and is carried in
     dataset metadata.
     """
-    if not (0.0 <= p_data < _INF and 0.0 < n2_total < _INF and 1.0 < log_base < _INF):
-        _reject(ValueError, ("signal level", p_data, ">= 0"), ("total noise", n2_total, "> 0"),
-                ("log base", log_base, "> 1"))
-    square, denominator = p_data * p_data, 2.0 * math.pi * n2_total
-    snr_like = square * math.e / denominator
-    if snr_like == math.inf or (p_data > 0 and (square < _NORMAL_MIN or not _NORMAL_MIN <= denominator < math.inf)):
-        # A product overflowed or lost digits below the normal range, so take the ratio x in logs:
-        # ln(1 + x) = max(ln x, 0) + log1p(exp(-|ln x|)).
-        ln_x = 2.0 * math.log(p_data) + 1.0 - math.log(2.0 * math.pi) - math.log(n2_total)
-        return 0.5 * (max(ln_x, 0.0) + math.log1p(math.exp(-abs(ln_x)))) / math.log(log_base)
-    return 0.5 * math.log1p(snr_like) / math.log(log_base)
+    return _spectral_efficiency(p_data, n2_total, log_base)
+
+
+def _spectral_efficiency(p_data, n2_total, log_base: float):
+    # spectral_efficiency over columns (lists) and floats of p_data and n2_total.  Where the ratio
+    # x = P_data^2 e / (2 pi n2_total) overflows or a product loses digits below the normal range, x is taken in logs.
+    _reject(ValueError, ("signal level", p_data, ">= 0"), ("total noise", n2_total, "> 0"),
+            ("log base", log_base, "> 1"))
+    rows, ln_base, log1p, e, two_pi = _rows(p_data, n2_total), math.log(log_base), math.log1p, math.e, 2.0 * math.pi
+    return _column(rows, [_half_log1p_in_logs(p, n) / ln_base
+                          if (x := (square := p * p) * e / (denominator := two_pi * n)) == _INF
+                          or p > 0 and (square < _NORMAL_MIN or not _NORMAL_MIN <= denominator < _INF)
+                          else 0.5 * log1p(x) / ln_base
+                          for p, n in rows])
+
+
+def _half_log1p_in_logs(p_data: float, n2_total: float) -> float:
+    # 0.5 ln(1 + x) for the ratio x of spectral_efficiency, in logs: ln(1 + x) = max(ln x, 0) + log1p(exp(-|ln x|)).
+    ln_x = 2.0 * math.log(p_data) + 1.0 - math.log(2.0 * math.pi) - math.log(n2_total)
+    return 0.5 * (max(ln_x, 0.0) + math.log1p(math.exp(-abs(ln_x))))

@@ -1,6 +1,12 @@
-"""Exception types shared across the simulator, and the one range-and-finiteness check."""
+"""Exception types shared across the simulator, and the one range-and-finiteness check.
+
+A column is a list, one cell per row, or any other value, which is the cell
+of every row.  The model's stages take and give columns: a stage whose inputs
+are all single values computes one cell and gives it as a value.
+"""
 
 import math
+from itertools import repeat, starmap
 
 _INF = math.inf
 
@@ -21,14 +27,48 @@ def _reject(exc: type, *checks: tuple) -> None:
 
     rule is a key of _IN_RANGE, None for finite-only.  The ranges are tested
     first, then finiteness, each pass in the order given: -inf fails every
-    range, NaN and +inf fail the two-sided ones.
+    range, NaN and +inf fail the two-sided ones.  A value may be a column (a
+    list), checked at once: it passes when the sum of its cells is finite, so
+    that none is NaN or infinite (min and max pass over a NaN that is not the
+    first cell), and its least cell, and for a two-sided rule its greatest,
+    passes the rule.  Only when a check fails are the rows walked, and the
+    first row with a bad cell raises that row's error.
     """
+    if any(type(value) is list for _, value, _ in checks):
+        for _, value, rule in checks:
+            cells, test = value if type(value) is list else (value,), _IN_RANGE[rule]
+            if cells and not (math.isfinite(sum(cells)) and (
+                    rule is None or test(min(cells)) and (rule[0] == ">" or test(max(cells))))):
+                _walk(lambda *row: _reject(exc, *[(words, cell, rule) for (words, _, rule), cell in zip(checks, row)]),
+                      *[value for _, value, _ in checks])
+                return
+        return
     for words, value, rule in checks:
         if not _IN_RANGE[rule](value):
             raise exc(f"{words} must be {rule}, got {value!r}")
     for words, value, _ in checks:
         if not math.isfinite(value):
             raise exc(f"{words} must be finite, got {value!r}")
+
+
+def _rows(*columns):
+    # The rows of columns: a list (or a lazy starmap) has one cell per row, any other value is the cell of
+    # every row.  When no column varies, the one row of the values themselves, a tuple.
+    for column in columns:
+        if isinstance(column, (list, starmap)):
+            return zip(*[c if isinstance(c, (list, starmap)) else repeat(c) for c in columns])
+    return (columns,)
+
+
+def _column(rows, cells: list):
+    # The column of cells computed over _rows(...): the one cell itself when no input varied.
+    return cells[0] if type(rows) is tuple else cells
+
+
+def _walk(check, *columns) -> None:
+    # check on each row of columns in order, so that the first bad row raises its own error.
+    for row in _rows(*columns):
+        check(*row)
 
 
 class BeamSimError(Exception):

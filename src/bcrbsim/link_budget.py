@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import _INF, _reject
+from .errors import _column, _reject, _rows
 from .ray_matrix import CavityGeometry, _layout
 
 
@@ -41,13 +41,15 @@ def transmission_loss(d: float, b: float, wavelength: float, loss_scale: float) 
     Strictly increasing in d (0 at d -> 0+, N at d -> inf) and decreasing in
     the aperture radius b.
     """
-    if not (0.0 < d < _INF and 0.0 < b < _INF and 0.0 < wavelength < _INF and 0.0 < loss_scale < _INF):
-        _reject(ValueError, ("distance", d, "> 0"), ("aperture radius", b, "> 0"), ("wavelength", wavelength, "> 0"),
-                ("loss_scale", loss_scale, "> 0"))
-    try:
-        return loss_scale * math.exp(-2.0 * math.pi * b * b / (wavelength * d))
-    except ZeroDivisionError:  # wavelength * d underflows to 0: the limit at d -> 0+
-        return 0.0
+    return _transmission_loss(d, b, wavelength, loss_scale)
+
+
+def _transmission_loss(d, b, wavelength, loss_scale):
+    # transmission_loss over columns (lists) and floats.  Where wavelength * d underflows to 0: the limit at d -> 0+.
+    _reject(ValueError, ("distance", d, "> 0"), ("aperture radius", b, "> 0"), ("wavelength", wavelength, "> 0"),
+            ("loss_scale", loss_scale, "> 0"))
+    rows, exp, k = _rows(d, b, wavelength, loss_scale), math.exp, -2.0 * math.pi
+    return _column(rows, [n * exp(k * b * b / p) if (p := w * d) else 0.0 for d, b, w, n in rows])
 
 
 def beam_power(p_in: float, delta_t: float, p: LinkBudgetParams, clamp: bool = True) -> float:
@@ -56,14 +58,16 @@ def beam_power(p_in: float, delta_t: float, p: LinkBudgetParams, clamp: bool = T
     P_beam = 2 (1 - R) eta_c / ((1 + R) (delta_t - ln R)) * P_in + C, clamped
     at 0 from below (below lasing threshold) unless clamp=False.
     """
-    if not (0.0 <= p_in < _INF and 0.0 <= delta_t < _INF):
-        _reject(ValueError, ("input power", p_in, ">= 0"), ("delta_t", delta_t, ">= 0"))
+    return _beam_power(p_in, delta_t, p, clamp)
+
+
+def _beam_power(p_in, delta_t, p: LinkBudgetParams, clamp: bool):
+    # beam_power over columns (lists) and floats of p_in and delta_t.
+    _reject(ValueError, ("input power", p_in, ">= 0"), ("delta_t", delta_t, ">= 0"))
     r = p.reflectivity
-    slope = 2.0 * (1.0 - r) * p.conversion_efficiency / ((1.0 + r) * (delta_t - math.log(r)))
-    power = slope * p_in + p.intercept
-    if clamp and power < 0.0:
-        return 0.0
-    return power
+    rows, gain, ln_r, c = _rows(p_in, delta_t), 2.0 * (1.0 - r) * p.conversion_efficiency, math.log(r), p.intercept
+    return _column(rows, [0.0 if (w := gain / ((1.0 + r) * (t - ln_r)) * x + c) < 0.0 and clamp else w
+                          for x, t in rows])
 
 
 def effective_aperture(g: CavityGeometry, system: str) -> float:
@@ -79,9 +83,11 @@ def effective_aperture(g: CavityGeometry, system: str) -> float:
 
 def pv_output(p_beam: float, mu: float, p: LinkBudgetParams, clamp: bool = True) -> float:
     """PV electrical output P_out = a1 * mu * P_beam + b1, clamped at 0."""
-    if not (0.0 <= p_beam < _INF and 0.0 <= mu <= 1.0):
-        _reject(ValueError, ("beam power", p_beam, ">= 0"), ("split ratio mu", mu, "in [0, 1]"))
-    power = p.pv_slope * mu * p_beam + p.pv_intercept
-    if clamp and power < 0.0:
-        return 0.0
-    return power
+    return _pv_output(p_beam, mu, p, clamp)
+
+
+def _pv_output(p_beam, mu, p: LinkBudgetParams, clamp: bool):
+    # pv_output over columns (lists) and floats of p_beam and mu.
+    _reject(ValueError, ("beam power", p_beam, ">= 0"), ("split ratio mu", mu, "in [0, 1]"))
+    rows, a1, b1 = _rows(p_beam, mu), p.pv_slope, p.pv_intercept
+    return _column(rows, [0.0 if (w := a1 * m * x + b1) < 0.0 and clamp else w for x, m in rows])

@@ -17,16 +17,19 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from itertools import starmap
+from typing import Callable, NamedTuple, Optional, Sequence
 
-from .errors import _INF, InvalidElementError, SingularConfigurationError, _reject
+from .errors import _INF, InvalidElementError, SingularConfigurationError, _column, _reject, _rows, _walk
 
 
-def _require_mirror_radius(name: str, value: float) -> float:
-    if value == 0:
+def _require_mirror_radius(name: str, value) -> None:
+    # value is a radius, or a column (list) of them, which is checked at once and walked only if a cell is 0.
+    if type(value) is list:
+        if 0.0 in value:
+            _walk(partial(_require_mirror_radius, name), value)
+    elif value == 0:
         raise InvalidElementError(f"{name} must be nonzero (use |rho| >= 1e9 for near-flat), got {value!r}")
-    return value
 
 
 class RayVector(NamedTuple):
@@ -155,8 +158,9 @@ def _layout(system: str) -> tuple:
     return _LAYOUTS[system]
 
 
-def _fold(g, elements: Sequence, m: Optional[tuple] = None) -> Optional[tuple]:
-    """Entries of m, then each element built from the fields of g, composed in propagation order (None if none)."""
+def _fold(g, elements: Sequence) -> Optional[tuple]:
+    """Entries of the elements built from the fields of g, composed in propagation order (None if none)."""
+    m = None
     for reads, build in elements:
         e = build(*[getattr(g, name) for name in reads])
         m = e if m is None else _product(e, m)
@@ -182,30 +186,32 @@ def round_trip_prefix(g: CavityGeometry, system: str) -> tuple[TransferMatrix, f
     return TransferMatrix(*_fold(g, elements)), offset(*[getattr(g, name) for name in reads])
 
 
-def _over(f: Callable, *columns: Iterable) -> Iterator:
-    # The column of f over the rows of its input columns: f runs per row when a column varies (a list, or a
-    # map: a stage that varies or a checked column), else once, when the first row is drawn, and its value repeats.
-    if any(isinstance(column, (list, map)) for column in columns):
-        return map(f, *columns)
-
-    def once() -> Iterator:
-        yield from repeat(f(*map(next, columns)))
-    return once()
+def _over(f: Callable, *columns) -> object:
+    # f over the rows of its input columns: a lazy column of f per row when a column varies (a list, or
+    # such a lazy column), else f's one value.
+    rows = _rows(*columns)
+    return f(*columns) if type(rows) is tuple else starmap(f, rows)
 
 
-def _round_trip_over(system: str, column: Callable[[str], Iterable]) -> Iterator:
-    """The column of a layout's round-trip entries, with column(name) the column of the field name.
+def _round_trip_over(system: str, column: Callable[[str], object]) -> object:
+    """A layout's round trips over columns, with column(name) the column (a list, or a float) of the field name.
 
-    Every element, partial product, the gap (offset + d) and the close is an _over
-    stage, composed as in _fold and _close, so each row keeps the round trip's bits.
+    The entries of one round trip, when no column it reads varies, else a lazy
+    column of them, one tuple per row.  Each element (the receiver mirror too)
+    and partial product is an _over stage, composed as in _fold; the gap
+    (offset + d) is one column, checked once, and each row is closed as _close
+    closes it, so each row keeps the round trip's bits.
     """
     elements, (offset_reads, offset) = _layout(system)
     m = None
     for reads, build in elements:
         e = _over(build, *map(column, reads))
         m = e if m is None else _over(_product, e, m)
-    gap = _over(operator.add, _over(offset, *map(column, offset_reads)), column("d"))
-    return _over(_close, m, gap, column("rho2"))
+    mirror = _over(partial(_focus, _MIRROR), column("rho2"))
+    rows = _rows(_over(offset, *map(column, offset_reads)), column("d"))
+    gap = _column(rows, list(starmap(operator.add, rows)))
+    _reject(InvalidElementError, ("offset", gap, None))
+    return _over(_closed, m, gap, mirror)
 
 
 def _close(m: tuple, gap: float, rho2: float) -> tuple:
@@ -217,12 +223,18 @@ def _close(m: tuple, gap: float, rho2: float) -> tuple:
     signed zeros included (x * 1.0 is exact, x * 0.0 is not dropped), and
     rho2 is checked before the gap, as there.
     """
-    r = _focus(_MIRROR, rho2)[2]
+    mirror = _focus(_MIRROR, rho2)
     if not -_INF < gap < _INF:
         _reject(InvalidElementError, ("offset", gap, None))
+    return _closed(m, gap, mirror)
+
+
+def _closed(m: tuple, gap: float, mirror: tuple) -> tuple:
+    # _close from the checked gap and the receiver mirror's element entries.
     pa, pb, pc, pd = m
     a, b = pa + gap * pc, pb + gap * pd
     c, d = 0.0 * pa + pc, 0.0 * pb + pd
+    r = mirror[2]
     return a + 0.0 * c, b + 0.0 * d, r * a + c, r * b + d
 
 

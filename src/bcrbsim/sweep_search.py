@@ -30,14 +30,14 @@ import math
 import operator
 from dataclasses import dataclass, fields, replace
 from functools import cache, partial
-from itertools import repeat
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .comms import _data_signal, shot_noise, spectral_efficiency, thermal_noise
-from .errors import InfeasibleSearchError, NoStableRegionError, UnstableCavityError, _reject
+from .comms import _data_signal, _shot_noise, _spectral_efficiency, thermal_noise
+from .errors import InfeasibleSearchError, NoStableRegionError, UnstableCavityError, _column, _reject, _rows
 from .gaussian_beam import _cavity, _spots
-from .link_budget import LinkBudgetParams, beam_power, effective_aperture, pv_output, transmission_loss
-from .ray_matrix import (CavityGeometry, TransferMatrix, _affine, _close, _layout, _over, _require_mirror_radius,
+from .link_budget import (LinkBudgetParams, _beam_power, _pv_output, _transmission_loss, effective_aperture,
+                          transmission_loss)
+from .ray_matrix import (CavityGeometry, TransferMatrix, _affine, _close, _layout, _require_mirror_radius,
                          _round_trip_over, _stable, is_stable, round_trip, round_trip_prefix)
 from .scenario import Scenario, default_scenario, scenario_to_dict
 
@@ -338,50 +338,53 @@ def _chain(s: Scenario, link: LinkBudgetParams, system: str, data: bool = False)
     """The model chain downstream of the cavity, in two stages split by what they read: (loss, point).
 
     The aperture, the receiver and its thermal noise are read once.  Both take
-    plain floats, defaulting to the scenario's (loss_scale to link.loss_scale).
-    loss(d, wavelength, loss_scale) is delta_t, once per row for all its p_in or
-    mu series; point(delta_t, p_in, mu) gives the power branch (delta_t, beam_power,
-    pv_output); later stages see the beam power floored at 0.  With data, the
-    data branch follows: (data_signal, shot_noise, thermal_noise, total_noise,
-    spectral_efficiency).  Each step is the link_budget or comms function,
-    with all its checks; the APD signal takes mu as a float.
+    columns (a list, or one float for every row), defaulting to the scenario's
+    (loss_scale to link.loss_scale), and give columns.  loss(d, wavelength,
+    loss_scale) is delta_t, once for all its p_in or mu series; point(delta_t,
+    p_in, mu) gives the power branch (delta_t, beam_power, pv_output); later
+    stages see the beam power floored at 0.  With data, the data branch follows:
+    (data_signal, shot_noise, thermal_noise, total_noise, spectral_efficiency).
+    Each step is the column form of the link_budget or comms function, with all
+    its checks, each made once per column.
     """
     g, rx, choices = s.geometry, s.receiver, s.model_choices
     b, clamp, thermal = effective_aperture(g, system), choices.clamp_negative_power, thermal_noise(rx)
 
-    def loss(d: float = g.d, wavelength: float = g.wavelength, loss_scale: float = link.loss_scale) -> float:
-        return transmission_loss(d, b, wavelength, loss_scale)
+    def loss(d=g.d, wavelength=g.wavelength, loss_scale=link.loss_scale):
+        return _transmission_loss(d, b, wavelength, loss_scale)
 
-    def point(delta_t: float, p_in: float = s.pump_input_power, mu: float = rx.split_ratio) -> tuple:
-        p_beam = beam_power(p_in, delta_t, link, clamp)
-        p_beam_floor = max(p_beam, 0.0)
-        power = (delta_t, p_beam, pv_output(p_beam_floor, mu, link, clamp))
+    def point(delta_t, p_in=s.pump_input_power, mu=rx.split_ratio) -> tuple:
+        p_beam = _beam_power(p_in, delta_t, link, clamp)
+        rows = _rows(p_beam)
+        p_beam_floor = _column(rows, [0.0 if 0.0 > x else x for x, in rows])  # max(x, 0.0), -0.0 and NaN kept
+        power = (delta_t, p_beam, _pv_output(p_beam_floor, mu, link, clamp))
         if not data:
             return power
         p_data = _data_signal(p_beam_floor, rx.responsivity, mu)
-        shot = shot_noise(p_data, rx)
-        total = shot + thermal
-        return power + (p_data, shot, thermal, total, spectral_efficiency(p_data, total, choices.log_base))
+        del p_beam_floor
+        shot = _shot_noise(p_data, rx)
+        rows = _rows(shot)
+        total = _column(rows, [x + thermal for x, in rows])
+        return power + (p_data, shot, thermal, total, _spectral_efficiency(p_data, total, choices.log_base))
     return loss, point
 
 
-def _points(s: Scenario, link: LinkBudgetParams, system: str, varying: dict) -> Iterator[tuple]:
-    """The _POINT_COLUMNS cells of each row of the columns (lists) in varying; other inputs are s's and link's.
+def _points(s: Scenario, link: LinkBudgetParams, system: str, inputs: dict) -> tuple:
+    """The _POINT_COLUMNS cells as columns over the columns (lists, or floats) in inputs, and s's and link's values.
 
-    The round trip, _cavity, the aperture loss and the rest of _chain are _over
-    stages; a varying mirror radius is checked per row, as a rising one can cross 0.
+    The round trip (ray_matrix._round_trip_over), _cavity, the aperture loss and
+    the rest of _chain each take whole columns and check each one once, so the
+    program stops at the first stage that fails anywhere, with the message of
+    that stage's first bad row.  A stage whose inputs do not vary computes one
+    cell.  A varying mirror radius is checked here, as a rising one can cross 0.
     """
-    fixed = dict(vars(s.geometry), p_in=s.pump_input_power, mu=s.receiver.split_ratio, loss_scale=link.loss_scale)
-
-    def column(name: str) -> Iterable:
-        if name not in varying:
-            return repeat(fixed[name])
-        return map(partial(_require_mirror_radius, name), varying[name]) if name in ("rho1", "rho2") else varying[name]
-    trips, (loss, point) = _round_trip_over(system, column), _chain(s, link, system, data=True)
-    cavity = _over(_cavity, trips, column("wavelength"), column("rho1"), column("L1"))
-    chain = _over(point, _over(loss, column("d"), column("wavelength"), column("loss_scale")),
-                  column("p_in"), column("mu"))
-    return map(operator.add, cavity, chain)
+    for name in inputs.keys() & {"rho1", "rho2"}:
+        _require_mirror_radius(name, inputs[name])
+    column = {**vars(s.geometry), "p_in": s.pump_input_power, "mu": s.receiver.split_ratio,
+              "loss_scale": link.loss_scale, **inputs}.__getitem__
+    loss, point = _chain(s, link, system, data=True)
+    cavity = _cavity(_round_trip_over(system, column), column("wavelength"), column("rho1"), column("L1"))
+    return cavity + point(loss(column("d"), column("wavelength"), column("loss_scale")), column("p_in"), column("mu"))
 
 
 def operating_point(s: Scenario, system: str = "bcrb",
@@ -391,14 +394,15 @@ def operating_point(s: Scenario, system: str = "bcrb",
     """Evaluate the full model chain at one distance; fixed key order.
 
     This is run_sweep's program, _points, over one row: d, p_in and mu are
-    one-cell columns.  Spot radii are NaN when the cavity is unstable at this
-    distance; the power and data branches do not read the cavity.
+    one value each, so every stage computes one cell.  Spot radii are NaN when
+    the cavity is unstable at this distance; the power and data branches do not
+    read the cavity.
     """
     g = s.geometry if d is None else replace(s.geometry, d=d)
     p_in = s.pump_input_power if p_in is None else p_in
     mu = s.receiver.split_ratio if mu is None else mu
     link = resolve_link_params(s) if link is None else link
-    cells = next(_points(s, link, system, {"d": [g.d], "p_in": [p_in], "mu": [mu]}))
+    cells = _points(s, link, system, {"d": g.d, "p_in": p_in, "mu": mu})
     point = dict(zip(("d", "p_in", "mu") + tuple(name for name, _ in _POINT_COLUMNS), (g.d, p_in, mu, *cells)))
     point["stable"] = bool(point["stable"])
     return point
@@ -436,42 +440,50 @@ def _series(key: str, values: Sequence[float]) -> dict:
     return {f"series.{key}": ", ".join(_fmt(v) for v in values)}
 
 
-# Each figure builder returns its series column headers, a cells(x) function
-# giving the series cells of the row at grid value x, and its own metadata.
+# Each figure builder returns its series column headers, a series(grid)
+# function giving each series as a column (a list) over the grid, and its own
+# metadata.  The chain figures evaluate each series as one column, as run_sweep
+# does; the search figures search at each grid value, through _per_point.
 # Grid-independent constants come from the _FIGURES table.  The search figures
 # build the round-trip prefix, which reads neither d nor rho2, once per
 # magnification, and check each series value once, at its first cell: the cell
 # that fails first is the one that failed when every cell was checked.
 
+def _per_point(cells: Callable[[float], list]) -> Callable[[list], list]:
+    # series(grid) from cells(x), the series cells of the row at grid value x.
+    return lambda grid: [list(column) for column in zip(*map(cells, grid))]
+
+
 def _fig6(s: Scenario, link: LinkBudgetParams, **_):
-    # Spot radius on the gain module and beam power vs distance, both systems, as run_sweep's d points.
+    # Spot radius on the gain module and beam power vs distance, both systems, as run_sweep's d columns.
     g = s.geometry
-    prefixes = [round_trip_prefix(g, system) for system in ("bcrb", "original")]
     stages = [_chain(s, link, system) for system in ("bcrb", "original")]
 
-    def cells(d: float) -> list[float]:
-        return ([_spots(_close(x, offset + d, g.rho2), g)[2] for x, offset in prefixes]
+    def series(d: list) -> list:
+        column = {**vars(g), "d": d}.__getitem__
+        return ([_spots(_round_trip_over(system, column), g)[2] for system in ("bcrb", "original")]
                 + [point(loss(d))[1] for loss, point in stages])
     return (["omega3_bcrb [m]", "omega3_original [m]", "beam_power_bcrb [W]", "beam_power_original [W]"],
-            cells, {"sweep.p_in_w": s.pump_input_power})
+            series, {"sweep.p_in_w": s.pump_input_power})
 
 
 def _fig7(s: Scenario, link: LinkBudgetParams, **_):
     # Beam power and pump-to-beam efficiency vs input power at the reference distance.
     stages = [(point, loss()) for loss, point in (_chain(s, link, system) for system in ("bcrb", "original"))]
 
-    def cells(p_in: float) -> list[float]:
+    def series(p_in: list) -> list:
         powers = [point(delta_t, p_in)[1] for point, delta_t in stages]
-        return powers + [power / p_in for power in powers]
+        return powers + [[power / x for power, x in zip(column, p_in)] for column in powers]
     return (["beam_power_bcrb [W]", "beam_power_original [W]", "efficiency_bcrb [-]", "efficiency_original [-]"],
-            cells, {"sweep.d_m": s.geometry.d})
+            series, {"sweep.d_m": s.geometry.d})
 
 
 def _fig8(s: Scenario, link: LinkBudgetParams, *, d_hi: float, m_values: Sequence[float], **_):
     # Maximum stable distance vs receiver-mirror curvature, one series per magnification.
     prefix = cache(lambda m: round_trip_prefix(replace(s.geometry, magnification=m), "bcrb"))
     return ([f"d_max_M{_fmt(m)} [m]" for m in m_values],
-            lambda rho2: [_first_band(_distance_bands(*prefix(float(m)), rho2, d_hi), d_hi)[1] for m in m_values],
+            _per_point(lambda rho2: [_first_band(_distance_bands(*prefix(float(m)), rho2, d_hi), d_hi)[1]
+                                     for m in m_values]),
             {"sweep.d_hi_m": d_hi, **_series("magnification", m_values)})
 
 
@@ -482,7 +494,7 @@ def _fig9(s: Scenario, link: LinkBudgetParams, *, rho2_hi: float, d_values: Sequ
     def cells(m: float) -> list[float]:
         x, _ = round_trip_prefix(replace(s.geometry, magnification=m), "bcrb")
         return [_required_rho2(x, distance(float(d)), rho2_hi) for d in d_values]
-    return ([f"rho2_min_d{_fmt(d)} [m]" for d in d_values], cells,
+    return ([f"rho2_min_d{_fmt(d)} [m]" for d in d_values], _per_point(cells),
             {"sweep.rho2_hi_m": rho2_hi, **_series("d_m", d_values)})
 
 
@@ -496,7 +508,7 @@ def _fig10(s: Scenario, link: LinkBudgetParams, *, rho2: float, d_lo: float, sam
         g = replace(s.geometry, magnification=m, rho2=rho2)
         x, offset = round_trip_prefix(g, "bcrb")
         return [_max_spot(g, x, offset, d_lo, d_hi(float(d)), samples) for d in d_values]
-    return ([f"omega3_max_d{_fmt(d)} [m]" for d in d_values], cells,
+    return ([f"omega3_max_d{_fmt(d)} [m]" for d in d_values], _per_point(cells),
             {"sweep.rho2_m": rho2, "sweep.d_lo_m": d_lo, **_series("d_hi_m", d_values)})
 
 
@@ -517,10 +529,10 @@ def _chain_figure(s: Scenario, link: LinkBudgetParams, *, column: str, p_in_valu
         tag, key, values, fixed = "Pin", "p_in_w", p_in_values, {"sweep.mu": mu}
         pairs = [(float(value), mu) for value in values]
 
-    def cells(d: float) -> list[float]:
+    def series(d: list) -> list:
         delta_t = loss(d)
         return [point(delta_t, p_in, mu)[index] for p_in, mu in pairs]
-    return [f"{label or column}_{tag}{_fmt(v)} [{unit}]" for v in values], cells, {**fixed, **_series(key, values)}
+    return [f"{label or column}_{tag}{_fmt(v)} [{unit}]" for v in values], series, {**fixed, **_series(key, values)}
 
 
 # figure id -> (grid axis (variable, unit, lo, hi, samples), builder with its constants)
@@ -557,9 +569,10 @@ def generate_figure(figure_id: str, s: Optional[Scenario] = None, *,
         s = default_scenario()
     link = resolve_link_params(s)
     (variable, unit, lo, hi, samples), build = _FIGURES[figure_id]
-    headers, cells, meta = build(s, link, m_values=m_values, d_values=d_values,
-                                 p_in_values=p_in_values, mu_values=mu_values)
-    rows = [(x, *cells(x)) for x in _grid(lo, hi, samples)]
+    headers, series, meta = build(s, link, m_values=m_values, d_values=d_values,
+                                  p_in_values=p_in_values, mu_values=mu_values)
+    grid = _grid(lo, hi, samples)
+    rows = list(_rows(grid, *series(grid)))
     suffix = _KEY_SUFFIX.get(unit, "")
     grid_meta = {"sweep.variable": variable, f"sweep.lo{suffix}": lo, f"sweep.hi{suffix}": hi,
                  "sweep.samples": samples}
@@ -587,7 +600,7 @@ def run_sweep(spec: SweepSpec, s: Optional[Scenario] = None) -> FigureDataset:
 
     A geometry variable is validated at grid[0] only: the grid is finite and rising, so every > 0 and
     >= 0 rule that holds there holds at every point.  A stage (a round-trip element or partial product
-    too) whose inputs do not vary runs once, at the first point, in its place among that point's checks.
+    too) whose inputs do not vary computes one cell, which every row shares.
     """
     if s is None:
         s = default_scenario()
@@ -598,7 +611,7 @@ def run_sweep(spec: SweepSpec, s: Optional[Scenario] = None) -> FigureDataset:
     grid = _grid(spec.lo, spec.hi, spec.samples)
     if variable in _GEOMETRY_FIELDS:
         replace(s.geometry, **{variable: grid[0]})
-    rows = [(value, *cells) for value, cells in zip(grid, _points(s, link, spec.system, {variable: grid}))]
+    rows = tuple(_rows(grid, *_points(s, link, spec.system, {variable: grid})))
     columns = [f"{variable} [{_SWEEP_UNITS[variable]}]"] + [f"{name} [{unit}]" for name, unit in _POINT_COLUMNS]
     extra = {"sweep.variable": variable, "sweep.lo": spec.lo, "sweep.hi": spec.hi,
              "sweep.samples": spec.samples, "sweep.system": spec.system}

@@ -81,6 +81,16 @@ class TestMirrorSpotRadii:
         with pytest.raises(ValueError, match=f"^{re.escape(want)}"):
             operating_point(replace(default_scenario(), geometry=CavityGeometry(wavelength=wavelength)))
 
+    def test_overflowing_radicand_keeps_the_square_root_law(self):
+        # At 1e154 m the omega2 radicand -scale b^2 a / (d (a d - 1)) overflows before its division, though
+        # omega2 ~ 1.6e77 m is finite; its fourth root is then taken factor by factor.  omega ~ sqrt(lambda).
+        m = round_trip_bcrb(CavityGeometry())
+        high, low = mirror_spot_radii(m, 1e154), mirror_spot_radii(m, 1e150)
+        assert math.isfinite(high[1])
+        assert high[1] / low[1] == pytest.approx(100.0, rel=1e-12)
+        assert high[0] / low[0] == pytest.approx(100.0, rel=1e-12)
+        assert cavity_spot_radii(CavityGeometry(wavelength=1e154)).omega2 == high[1]
+
     def test_stable_scan_never_raises(self):
         # Radicands stay positive across a stable distance interval.
         g = CavityGeometry()
@@ -101,6 +111,12 @@ class TestPropagateSpot:
         assert propagate_spot(omega1, -0.880, 0.0, LAMBDA) == omega1
         legs = (omega1 * (1.0 - 1e-3 / 0.880), 1e-3 * LAMBDA / (math.pi * omega1))
         assert propagate_spot(omega1, -0.880, 1e-3, LAMBDA) == math.hypot(*legs)
+
+    def test_overflowing_square_takes_the_hypotenuse(self):
+        # (L1 lambda / (pi omega1^2))^2 overflows at omega1 = 1e-83 m, though omega3 ~ 3.3868e73 m is finite.
+        legs = (1e-83 * (1.0 - 1e-3 / 0.880), 1e-3 * LAMBDA / (math.pi * 1e-83))
+        assert propagate_spot(1e-83, -0.880, 1e-3, LAMBDA) == math.hypot(*legs)
+        assert propagate_spot(1e-83, -0.880, 1e-3, LAMBDA) == pytest.approx(3.3868e73, rel=1e-4)
 
     def test_short_gap_value(self):
         # Direct evaluation with omega1 = 0.3 mm, rho1 = -0.880 m, L1 = 1 mm:

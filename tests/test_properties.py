@@ -176,11 +176,15 @@ def _oracle_row(s, link, system, variable, value):
     return (value, *cavity, delta_t, p_beam, p_out, p_data, shot, thermal, shot + thermal, se)
 
 
+@pytest.mark.parametrize("clamp", [True, False])
 @pytest.mark.parametrize("system", ["bcrb", "original"])
 @pytest.mark.parametrize("variable", sorted(_SWEEP_UNITS))
 @settings(max_examples=25, deadline=None)
-@given(data=st.data(), geometry=GEOMETRIES, samples=st.integers(2, 9), clamp=st.booleans())
-def test_sweep_rows_are_operating_points(variable, system, data, geometry, samples, clamp):
+@given(data=st.data(), geometry=GEOMETRIES, samples=st.integers(2, 9))
+def test_sweep_rows_are_operating_points(variable, system, clamp, data, geometry, samples):
+    # run_sweep evaluates the chain stage by stage over whole columns; _oracle_row evaluates one row at a
+    # time.  Their rows are equal by repr, NaN included.  Where rows fail, the sweep stops at the first
+    # stage that fails anywhere, with the error of its first bad row: an error that one of the rows raises.
     lo, hi = sorted(data.draw(st.lists(SWEEP_VALUES[variable], min_size=2, max_size=2, unique=True)))
     if variable in ("rho1", "rho2") and getattr(geometry, variable) < 0:
         lo, hi = -hi, -lo
@@ -188,18 +192,16 @@ def test_sweep_rows_are_operating_points(variable, system, data, geometry, sampl
     link = resolve_link_params(s)
     spec = SweepSpec(variable, lo, hi, samples, system)
     grid = np.linspace(lo, hi, samples).tolist()
-    try:
-        want = [_oracle_row(s, link, system, variable, value) for value in grid]
-    except (BeamSimError, ValueError) as exc:
-        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
-            run_sweep(spec, s)
+    want = [_outcome(_oracle_row, s, link, system, variable, value) for value in grid]
+    errors = [outcome for outcome in want if not outcome.startswith("(")]
+    if errors:
+        assert _outcome(run_sweep, spec, s) in errors
         return
-    assert repr(run_sweep(spec, s).rows) == repr(tuple(want))
+    assert list(map(repr, run_sweep(spec, s).rows)) == want
     if variable in ("d", "p_in", "mu"):
         # operating_point evaluates the same row at one point.
         points = [operating_point(s, system, link=link, **{variable: value}) for value in grid]
-        assert repr([(value, *map(float, list(point.values())[3:])) for value, point in zip(grid, points)]) == \
-            repr(want)
+        assert [repr((value, *map(float, list(point.values())[3:]))) for value, point in zip(grid, points)] == want
 
 
 def _scanned_max_spot(g, d_lo, d_hi, samples):

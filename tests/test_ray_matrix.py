@@ -138,9 +138,9 @@ class TestCompose:
         r = RayVector(1e-3, 0.0)
         assert apply(TransferMatrix(*composed), r) == apply(TransferMatrix(*lens), apply(TransferMatrix(*gap), r))
 
-    def test_fold_continues_from_given_entries(self):
+    def test_fold_is_its_tail_folded_then_applied_after_its_head(self):
         p, q, r = _focus(_MIRROR, -0.88), _shift(0.3), _magnifier(2.0)
-        assert _fold(None, elements(q, r), p) == _fold(None, elements(p, q, r)) == _product(r, _product(q, p))
+        assert _product(_fold(None, elements(q, r)), p) == _fold(None, elements(p, q, r)) == _product(r, _product(q, p))
 
     def test_associativity(self):
         rng = np.random.default_rng(7)

@@ -570,32 +570,53 @@ class TestRunSweep:
         with pytest.raises(ValueError, match=re.escape(f"samples must be an integer, got {samples!r}")):
             SweepSpec("d", 1.0, 6.0, samples)
 
+    @staticmethod
+    def count_cells(monkeypatch, *stages) -> dict:
+        # name -> the number of cells each call of that sweep_search stage computed: its longest column.
+        cells = {name: [] for name in stages}
+
+        def counted(name, stage):
+            def call(*args):
+                out = stage(*args)
+                cells[name].append(max(len(c) if type(c) is list else 1 for c in (out if type(out) is tuple else
+                                                                                    (out,))))
+                return out
+            return call
+        for name in stages:
+            monkeypatch.setattr(sweep_search, name, counted(name, getattr(sweep_search, name)))
+        return cells
+
     @pytest.mark.parametrize("system", ["bcrb", "original"])
     @pytest.mark.parametrize("variable, lo, hi", [("d", 1.0, 6.0), ("rho2", 1.0, 50.0),
                                                   ("magnification", 1.5, 6.0), ("f1", 0.002, 0.05),
                                                   ("L2", 0.0, 0.3), ("f_gain", 0.3, 2.0)])
     def test_geometry_sweep_validates_once(self, monkeypatch, variable, lo, hi, system):
-        # One geometry check per sweep, at the first grid point; the chain runs
-        # once when the variable does not reach it.  The loss scale's calibration
-        # calls transmission_loss once more.
+        # One geometry check per sweep, at the first grid point; the aperture loss computes
+        # one cell when the variable does not reach it, else one per point.  The loss
+        # scale's calibration calls transmission_loss once.
         s = default_scenario()
         checks, losses = [], []
         post_init = CavityGeometry.__post_init__
         monkeypatch.setattr(CavityGeometry, "__post_init__", lambda g: checks.append(1) or post_init(g))
         loss = sweep_search.transmission_loss
         monkeypatch.setattr(sweep_search, "transmission_loss", lambda *args: losses.append(1) or loss(*args))
+        cells = self.count_cells(monkeypatch, "_transmission_loss")
         assert len(run_sweep(SweepSpec(variable, lo, hi, 101, system), s).rows) == 101
         assert len(checks) <= 1
-        assert len(losses) == 1 + (101 if variable == "d" else 1)
+        assert len(losses) == 1
+        assert cells == {"_transmission_loss": [101 if variable == "d" else 1]}
 
-    @pytest.mark.parametrize("variable, lo, hi, calls", [("p_in", 150.0, 300.0, 1), ("mu", 0.0, 1.0, 1),
-                                                         ("d", 1.0, 6.0, 101), ("loss_scale", 0.5, 2.0, 101)])
-    def test_aperture_loss_once_unless_the_variable_reaches_it(self, monkeypatch, variable, lo, hi, calls):
+    @pytest.mark.parametrize("variable, lo, hi, n", [("p_in", 150.0, 300.0, 1), ("mu", 0.0, 1.0, 1),
+                                                     ("d", 1.0, 6.0, 101), ("loss_scale", 0.5, 2.0, 101)])
+    def test_aperture_loss_once_unless_the_variable_reaches_it(self, monkeypatch, variable, lo, hi, n):
+        # The loss scale's calibration calls transmission_loss once; the chain's loss is one column of n cells.
         losses = []
         loss = sweep_search.transmission_loss
         monkeypatch.setattr(sweep_search, "transmission_loss", lambda *args: losses.append(1) or loss(*args))
+        cells = self.count_cells(monkeypatch, "_transmission_loss")
         assert len(run_sweep(SweepSpec(variable, lo, hi, 101), default_scenario()).rows) == 101
-        assert len(losses) == 1 + calls  # the loss scale's calibration, then the chain's calls
+        assert len(losses) == 1
+        assert cells == {"_transmission_loss": [n]}
 
     @pytest.mark.parametrize("system", ["bcrb", "original"])
     @pytest.mark.parametrize("variable, lo, hi", [("d", 1.0, 6.0), ("rho2", 1.0, 50.0), ("p_in", 150.0, 300.0),
@@ -618,11 +639,11 @@ class TestRunSweep:
         assert matrices == 0 and copies <= 2
 
     # Sweep variable -> (range, whether it reaches the cavity cells on bcrb and on original, the
-    # aperture loss, and beam_power).  A stage runs at every point when its variable reaches it, else once.
+    # aperture loss, and beam_power).  A stage computes a cell per point when its variable reaches it, else one.
     STAGE_READS = {
         "d": ((1.0, 6.0), True, True, True, True),
         "p_in": ((150.0, 300.0), False, False, False, True),
-        "mu": ((0.0, 1.0), False, False, False, True),
+        "mu": ((0.0, 1.0), False, False, False, False),
         "rho1": ((-2.0, -0.5), True, True, False, False),
         "rho2": ((1.0, 50.0), True, True, False, False),
         "f_gain": ((0.3, 2.0), True, True, False, False),
@@ -636,30 +657,25 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("system", ["bcrb", "original"])
     @pytest.mark.parametrize("variable", sorted(STAGE_READS))
-    def test_each_stage_runs_once_or_per_point(self, monkeypatch, variable, system):
-        # N is explicit, so every transmission_loss call is the chain's, none the calibration's.
-        s = default_scenario()
-        s = replace(s, model_choices=replace(s.model_choices, n_source="explicit"))
-        stages, calls = ("_cavity", "transmission_loss", "beam_power"), Counter()
-        for name in stages:
-            stage = getattr(sweep_search, name)
-            monkeypatch.setattr(sweep_search, name, lambda *args, name=name, stage=stage:
-                                calls.update([name]) or stage(*args))
+    def test_each_stage_computes_one_cell_or_one_per_point(self, monkeypatch, variable, system):
+        # Each stage is called once, on columns: a stage computes 1 cell, or n cells when its inputs vary.
+        stages = ("_cavity", "_transmission_loss", "_beam_power")
+        cells = self.count_cells(monkeypatch, *stages)
         (lo, hi), cavity_bcrb, cavity_original, loss, power = self.STAGE_READS[variable]
-        assert len(run_sweep(SweepSpec(variable, lo, hi, 11, system), s).rows) == 11
+        assert len(run_sweep(SweepSpec(variable, lo, hi, 11, system), default_scenario()).rows) == 11
         reached = (cavity_bcrb if system == "bcrb" else cavity_original, loss, power)
-        assert [calls[name] for name in stages] == [11 if reads else 1 for reads in reached]
+        assert [cells[name] for name in stages] == [[11 if reads else 1] for reads in reached]
 
     @pytest.mark.parametrize("variable, lo, hi", [("rho2", 1.0, 50.0), ("magnification", 1.5, 6.0),
                                                   ("p_in", 150.0, 300.0), ("wavelength", 500e-9, 1500e-9)])
-    def test_a_stage_run_once_runs_in_its_place(self, monkeypatch, variable, lo, hi):
-        # The first point's cavity fails before its chain runs, whichever of the two runs only once:
-        # no stage is evaluated ahead of the row that first draws it.
+    def test_a_stage_computing_one_cell_runs_in_its_place(self, monkeypatch, variable, lo, hi):
+        # The cavity stage fails before the chain runs, whichever of the two computes one cell:
+        # the stages run in the program's order, however many cells each computes.
         def fail(stage):
             def raise_(*args):
                 raise RuntimeError(stage)
             return raise_
         monkeypatch.setattr(sweep_search, "_cavity", fail("cavity"))
-        monkeypatch.setattr(sweep_search, "spectral_efficiency", fail("chain"))
+        monkeypatch.setattr(sweep_search, "_spectral_efficiency", fail("chain"))
         with pytest.raises(RuntimeError, match="^cavity$"):
             run_sweep(SweepSpec(variable, lo, hi, 11), default_scenario())
