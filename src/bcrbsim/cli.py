@@ -6,6 +6,9 @@ built-in figure datasets, and generic one-variable sweeps.  `power` and
 power branch, `comms` the operating point, power and data branch.  Numeric
 output lines carry a bracketed unit; CSV files have one header row with units
 in brackets, '#'-prefixed metadata lines, 9 significant digits, LF endings.
+A dataset's rows are formatted from its columns, a block of rows at a time,
+each block under one %-template that holds the text of every column whose
+cells print alike over the block.
 
 Exit codes: 0 success, 1 domain/validation error, 2 infeasible search.
 """
@@ -16,7 +19,6 @@ import argparse
 import math
 import sys
 from dataclasses import replace
-from operator import itemgetter
 from pathlib import Path
 
 from .errors import BeamSimError, InfeasibleSearchError, NoStableRegionError
@@ -63,35 +65,48 @@ def _meta_str(value) -> str:
     return str(value)
 
 
-def _row_template(rows) -> tuple[str, list[int]]:
-    """The %-template of a data row, and the indices of the cells it leaves to format.
+# Rows per %-template.  A column whose cells print alike over a block enters the template as text; smaller
+# blocks find more such runs but build more templates (256 to 2,048 rows format the benchmark sweeps alike).
+_BLOCK = 1024
 
-    A column whose cells all print alike is written into the template once: its first and last
-    cells are equal, every cell equals the first, and its zeros have one sign (0.0 == -0.0, but
-    they print 0 and -0).
+
+def _template_field(cells) -> str | None:
+    # The text of a column (a list, or one value) whose cells all print alike, else None: every cell equals
+    # the first (one NaN object equals itself), and its zeros have one sign (0.0 == -0.0 prints 0 and -0).
+    if type(cells) is list:
+        first, last = cells[0], cells[-1]
+        if (last is not first and last != first or cells.count(first) != len(cells)
+                or first == 0 and len({math.copysign(1.0, x) for x in cells}) > 1):
+            return None
+        cells = first
+    return _num(cells).replace("%", "%%")
+
+
+def _blocks(ds: FigureDataset):
+    """Per block of _BLOCK rows: its row count, its %-template, and the slices of the columns left to format.
+
+    The template holds the text of each column whose cells print alike over the block, else %.9g, as _num().
     """
-    if not rows:
-        return "", []
-    fields, varying = [], []
-    for k, (first, last) in enumerate(zip(rows[0], rows[-1])):
-        if first == last:
-            column = list(map(itemgetter(k), rows))
-            if column.count(first) == len(column) and (
-                    first != 0 or len({math.copysign(1.0, cell) for cell in column}) == 1):
-                fields.append(_num(first).replace("%", "%%"))
-                continue
-        fields.append("%.9g")  # the same text as _num() of each cell
-        varying.append(k)
-    return ",".join(fields), varying
+    fixed = [None if type(cells) is list else _template_field(cells) for cells in ds.cells]
+    for start in range(0, ds.n_rows, _BLOCK):
+        fields, varying = [], []
+        for text, cells in zip(fixed, ds.cells):
+            if text is None:
+                block = cells[start:start + _BLOCK]
+                text = _template_field(block)
+                if text is None:
+                    text = "%.9g"
+                    varying.append(block)
+            fields.append(text)
+        yield min(ds.n_rows - start, _BLOCK), ",".join(fields), varying
 
 
 def format_dataset_csv(ds: FigureDataset) -> str:
-    """CSV text for a dataset: metadata comments, one header row, data rows."""
+    """CSV text for a dataset: metadata comments, one header row, data rows, formatted a block at a time."""
     lines = [f"# {key} = {_meta_str(value)}" for key, value in ds.metadata.items()]
     lines.append(",".join(ds.columns))
-    row_format, varying = _row_template(ds.rows)
-    cells = map(itemgetter(*varying), ds.rows) if varying else [()] * len(ds.rows)
-    lines.extend(map(row_format.__mod__, cells))
+    for count, template, varying in _blocks(ds):
+        lines.extend(map(template.__mod__, zip(*varying)) if varying else [template % ()] * count)
     lines.append("")
     return "\n".join(lines)
 
@@ -176,7 +191,7 @@ def _cmd_figure(s: Scenario, args) -> int:
     ds = generate_figure(args.figure_id, s)
     out = args.out if args.out is not None else f"{args.figure_id}.csv"
     write_dataset(ds, out)
-    print(f"wrote {out} ({len(ds.rows)} rows)")
+    print(f"wrote {out} ({ds.n_rows} rows)")
     return 0
 
 
@@ -187,7 +202,7 @@ def _cmd_sweep(s: Scenario, args) -> int:
     ds = run_sweep(spec, s)
     out = args.out if args.out is not None else f"sweep_{variable}.csv"
     write_dataset(ds, out)
-    print(f"wrote {out} ({len(ds.rows)} rows)")
+    print(f"wrote {out} ({ds.n_rows} rows)")
     return 0
 
 

@@ -86,6 +86,14 @@ def _magnifier(m: float) -> tuple:
     return m, 0.0, 0.0, 1.0 / m
 
 
+def _telescope_exit(f1: float, m: float) -> tuple:
+    # The -f2 element, f2 = f1 * M.  The product can overflow where f1 and M are finite: the error names both.
+    f2 = f1 * m
+    if f2 == _INF:
+        raise InvalidElementError(f"f2 = f1 * magnification overflows: f1 = {f1!r} m, magnification = {m!r}")
+    return _shift(-f2)
+
+
 def apply(m: TransferMatrix, r: RayVector) -> RayVector:
     """Propagate a ray through one matrix."""
     return RayVector(m.a * r.position + m.b * r.slope, m.c * r.position + m.d * r.slope)
@@ -146,7 +154,7 @@ _LAYOUTS = {
         (("L2",), _shift),
         (("f1",), _shift),
         (("magnification",), _magnifier),
-        (("f1", "magnification"), lambda f1, m: _shift(-(f1 * m))),
+        (("f1", "magnification"), _telescope_exit),
     ), ((), lambda: 0.0)),
     "original": (_HEAD, (("L2",), lambda L2: L2)),
 }

@@ -20,7 +20,7 @@ at a reference measurement of the telescope-free system (5 W external beam at
 3 m with 210 W pump input).
 
 generate_figure() produces the built-in studies fig6..fig13 as plain,
-deterministic column/row datasets; identical inputs give bit-identical
+deterministic datasets held by column; identical inputs give bit-identical
 datasets.
 """
 
@@ -30,6 +30,7 @@ import math
 import operator
 from dataclasses import dataclass, fields, replace
 from functools import cache, partial
+from itertools import repeat
 from typing import Callable, Optional, Sequence
 
 from .comms import _data_signal, _shot_noise, _spectral_efficiency, thermal_noise
@@ -79,21 +80,35 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class FigureDataset:
-    """Columnar sweep result with a reproducibility metadata snapshot."""
+    """Figure or sweep result held by column, with a reproducibility metadata snapshot.
+
+    rows and column(name) are read-only views, built from the cells when read.
+    """
 
     figure_id: str
     columns: tuple[str, ...]        # header names with units in brackets
-    rows: tuple[tuple[float, ...], ...]
+    cells: tuple                    # one column per header (errors.py): a list of n_rows cells, or one value
+    n_rows: int
     metadata: dict
 
     def __post_init__(self):
-        width = next(filter(len(self.columns).__ne__, map(len, self.rows)), None)
-        if width is not None:
-            raise ValueError(f"row width {width} != column count {len(self.columns)}")
+        if operator.index(self.n_rows) < 0:
+            raise ValueError(f"row count {self.n_rows!r} is negative")
+        if len(self.cells) != len(self.columns):
+            raise ValueError(f"{len(self.cells)} cell columns != column count {len(self.columns)}")
+        for name, cells in zip(self.columns, self.cells):
+            if type(cells) is list and len(cells) != self.n_rows:
+                raise ValueError(f"column {name!r} has {len(cells)} cells for {self.n_rows} rows")
+
+    @property
+    def rows(self) -> tuple[tuple[float, ...], ...]:
+        if not self.cells:
+            return ((),) * self.n_rows
+        return tuple(zip(*[cells if type(cells) is list else repeat(cells, self.n_rows) for cells in self.cells]))
 
     def column(self, name: str) -> list[float]:
-        idx = self.columns.index(name)
-        return [row[idx] for row in self.rows]
+        cells = self.cells[self.columns.index(name)]
+        return list(cells) if type(cells) is list else [cells] * self.n_rows
 
 
 def _grid(lo: float, hi: float, n: int, indices: Optional[Sequence[int]] = None) -> list[float]:
@@ -422,12 +437,12 @@ def _scenario_metadata(s: Scenario, link: LinkBudgetParams) -> dict:
 
 
 def _dataset(figure_id: str, s: Scenario, link: LinkBudgetParams,
-             columns: Sequence[str], rows: list[tuple[float, ...]], extra_meta: dict) -> FigureDataset:
+             columns: Sequence[str], grid: list[float], outputs: Sequence, extra_meta: dict) -> FigureDataset:
     meta = {"figure_id": figure_id}
     meta.update(extra_meta)
     meta.update(_scenario_metadata(s, link))
-    return FigureDataset(figure_id=figure_id, columns=tuple(columns),
-                         rows=tuple(rows), metadata=meta)
+    return FigureDataset(figure_id=figure_id, columns=tuple(columns), cells=(grid, *outputs),
+                         n_rows=len(grid), metadata=meta)
 
 
 def _fmt(value: float) -> str:
@@ -572,11 +587,11 @@ def generate_figure(figure_id: str, s: Optional[Scenario] = None, *,
     headers, series, meta = build(s, link, m_values=m_values, d_values=d_values,
                                   p_in_values=p_in_values, mu_values=mu_values)
     grid = _grid(lo, hi, samples)
-    rows = list(_rows(grid, *series(grid)))
     suffix = _KEY_SUFFIX.get(unit, "")
     grid_meta = {"sweep.variable": variable, f"sweep.lo{suffix}": lo, f"sweep.hi{suffix}": hi,
                  "sweep.samples": samples}
-    return _dataset(figure_id, s, link, [f"{variable} [{unit}]", *headers], rows, {**grid_meta, **meta})
+    return _dataset(figure_id, s, link, [f"{variable} [{unit}]", *headers], grid, series(grid),
+                    {**grid_meta, **meta})
 
 
 _SWEEP_UNITS = {
@@ -611,8 +626,8 @@ def run_sweep(spec: SweepSpec, s: Optional[Scenario] = None) -> FigureDataset:
     grid = _grid(spec.lo, spec.hi, spec.samples)
     if variable in _GEOMETRY_FIELDS:
         replace(s.geometry, **{variable: grid[0]})
-    rows = tuple(_rows(grid, *_points(s, link, spec.system, {variable: grid})))
+    outputs = _points(s, link, spec.system, {variable: grid})
     columns = [f"{variable} [{_SWEEP_UNITS[variable]}]"] + [f"{name} [{unit}]" for name, unit in _POINT_COLUMNS]
     extra = {"sweep.variable": variable, "sweep.lo": spec.lo, "sweep.hi": spec.hi,
              "sweep.samples": spec.samples, "sweep.system": spec.system}
-    return _dataset(f"sweep_{variable}", s, link, columns, rows, extra)
+    return _dataset(f"sweep_{variable}", s, link, columns, grid, outputs, extra)

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bcrbsim import SweepSpec, run_sweep
-from bcrbsim.cli import _row_template, run_command
+from bcrbsim.cli import _BLOCK, _blocks, run_command
 from bcrbsim.ray_matrix import _LAYOUTS
 from bcrbsim.scenario import _KEYS, _number
 from bcrbsim.sweep_search import _SWEEP_UNITS
@@ -33,6 +33,11 @@ def run(capsys, *argv):
     code = run_command(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def template_columns(ds, template):
+    """The names of the columns that a block's %-template holds as text, not as a %.9g field."""
+    return [name.split(" [")[0] for name, field in zip(ds.columns, template.split(",")) if field != "%.9g"]
 
 
 def value_of(stdout, name):
@@ -245,12 +250,35 @@ class TestSweep:
         ("magnification", 1.5, 6.0, "bcrb", ["stable", *CHAIN_CELLS]),
         ("d", 1.0, 60.0, "original", ["thermal_noise"]),
     ])
-    def test_constant_columns_enter_the_row_template(self, variable, lo, hi, system, constant):
+    def test_constant_columns_enter_the_block_template(self, variable, lo, hi, system, constant):
         # A regression guard: the columns that the swept variable never reaches
-        # are formatted once per file, not once per row.
+        # are formatted once per block, not once per row.
         ds = run_sweep(SweepSpec(variable, lo, hi, 101, system))
-        _, varying = _row_template(ds.rows)
-        assert [name.split(" [")[0] for k, name in enumerate(ds.columns) if k not in varying] == constant
+        [(count, template, _)] = _blocks(ds)
+        assert count == 101
+        assert template_columns(ds, template) == constant
+
+    def test_blocks_past_the_cutoff_and_the_edge_enter_the_template(self):
+        # Past the lasing cutoff the power and data cells are all 0 or one value; past the stability
+        # edge the cavity cells are 0 and NaN.  A block wholly past either carries them in its template.
+        ds = run_sweep(SweepSpec("d", 1.0, 60.0, 10_001, "original"))
+        power = ds.column("beam_power [W]")
+        cutoff = max(k for k, p in enumerate(power) if p != 0.0) + 1
+        edge = ds.column("stable [-]").index(0.0)
+        assert 0 < cutoff < edge < ds.n_rows - 2 * _BLOCK
+        blocks = list(_blocks(ds))
+        assert [count for count, _, _ in blocks] == [_BLOCK] * (ds.n_rows // _BLOCK) + [ds.n_rows % _BLOCK]
+        power_and_data = CHAIN_CELLS[1:]
+        spots = ["stable", "omega1", "omega2", "omega3"]
+        past = 0
+        for k, (_, template, _) in enumerate(blocks):
+            names = template_columns(ds, template)
+            if k * _BLOCK >= cutoff:
+                assert set(power_and_data) <= set(names)
+            if k * _BLOCK >= edge:
+                assert set(spots) <= set(names)
+                past += 1
+        assert past >= 2
 
     @pytest.mark.parametrize("variable", ["p_in", "loss_scale", "d"])
     def test_non_finite_range_exit_1(self, tmp_path, capsys, variable):
@@ -294,6 +322,23 @@ class TestWavelengthOverflow:
         config.write_text(json.dumps({"model_choices": {"lambda_nm": 1e300}}))
         code, out, err = run(capsys, "--config", str(config), "spot")
         assert (code, out, err) == (1, "", "error: wavelength 1e+291 m is too long: (wavelength/pi)^2 overflows\n")
+
+
+class TestTelescopeOverflow:
+    # f2 = f1 * M overflows where f1 and M are finite: the command exits 1 with an error that names both.
+    @pytest.mark.parametrize("samples, f1", [(101, "5.2e+307"), (3, "1e+308")])
+    def test_f1_sweep_exit_1(self, tmp_path, capsys, samples, f1):
+        out_path = tmp_path / "sweep.csv"
+        code, out, err = run(capsys, "sweep", "--variable", "f1", "--lo", "1", "--hi", "1e308",
+                             "--samples", str(samples), "--out", str(out_path))
+        assert (code, out, err) == (1, "", f"error: f2 = f1 * magnification overflows: f1 = {f1} m, "
+                                           "magnification = 3.5\n")
+        assert not out_path.exists()
+
+    def test_original_layout_has_no_telescope(self, tmp_path, capsys):
+        code, out, err = run(capsys, "sweep", "--variable", "f1", "--lo", "1", "--hi", "1e308",
+                             "--system", "original", "--samples", "3", "--out", str(tmp_path / "sweep.csv"))
+        assert (code, err) == (0, "")
 
 
 # Every numeric input of the CLI, at the finite extremes, zeros, non-finite values or any float, ends in an

@@ -27,6 +27,7 @@ Print the digests of the current code with `python tests/test_golden_output.py`.
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -461,6 +462,66 @@ def test_failing_sweep_keeps_its_error(case, system):
     with pytest.raises((BeamSimError, ValueError)) as info:
         run_sweep(SweepSpec(variable, lo, hi, int(samples), system), s)
     assert f"{type(info.value).__name__}: {info.value}" == SWEEP_ERRORS[case]
+
+
+def _benchmark_ops():
+    # The benchmark's operation lists and golden outputs (perfbench/ops.py imports nothing from bcrbsim).
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "ops.py"
+    spec = importlib.util.spec_from_file_location("perfbench_ops", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCHMARK = _benchmark_ops()
+
+
+@pytest.mark.parametrize("name", list(BENCHMARK.SWEEPS))
+def test_benchmark_sweep_matches_its_golden_digest(name):
+    # The benchmark's 10,001-point sweeps span many blocks of rows; their CSV bytes are those it records.
+    variable, lo, hi, system = BENCHMARK.SWEEPS[name]
+    ds = run_sweep(SweepSpec(variable, lo, hi, BENCHMARK.SWEEP_SAMPLES, system))
+    golden = BENCHMARK.load_golden()["sweeps"][name]
+    assert BENCHMARK.sha256(format_dataset_csv(ds)) == golden["sha256"]
+    stable = ds.column("stable [-]")
+    assert stable.count(0.0) / len(stable) == golden["unstable_frac"]
+
+
+# sha256 of repr(ds.rows), recorded when a dataset was stored as row tuples: each figure on the reference
+# scenario, and the benchmark's sweeps at 101 samples.
+ROWS_GOLDEN = {
+    "fig6": "6aa6467ef9012e521634a8354e2023bec830ef79a69b1358312fa835b4c59be1",
+    "fig7": "fa031b59ebb51a6f3919e7c0f67d343c3d9528aee996a97987c50d1b0b0c600a",
+    "fig8": "90d68cd6178b3579e95df35fe34584e745fdead4010423abfb1b5318a55992a3",
+    "fig9": "af67da9d0ef970d9525b400fd9041b5f115239f0c79872503829bc394474b5c4",
+    "fig10": "1388758b0f56f76db3e3109c3777bbc2dbe13fafcd21cf35aebc22e6b977d947",
+    "fig11": "6bfef0d51573dff2ad009f5ba2b9ba7fd78d5207823a86091a6ce2a3302e56bf",
+    "fig12": "3062d1a17b84605412f2deb671ab8c5a88af51a5d63b784a9b89eada285f5b61",
+    "fig13": "c54e1d22d845835e25ed14158f72fbc2c4838ead945b55c3f39b7913a151ab7d",
+    "d_1_6_bcrb": "bf77e2e3e2c83eeef7c2a65465237a39da7384fc432ba6db96ab3ab113852ac8",
+    "d_1_60_original": "da1fe435e12f6cfee7e1f0b5a1d1274245c621e533ef1afbaf94fb973e0115e0",
+    "p_in_150_300": "45d68a5427cd47070489a80f2c7c545d9be42599205582680c422d0cb7e2b7de",
+    "rho2_1_50": "3a7bf643fcabb7919cfa5466c504b58c2fac55fd123af8b3be65d0d2046b8b92",
+    "M_1.5_6": "461c2597025d990f13df2cdf28ab485d4590d8484a833bb50132b791c63b5e34",
+}
+
+
+def test_rows_golden_covers_every_figure_and_benchmark_sweep():
+    assert list(ROWS_GOLDEN) == list(FIGURES) + list(BENCHMARK.SWEEPS)
+
+
+@pytest.mark.parametrize("name", list(ROWS_GOLDEN))
+def test_rows_and_columns_views_keep_the_row_tuples(name):
+    if name in FIGURES:
+        ds = generate_figure(name)
+    else:
+        variable, lo, hi, system = BENCHMARK.SWEEPS[name]
+        ds = run_sweep(SweepSpec(variable, lo, hi, 101, system))
+    rows = ds.rows
+    assert type(rows) is tuple and all(type(row) is tuple for row in rows) and len(rows) == ds.n_rows
+    assert hashlib.sha256(repr(rows).encode("utf-8")).hexdigest() == ROWS_GOLDEN[name]
+    for k, column in enumerate(ds.columns):
+        assert list(map(repr, ds.column(column))) == [repr(row[k]) for row in rows], column
 
 
 if __name__ == "__main__":

@@ -44,7 +44,7 @@ from bcrbsim import (
     thermal_noise,
     transmission_loss,
 )
-from bcrbsim.cli import format_dataset_csv
+from bcrbsim.cli import _BLOCK, format_dataset_csv
 from bcrbsim.gaussian_beam import _spots
 from bcrbsim.ray_matrix import _MIRROR, _affine, _close, _focus, _product, _shift, round_trip, round_trip_prefix
 from bcrbsim.sweep_search import (_SWEEP_UNITS, FigureDataset, _distance_bands, _grid, _require_cap,
@@ -270,48 +270,109 @@ CELLS = st.one_of(
     st.integers(-10**12, 10**12))
 
 
+def _per_cell_csv(ds, metadata_lines=()):
+    # The CSV of ds with every cell of every row formatted on its own.
+    cells = [column if type(column) is list else [column] * ds.n_rows for column in ds.cells]
+    rows = zip(*cells) if cells else [()] * ds.n_rows
+    return "\n".join([*metadata_lines, ",".join(ds.columns)] + [",".join(f"{c:.9g}" for c in row) for row in rows]) + "\n"
+
+
+def _dataset(columns, n_rows):
+    return FigureDataset("t", tuple(f"c{k}" for k in range(len(columns))), tuple(columns), n_rows, {})
+
+
 @settings(max_examples=300, deadline=None)
 @given(width=st.integers(0, 6), data=st.data())
 def test_csv_rows_match_per_cell_format(width, data):
     rows = data.draw(st.lists(st.tuples(*[CELLS] * width), max_size=8))
-    ds = FigureDataset("t", tuple(f"c{k}" for k in range(width)), tuple(rows), {"k": 1.5})
-    per_cell = ["# k = 1.5", ",".join(ds.columns)] + [",".join(f"{cell:.9g}" for cell in row) for row in rows]
-    assert format_dataset_csv(ds) == "\n".join(per_cell) + "\n"
+    columns = [[row[k] for row in rows] for k in range(width)]
+    ds = FigureDataset("t", tuple(f"c{k}" for k in range(width)), tuple(columns), len(rows), {"k": 1.5})
+    assert format_dataset_csv(ds) == _per_cell_csv(ds, ["# k = 1.5"])
 
 
 @st.composite
 def constant_columns(draw):
-    """Columns of one length, most of them constant or nearly so, as lists of cells."""
+    """Columns of one length, most of them constant or nearly so: lists of cells, or one value for every row."""
     n = draw(st.integers(0, 50))
     column = st.one_of(
         CELLS.map(lambda cell: [cell] * n),                                      # one value repeated
+        CELLS,                                                                   # one value, held once
         st.lists(st.sampled_from([0.0, -0.0, 0, False]), min_size=n, max_size=n),  # equal, but 0 and -0
         st.lists(st.sampled_from([True, 1, 1.0]), min_size=n, max_size=n),       # equal, all print 1
         st.just([math.nan] * n),                                                 # one NaN object
         st.builds(lambda: [float("nan") for _ in range(n)]),                     # distinct NaN objects
         st.lists(CELLS, min_size=n, max_size=n))
-    return draw(st.lists(column, min_size=1, max_size=6))
+    return draw(st.lists(column, min_size=1, max_size=6)), n
 
 
 @settings(max_examples=300, deadline=None)
 @given(columns=constant_columns())
-@example(columns=[[2.5] * 3, [1.0, 2.0, 3.0]])                              # constant first column
-@example(columns=[[1.0, 2.0, 3.0], [-7.25e-300] * 3])                       # constant last column
-@example(columns=[[4.0] * 3, [-0.0] * 3, [True] * 3, [math.inf] * 3])       # every column constant
-@example(columns=[[0.0, -0.0, 0.0], [-0.0, 0, -0.0], [False, 0.0, -0.0]])   # equal zeros, two signs
-@example(columns=[[True, 1, 1.0], [1.0, True, 1]])                          # True, 1 and 1.0 print 1
-@example(columns=[[1.0, 2.0, 1.0], [0.5, -0.5, 0.5]])                       # equal ends, another middle
-@example(columns=[[math.nan] * 3, [float("nan"), float("nan"), float("nan")]])  # one NaN, distinct NaNs
-@example(columns=[[], []])                                                  # no rows
-@example(columns=[[5e-324]])                                                # one row
-@example(columns=[[0.1] * 50, list(range(50))])                            # 50 rows
+@example(columns=([[2.5] * 3, [1.0, 2.0, 3.0]], 3))                              # constant first column
+@example(columns=([[1.0, 2.0, 3.0], [-7.25e-300] * 3], 3))                       # constant last column
+@example(columns=([[4.0] * 3, [-0.0] * 3, [True] * 3, [math.inf] * 3], 3))       # every column constant
+@example(columns=([4.0, -0.0, True, math.nan], 3))                               # every column one value
+@example(columns=([[0.0, -0.0, 0.0], [-0.0, 0, -0.0], [False, 0.0, -0.0]], 3))   # equal zeros, two signs
+@example(columns=([[True, 1, 1.0], [1.0, True, 1]], 3))                          # True, 1 and 1.0 print 1
+@example(columns=([[1.0, 2.0, 1.0], [0.5, -0.5, 0.5]], 3))                       # equal ends, another middle
+@example(columns=([[math.nan] * 3, [float("nan"), float("nan"), float("nan")]], 3))  # one NaN, distinct NaNs
+@example(columns=([[], []], 0))                                                  # no rows
+@example(columns=([2.5, []], 0))                                                 # no rows, one value
+@example(columns=([[5e-324]], 1))                                                # one row
+@example(columns=([[0.1] * 50, list(range(50))], 50))                           # 50 rows
 def test_csv_constant_columns_match_per_cell_format(columns):
-    # A column whose every cell prints the same text is formatted once; the
-    # bytes must still be those of formatting each cell.
-    rows = list(zip(*columns))
-    ds = FigureDataset("t", tuple(f"c{k}" for k in range(len(columns))), tuple(rows), {})
-    per_cell = [",".join(ds.columns)] + [",".join(f"{cell:.9g}" for cell in row) for row in rows]
-    assert format_dataset_csv(ds) == "\n".join(per_cell) + "\n"
+    # A column whose every cell prints the same text is formatted once per block;
+    # the bytes must still be those of formatting each cell.
+    ds = _dataset(*columns)
+    assert format_dataset_csv(ds) == _per_cell_csv(ds)
+
+
+@st.composite
+def block_columns(draw):
+    """Columns of more than one block of rows, as runs of cells whose bounds often fall at a block edge.
+
+    A run is one object repeated, zeros of both signs, a mix of True, 1 and
+    1.0, one NaN object, distinct NaN objects, or free cells.
+    """
+    n = draw(st.integers(_BLOCK + 1, 3 * _BLOCK))
+    edges = [k * _BLOCK + shift for k in range(1, (n - 1) // _BLOCK + 1) for shift in (-1, 0, 1)]
+    rnd = draw(st.randoms(use_true_random=False))
+    runs = {
+        "one": lambda m: [draw(CELLS)] * m,
+        "zeros": lambda m: [rnd.choice([0.0, -0.0, 0, False]) for _ in range(m)],
+        "ones": lambda m: [rnd.choice([True, 1, 1.0]) for _ in range(m)],
+        "nan": lambda m: [math.nan] * m,
+        "nans": lambda m: [float("nan") for _ in range(m)],
+        "free": lambda m: [rnd.choice([0.5, -2.0, 1e300, 5e-324, math.inf, -0.0]) for _ in range(m)],
+    }
+
+    def column():
+        if draw(st.booleans()) and draw(st.booleans()):
+            return draw(CELLS)  # one value for every row
+        cuts = draw(st.lists(st.one_of(st.sampled_from(edges), st.integers(1, n - 1)), max_size=6))
+        bounds = [0, *sorted(set(cuts)), n]
+        return [cell for lo, hi in zip(bounds, bounds[1:]) for cell in runs[draw(st.sampled_from(sorted(runs)))](hi - lo)]
+    return [column() for _ in range(draw(st.integers(1, 4)))], n
+
+
+def _fixed_block_columns():
+    # One case with every property at once, over two full blocks and part of a third.
+    n, b = 2 * _BLOCK + 7, _BLOCK
+    zeros = [0.0] * n
+    zeros[3] = -0.0                    # two signs in one block
+    zeros[b + 5:2 * b] = [-0.0] * (b - 5)  # and across blocks: block 2 mixes, block 3 is all 0.0
+    distinct = [math.nan] * b + [float("nan") for _ in range(n - b)]  # one NaN object, then distinct ones
+    ones = [True] * b + [1] * (b // 2) + [1.0] * (n - b - b // 2)  # 1 and 1.0 mixed in block 2
+    runs = [7.5] * b + [float(k) for k in range(n - b)]   # a run that ends at the first block edge
+    late = [float(k) for k in range(b)] + [-0.0] * (n - b)  # a run that starts at it
+    return [zeros, distinct, ones, runs, late, 2.5], n
+
+
+@settings(max_examples=40, deadline=None)
+@given(columns=block_columns())
+@example(columns=_fixed_block_columns())
+def test_csv_across_block_edges_matches_per_cell_format(columns):
+    ds = _dataset(*columns)
+    assert format_dataset_csv(ds) == _per_cell_csv(ds)
 
 
 def _closed(prefix, gap, rho2):

@@ -2,6 +2,7 @@
 
 
 import math
+import sys
 from functools import partial
 
 import numpy as np
@@ -19,7 +20,8 @@ from bcrbsim import (
     round_trip_closed_form,
     round_trip_original,
 )
-from bcrbsim.ray_matrix import _LENS, _MIRROR, _focus, _fold, _magnifier, _product, _shift, bcrb_elements
+from bcrbsim.ray_matrix import (_LAYOUTS, _LENS, _MIRROR, _focus, _fold, _magnifier, _product, _shift, bcrb_elements,
+                                round_trip, round_trip_prefix)
 
 IDENTITY = (1.0, 0.0, 0.0, 1.0)
 
@@ -269,6 +271,20 @@ class TestGeometryValidation:
     def test_f2_tied_to_magnification(self):
         g = CavityGeometry(f1=0.010, magnification=3.5)
         assert g.f2 == pytest.approx(0.035, rel=1e-15)
+
+    @pytest.mark.parametrize("f1, m", [(1e300, 1e10), (sys.float_info.max, 1.5), (1e308, 2.0)])
+    def test_f2_overflow_names_f1_and_magnification(self, f1, m):
+        # f1 and M are each finite, their product f2 is not: the error names both, not the -f2 gap.
+        g = CavityGeometry(f1=f1, magnification=m)
+        for build in (round_trip_bcrb, lambda g: round_trip(g, "bcrb"), lambda g: round_trip_prefix(g, "bcrb")):
+            with pytest.raises(InvalidElementError) as info:
+                build(g)
+            assert str(info.value) == f"f2 = f1 * magnification overflows: f1 = {f1!r} m, magnification = {m!r}"
+
+    def test_largest_finite_f2_keeps_its_bits(self):
+        # Just below the overflow, the -f2 element is the shift by -(f1 * M), as before.
+        f1, m = sys.float_info.max / 2.0, 2.0
+        assert _fold(CavityGeometry(f1=f1, magnification=m), [_LAYOUTS["bcrb"][0][-1]]) == _shift(-(f1 * m))
 
 
 class TestIsStable:

@@ -385,11 +385,37 @@ class TestFigureDatasets:
         with pytest.raises(ValueError):
             generate_figure("fig99")
 
-    @pytest.mark.parametrize("rows, width", [(((1.0, 2.0), (3.0,), (4.0, 5.0, 6.0)), 1), (((3.0, 4.0, 5.0),), 3),
-                                             (((1.0, 2.0), ()), 0)])
-    def test_first_bad_row_width_named(self, rows, width):
-        with pytest.raises(ValueError, match=f"^row width {width} != column count 2$"):
-            sweep_search.FigureDataset("t", ("a", "b"), rows, {})
+    @pytest.mark.parametrize("cells, n_rows, name, length", [
+        (([1.0, 2.0], [3.0]), 2, "b", 1),             # the second column is short
+        (([1.0, 2.0, 3.0], 4.0), 2, "a", 3),          # the first is long; a value is every row's cell
+        (([1.0], [2.0, 3.0]), 2, "a", 1),             # both are bad: the first is named
+        ((5.0, []), 1, "b", 0),
+        (([], [0.0]), 0, "b", 1),
+    ])
+    def test_first_bad_column_length_named(self, cells, n_rows, name, length):
+        with pytest.raises(ValueError, match=f"^column '{name}' has {length} cells for {n_rows} rows$"):
+            sweep_search.FigureDataset("t", ("a", "b"), cells, n_rows, {})
+
+    @pytest.mark.parametrize("cells, n_rows, match", [
+        (([1.0],), 1, "^1 cell columns != column count 2$"),
+        (([1.0], [2.0], [3.0]), 1, "^3 cell columns != column count 2$"),
+        ((1.0, 2.0), -1, "^row count -1 is negative$"),
+    ])
+    def test_cell_columns_and_row_count_checked(self, cells, n_rows, match):
+        with pytest.raises(ValueError, match=match):
+            sweep_search.FigureDataset("t", ("a", "b"), cells, n_rows, {})
+
+    def test_rows_and_columns_from_lists_and_values(self):
+        ds = sweep_search.FigureDataset("t", ("a", "b", "c"), ([1.0, 2.0], 0.5, [True, -0.0]), 2, {})
+        assert ds.rows == ((1.0, 0.5, True), (2.0, 0.5, -0.0))
+        assert (ds.column("a"), ds.column("b"), ds.column("c")) == ([1.0, 2.0], [0.5, 0.5], [True, -0.0])
+        ds.column("a").append(3.0)  # a view: the dataset keeps its cells
+        assert ds.column("a") == [1.0, 2.0]
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 3])
+    def test_no_columns_keeps_its_row_count(self, n_rows):
+        ds = sweep_search.FigureDataset("t", (), (), n_rows, {})
+        assert ds.rows == ((),) * n_rows
 
     def test_deterministic_regeneration(self):
         s = default_scenario()
