@@ -3,6 +3,8 @@
 P_data = gamma (1 - mu) P_beam mixes responsivity [A/W] with optical power;
 it is used consistently as a model-internal signal level, feeding the shot
 noise and the half-log capacity expression without a unit conversion.
+data_signal, shot_noise and spectral_efficiency take a column (errors.py)
+for any argument but r and log_base.
 """
 
 from __future__ import annotations
@@ -56,11 +58,6 @@ def _data_signal(p_beam, responsivity: float, mu):
 
 def shot_noise(p_data: float, r: ReceiverParams) -> float:
     """Shot-noise variance 2 q (P_data + I_bg) B."""
-    return _shot_noise(p_data, r)
-
-
-def _shot_noise(p_data, r: ReceiverParams):
-    # shot_noise over a column (list) of p_data, or a float.
     _reject(ValueError, ("signal level", p_data, ">= 0"))
     rows, k, i_bg, bandwidth = _rows(p_data), 2.0 * r.electron_charge, r.background_current, r.bandwidth
     return _column(rows, [k * (x + i_bg) * bandwidth for x, in rows])
@@ -80,14 +77,10 @@ def spectral_efficiency(p_data: float, n2_total: float, log_base: float = 2.0) -
     """Half-log capacity figure: 0.5 * log_base(1 + P_data^2 e / (2 pi n2_total)).
 
     Base 2 yields bit/s/Hz; the base is a reporting choice and is carried in
-    dataset metadata.
+    dataset metadata.  Where the ratio x = P_data^2 e / (2 pi n2_total)
+    overflows, or a product loses digits below the normal range, x is taken
+    in logs.
     """
-    return _spectral_efficiency(p_data, n2_total, log_base)
-
-
-def _spectral_efficiency(p_data, n2_total, log_base: float):
-    # spectral_efficiency over columns (lists) and floats of p_data and n2_total.  Where the ratio
-    # x = P_data^2 e / (2 pi n2_total) overflows or a product loses digits below the normal range, x is taken in logs.
     _reject(ValueError, ("signal level", p_data, ">= 0"), ("total noise", n2_total, "> 0"),
             ("log base", log_base, "> 1"))
     rows, ln_base, log1p, e, two_pi = _rows(p_data, n2_total), math.log(log_base), math.log1p, math.e, 2.0 * math.pi

@@ -5,7 +5,8 @@ delta_t(d) = N exp(-2 pi b^2 / (lambda d)) whose scale factor N is a
 calibration constant (see sweep_search.calibrate_loss_scale).  delta_t feeds
 the cyclic-power expression for the external beam power, and a linear PV
 model converts the harvested share to electrical output.  Negative model
-outputs are below-threshold artifacts and clamp to 0 W by default.
+outputs are below-threshold artifacts and clamp to 0 W by default.  The
+three formulas take a column (errors.py) for any argument but p and clamp.
 """
 
 from __future__ import annotations
@@ -39,13 +40,9 @@ def transmission_loss(d: float, b: float, wavelength: float, loss_scale: float) 
     """Aperture loss delta_t = N exp(-2 pi b^2 / (lambda d)).
 
     Strictly increasing in d (0 at d -> 0+, N at d -> inf) and decreasing in
-    the aperture radius b.
+    the aperture radius b.  Where wavelength * d underflows to 0 it is the
+    limit at d -> 0+.
     """
-    return _transmission_loss(d, b, wavelength, loss_scale)
-
-
-def _transmission_loss(d, b, wavelength, loss_scale):
-    # transmission_loss over columns (lists) and floats.  Where wavelength * d underflows to 0: the limit at d -> 0+.
     _reject(ValueError, ("distance", d, "> 0"), ("aperture radius", b, "> 0"), ("wavelength", wavelength, "> 0"),
             ("loss_scale", loss_scale, "> 0"))
     rows, exp, k = _rows(d, b, wavelength, loss_scale), math.exp, -2.0 * math.pi
@@ -58,11 +55,6 @@ def beam_power(p_in: float, delta_t: float, p: LinkBudgetParams, clamp: bool = T
     P_beam = 2 (1 - R) eta_c / ((1 + R) (delta_t - ln R)) * P_in + C, clamped
     at 0 from below (below lasing threshold) unless clamp=False.
     """
-    return _beam_power(p_in, delta_t, p, clamp)
-
-
-def _beam_power(p_in, delta_t, p: LinkBudgetParams, clamp: bool):
-    # beam_power over columns (lists) and floats of p_in and delta_t.
     _reject(ValueError, ("input power", p_in, ">= 0"), ("delta_t", delta_t, ">= 0"))
     r = p.reflectivity
     rows, gain, ln_r, c = _rows(p_in, delta_t), 2.0 * (1.0 - r) * p.conversion_efficiency, math.log(r), p.intercept
@@ -83,11 +75,6 @@ def effective_aperture(g: CavityGeometry, system: str) -> float:
 
 def pv_output(p_beam: float, mu: float, p: LinkBudgetParams, clamp: bool = True) -> float:
     """PV electrical output P_out = a1 * mu * P_beam + b1, clamped at 0."""
-    return _pv_output(p_beam, mu, p, clamp)
-
-
-def _pv_output(p_beam, mu, p: LinkBudgetParams, clamp: bool):
-    # pv_output over columns (lists) and floats of p_beam and mu.
     _reject(ValueError, ("beam power", p_beam, ">= 0"), ("split ratio mu", mu, "in [0, 1]"))
     rows, a1, b1 = _rows(p_beam, mu), p.pv_slope, p.pv_intercept
     return _column(rows, [0.0 if (w := a1 * m * x + b1) < 0.0 and clamp else w for x, m in rows])

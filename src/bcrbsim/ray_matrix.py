@@ -86,12 +86,12 @@ def _magnifier(m: float) -> tuple:
     return m, 0.0, 0.0, 1.0 / m
 
 
-def _telescope_exit(f1: float, m: float) -> tuple:
-    # The -f2 element, f2 = f1 * M.  The product can overflow where f1 and M are finite: the error names both.
+def _f2(f1: float, m: float) -> float:
+    # f2 = f1 * M, which can overflow where f1 and M are finite: the error names both.
     f2 = f1 * m
     if f2 == _INF:
         raise InvalidElementError(f"f2 = f1 * magnification overflows: f1 = {f1!r} m, magnification = {m!r}")
-    return _shift(-f2)
+    return f2
 
 
 def apply(m: TransferMatrix, r: RayVector) -> RayVector:
@@ -154,7 +154,7 @@ _LAYOUTS = {
         (("L2",), _shift),
         (("f1",), _shift),
         (("magnification",), _magnifier),
-        (("f1", "magnification"), _telescope_exit),
+        (("f1", "magnification"), lambda f1, m: _shift(-_f2(f1, m))),
     ), ((), lambda: 0.0)),
     "original": (_HEAD, (("L2",), lambda L2: L2)),
 }
@@ -281,7 +281,7 @@ def round_trip_closed_form(g: CavityGeometry) -> TransferMatrix:
     """
     m = g.magnification
     l2p = g.L2 + g.f1
-    l3p = g.d - g.f2
+    l3p = g.d - _f2(g.f1, m)
     h = m * l2p + l3p / m
     gain_term = m - h / g.f_gain
     b1 = g.L1 * gain_term + h

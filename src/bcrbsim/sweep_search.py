@@ -33,11 +33,10 @@ from functools import cache, partial
 from itertools import repeat
 from typing import Callable, Optional, Sequence
 
-from .comms import _data_signal, _shot_noise, _spectral_efficiency, thermal_noise
+from .comms import _data_signal, shot_noise, spectral_efficiency, thermal_noise
 from .errors import InfeasibleSearchError, NoStableRegionError, UnstableCavityError, _column, _reject, _rows
 from .gaussian_beam import _cavity, _spots
-from .link_budget import (LinkBudgetParams, _beam_power, _pv_output, _transmission_loss, effective_aperture,
-                          transmission_loss)
+from .link_budget import LinkBudgetParams, beam_power, effective_aperture, pv_output, transmission_loss
 from .ray_matrix import (CavityGeometry, TransferMatrix, _affine, _close, _layout, _require_mirror_radius,
                          _round_trip_over, _stable, is_stable, round_trip, round_trip_prefix)
 from .scenario import Scenario, default_scenario, scenario_to_dict
@@ -359,28 +358,28 @@ def _chain(s: Scenario, link: LinkBudgetParams, system: str, data: bool = False)
     p_in, mu) gives the power branch (delta_t, beam_power, pv_output); later
     stages see the beam power floored at 0.  With data, the data branch follows:
     (data_signal, shot_noise, thermal_noise, total_noise, spectral_efficiency).
-    Each step is the column form of the link_budget or comms function, with all
-    its checks, each made once per column.
+    Each step is its link_budget or comms function called on columns, each
+    check made once per column; data_signal's is _data_signal, for a mu column.
     """
     g, rx, choices = s.geometry, s.receiver, s.model_choices
     b, clamp, thermal = effective_aperture(g, system), choices.clamp_negative_power, thermal_noise(rx)
 
     def loss(d=g.d, wavelength=g.wavelength, loss_scale=link.loss_scale):
-        return _transmission_loss(d, b, wavelength, loss_scale)
+        return transmission_loss(d, b, wavelength, loss_scale)
 
     def point(delta_t, p_in=s.pump_input_power, mu=rx.split_ratio) -> tuple:
-        p_beam = _beam_power(p_in, delta_t, link, clamp)
+        p_beam = beam_power(p_in, delta_t, link, clamp)
         rows = _rows(p_beam)
         p_beam_floor = _column(rows, [0.0 if 0.0 > x else x for x, in rows])  # max(x, 0.0), -0.0 and NaN kept
-        power = (delta_t, p_beam, _pv_output(p_beam_floor, mu, link, clamp))
+        power = (delta_t, p_beam, pv_output(p_beam_floor, mu, link, clamp))
         if not data:
             return power
         p_data = _data_signal(p_beam_floor, rx.responsivity, mu)
         del p_beam_floor
-        shot = _shot_noise(p_data, rx)
+        shot = shot_noise(p_data, rx)
         rows = _rows(shot)
         total = _column(rows, [x + thermal for x, in rows])
-        return power + (p_data, shot, thermal, total, _spectral_efficiency(p_data, total, choices.log_base))
+        return power + (p_data, shot, thermal, total, spectral_efficiency(p_data, total, choices.log_base))
     return loss, point
 
 

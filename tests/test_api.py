@@ -125,6 +125,41 @@ def test_every_definition_is_used():
     assert sorted(set(ALLOWED_UNUSED) - {name for _, name in unused}) == [], "allowlist entries that nothing needs"
 
 
+def _pass_through_twins(tree: ast.Module):
+    """Names of the public functions in tree whose body, after a docstring, is only
+    `return _name(<their own parameters, in order>)`: the work is then in a private twin."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or node.name.startswith("_"):
+            continue
+        body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+        if (len(body) == 1 and isinstance(body[0], ast.Return) and isinstance(call := body[0].value, ast.Call)
+                and isinstance(call.func, ast.Name) and call.func.id.startswith("_") and not call.keywords
+                and [arg.id if isinstance(arg, ast.Name) else None for arg in call.args] == params):
+            yield node.name
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ('def f(a, b):\n    """Doc."""\n    return _f(a, b)', ["f"]),
+    ("def f(a, *, b=1):\n    return _f(a, b)", ["f"]),
+    ('def f(g):\n    """Doc."""\n    return _f(g, "bcrb")', []),  # a literal argument: a layout choice
+    ("def f(m):\n    return _f(m.a, m.d)", []),  # attributes: the function picks what the twin reads
+    ("def f(a, b):\n    return _f(b, a)", []),
+    ("def f(a, b):\n    return g(a, b)", []),
+    ("def _f(a, b):\n    return _g(a, b)", []),
+    ("def f(a, b):\n    x = _f(a, b)\n    return x", []),
+], ids=["docstring", "keyword_only", "literal", "attributes", "reordered", "public_callee", "private", "two_lines"])
+def test_pass_through_detector(source, flagged):
+    assert list(_pass_through_twins(ast.parse(source))) == flagged
+
+
+def test_no_public_function_is_a_pass_through_to_a_private_twin():
+    # Each formula is written once: a public function holds its own body rather than forwarding to a twin.
+    assert [(path.name, name) for path in sorted(Path(bcrbsim.__file__).parent.glob("*.py"))
+            for name in _pass_through_twins(ast.parse(path.read_text(encoding="utf-8")))] == []
+
+
 # One valid call per public callable that takes a float, by keyword; each
 # float parameter in turn is then set to NaN, +inf and -inf.
 VALID_CALLS = {

@@ -276,7 +276,8 @@ class TestGeometryValidation:
     def test_f2_overflow_names_f1_and_magnification(self, f1, m):
         # f1 and M are each finite, their product f2 is not: the error names both, not the -f2 gap.
         g = CavityGeometry(f1=f1, magnification=m)
-        for build in (round_trip_bcrb, lambda g: round_trip(g, "bcrb"), lambda g: round_trip_prefix(g, "bcrb")):
+        for build in (round_trip_bcrb, lambda g: round_trip(g, "bcrb"), lambda g: round_trip_prefix(g, "bcrb"),
+                      round_trip_closed_form):
             with pytest.raises(InvalidElementError) as info:
                 build(g)
             assert str(info.value) == f"f2 = f1 * magnification overflows: f1 = {f1!r} m, magnification = {m!r}"
@@ -285,6 +286,16 @@ class TestGeometryValidation:
         # Just below the overflow, the -f2 element is the shift by -(f1 * M), as before.
         f1, m = sys.float_info.max / 2.0, 2.0
         assert _fold(CavityGeometry(f1=f1, magnification=m), [_LAYOUTS["bcrb"][0][-1]]) == _shift(-(f1 * m))
+
+    @pytest.mark.parametrize("g, entries", [
+        (CavityGeometry(), ["0x1.c05306b5b5680p+1", "0x1.1ebe030837f60p+0", "-0x1.670989ee84ac5p-2",
+                            "0x1.631589e02857cp-3"]),
+        (CavityGeometry(f1=sys.float_info.max / 2.0, magnification=2.0, d=1e300),
+         ["-0x1.52832c8d9c000p+1013", "0x1.ff6b0e266b71ep+1022", "inf", "-0x1.992271b855f4bp+1019"]),
+    ], ids=["reference", "largest_finite_f2"])
+    def test_closed_form_with_a_finite_f2_keeps_its_bits(self, g, entries):
+        # The closed form reads f2 through the same overflow check as the -f2 element; a finite f2 is f1 * M.
+        assert [x.hex() for x in round_trip_closed_form(g)] == entries
 
 
 class TestIsStable:

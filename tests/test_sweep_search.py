@@ -617,32 +617,25 @@ class TestRunSweep:
                                                   ("magnification", 1.5, 6.0), ("f1", 0.002, 0.05),
                                                   ("L2", 0.0, 0.3), ("f_gain", 0.3, 2.0)])
     def test_geometry_sweep_validates_once(self, monkeypatch, variable, lo, hi, system):
-        # One geometry check per sweep, at the first grid point; the aperture loss computes
-        # one cell when the variable does not reach it, else one per point.  The loss
-        # scale's calibration calls transmission_loss once.
+        # One geometry check per sweep, at the first grid point.  transmission_loss runs twice:
+        # the loss scale's calibration computes one cell, then the chain's aperture loss computes
+        # one cell when the variable does not reach it, else one per point.
         s = default_scenario()
-        checks, losses = [], []
+        checks = []
         post_init = CavityGeometry.__post_init__
         monkeypatch.setattr(CavityGeometry, "__post_init__", lambda g: checks.append(1) or post_init(g))
-        loss = sweep_search.transmission_loss
-        monkeypatch.setattr(sweep_search, "transmission_loss", lambda *args: losses.append(1) or loss(*args))
-        cells = self.count_cells(monkeypatch, "_transmission_loss")
+        cells = self.count_cells(monkeypatch, "transmission_loss")
         assert len(run_sweep(SweepSpec(variable, lo, hi, 101, system), s).rows) == 101
         assert len(checks) <= 1
-        assert len(losses) == 1
-        assert cells == {"_transmission_loss": [101 if variable == "d" else 1]}
+        assert cells == {"transmission_loss": [1, 101 if variable == "d" else 1]}
 
     @pytest.mark.parametrize("variable, lo, hi, n", [("p_in", 150.0, 300.0, 1), ("mu", 0.0, 1.0, 1),
                                                      ("d", 1.0, 6.0, 101), ("loss_scale", 0.5, 2.0, 101)])
     def test_aperture_loss_once_unless_the_variable_reaches_it(self, monkeypatch, variable, lo, hi, n):
-        # The loss scale's calibration calls transmission_loss once; the chain's loss is one column of n cells.
-        losses = []
-        loss = sweep_search.transmission_loss
-        monkeypatch.setattr(sweep_search, "transmission_loss", lambda *args: losses.append(1) or loss(*args))
-        cells = self.count_cells(monkeypatch, "_transmission_loss")
+        # The loss scale's calibration computes one cell of transmission_loss, then the chain's loss n cells.
+        cells = self.count_cells(monkeypatch, "transmission_loss")
         assert len(run_sweep(SweepSpec(variable, lo, hi, 101), default_scenario()).rows) == 101
-        assert len(losses) == 1
-        assert cells == {"_transmission_loss": [n]}
+        assert cells == {"transmission_loss": [1, n]}
 
     @pytest.mark.parametrize("system", ["bcrb", "original"])
     @pytest.mark.parametrize("variable, lo, hi", [("d", 1.0, 6.0), ("rho2", 1.0, 50.0), ("p_in", 150.0, 300.0),
@@ -685,12 +678,13 @@ class TestRunSweep:
     @pytest.mark.parametrize("variable", sorted(STAGE_READS))
     def test_each_stage_computes_one_cell_or_one_per_point(self, monkeypatch, variable, system):
         # Each stage is called once, on columns: a stage computes 1 cell, or n cells when its inputs vary.
-        stages = ("_cavity", "_transmission_loss", "_beam_power")
+        # transmission_loss first computes the one cell of the loss scale's calibration.
+        stages = ("_cavity", "transmission_loss", "beam_power")
         cells = self.count_cells(monkeypatch, *stages)
         (lo, hi), cavity_bcrb, cavity_original, loss, power = self.STAGE_READS[variable]
         assert len(run_sweep(SweepSpec(variable, lo, hi, 11, system), default_scenario()).rows) == 11
-        reached = (cavity_bcrb if system == "bcrb" else cavity_original, loss, power)
-        assert [cells[name] for name in stages] == [[11 if reads else 1] for reads in reached]
+        cavity = cavity_bcrb if system == "bcrb" else cavity_original
+        assert [cells[name] for name in stages] == [[11 if cavity else 1], [1, 11 if loss else 1], [11 if power else 1]]
 
     @pytest.mark.parametrize("variable, lo, hi", [("rho2", 1.0, 50.0), ("magnification", 1.5, 6.0),
                                                   ("p_in", 150.0, 300.0), ("wavelength", 500e-9, 1500e-9)])
@@ -702,6 +696,6 @@ class TestRunSweep:
                 raise RuntimeError(stage)
             return raise_
         monkeypatch.setattr(sweep_search, "_cavity", fail("cavity"))
-        monkeypatch.setattr(sweep_search, "_spectral_efficiency", fail("chain"))
+        monkeypatch.setattr(sweep_search, "spectral_efficiency", fail("chain"))
         with pytest.raises(RuntimeError, match="^cavity$"):
             run_sweep(SweepSpec(variable, lo, hi, 11), default_scenario())
