@@ -3,8 +3,8 @@
 P_data = gamma (1 - mu) P_beam mixes responsivity [A/W] with optical power;
 it is used consistently as a model-internal signal level, feeding the shot
 noise and the half-log capacity expression without a unit conversion.
-data_signal, shot_noise and spectral_efficiency take a column (errors.py)
-for any argument but r and log_base.
+data_signal, shot_noise, total_noise and spectral_efficiency take a column
+(errors.py) for any argument but r and log_base.
 """
 
 from __future__ import annotations
@@ -70,7 +70,8 @@ def thermal_noise(r: ReceiverParams) -> float:
 
 def total_noise(p_data: float, r: ReceiverParams) -> float:
     """Shot plus thermal noise variance."""
-    return shot_noise(p_data, r) + thermal_noise(r)
+    rows, thermal = _rows(shot_noise(p_data, r)), thermal_noise(r)
+    return _column(rows, [x + thermal for x, in rows])
 
 
 def spectral_efficiency(p_data: float, n2_total: float, log_base: float = 2.0) -> float:

@@ -33,8 +33,8 @@ from functools import cache, partial
 from itertools import repeat
 from typing import Callable, Optional, Sequence
 
-from .comms import _data_signal, shot_noise, spectral_efficiency, thermal_noise
-from .errors import InfeasibleSearchError, NoStableRegionError, UnstableCavityError, _column, _reject, _rows
+from .comms import _data_signal, shot_noise, spectral_efficiency, thermal_noise, total_noise
+from .errors import InfeasibleSearchError, NoStableRegionError, UnstableCavityError, _reject
 from .gaussian_beam import _cavity, _spots
 from .link_budget import LinkBudgetParams, beam_power, effective_aperture, pv_output, transmission_loss
 from .ray_matrix import (CavityGeometry, TransferMatrix, _affine, _close, _layout, _require_mirror_radius,
@@ -356,9 +356,10 @@ def _chain(s: Scenario, link: LinkBudgetParams, system: str, data: bool = False)
     (loss_scale to link.loss_scale), and give columns.  loss(d, wavelength,
     loss_scale) is delta_t, once for all its p_in or mu series; point(delta_t,
     p_in, mu) gives the power branch (delta_t, beam_power, pv_output); later
-    stages see the beam power floored at 0.  With data, the data branch follows:
-    (data_signal, shot_noise, thermal_noise, total_noise, spectral_efficiency).
-    Each step is its link_budget or comms function called on columns, each
+    stages see the beam power floored at 0, by beam_power's clamp.  With data,
+    the data branch follows: (data_signal, shot_noise, thermal_noise,
+    total_noise, spectral_efficiency).  Each step, the floor and the noise sum
+    included, is its link_budget or comms function called on columns, each
     check made once per column; data_signal's is _data_signal, for a mu column.
     """
     g, rx, choices = s.geometry, s.receiver, s.model_choices
@@ -369,17 +370,14 @@ def _chain(s: Scenario, link: LinkBudgetParams, system: str, data: bool = False)
 
     def point(delta_t, p_in=s.pump_input_power, mu=rx.split_ratio) -> tuple:
         p_beam = beam_power(p_in, delta_t, link, clamp)
-        rows = _rows(p_beam)
-        p_beam_floor = _column(rows, [0.0 if 0.0 > x else x for x, in rows])  # max(x, 0.0), -0.0 and NaN kept
-        power = (delta_t, p_beam, pv_output(p_beam_floor, mu, link, clamp))
+        floor = p_beam if clamp else beam_power(p_in, delta_t, link)
+        power = (delta_t, p_beam, pv_output(floor, mu, link, clamp))
         if not data:
             return power
-        p_data = _data_signal(p_beam_floor, rx.responsivity, mu)
-        del p_beam_floor
-        shot = shot_noise(p_data, rx)
-        rows = _rows(shot)
-        total = _column(rows, [x + thermal for x, in rows])
-        return power + (p_data, shot, thermal, total, spectral_efficiency(p_data, total, choices.log_base))
+        p_data = _data_signal(floor, rx.responsivity, mu)
+        total = total_noise(p_data, rx)
+        return power + (p_data, shot_noise(p_data, rx), thermal, total,
+                        spectral_efficiency(p_data, total, choices.log_base))
     return loss, point
 
 

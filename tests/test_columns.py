@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from bcrbsim import (CavityGeometry, InvalidElementError, LinkBudgetParams, ReceiverParams, beam_power, data_signal,
-                     propagate_spot, pv_output, shot_noise, spectral_efficiency, transmission_loss)
+                     propagate_spot, pv_output, shot_noise, spectral_efficiency, total_noise, transmission_loss)
 from bcrbsim.comms import _data_signal
 from bcrbsim.errors import _IN_RANGE, _reject
 from bcrbsim.gaussian_beam import _check_propagation
@@ -30,6 +30,7 @@ STAGES = {
     "data_signal": (lambda p_beam: _data_signal(p_beam, RX.responsivity, RX.split_ratio),
                     lambda p_beam: data_signal(p_beam, RX), {"p_beam": (10.0, -1.0)}, {}),
     "shot_noise": (shot_noise, shot_noise, {"p_data": (1.0, -1.0)}, {"r": RX}),
+    "total_noise": (total_noise, total_noise, {"p_data": (1.0, -1.0)}, {"r": RX}),
     "spectral_efficiency": (spectral_efficiency, spectral_efficiency,
                             {"p_data": (1.0, -1.0), "n2_total": (1.0, 0.0)}, {"log_base": 2.0}),
     "propagate_spot": (_check_propagation, propagate_spot,
@@ -76,9 +77,10 @@ def test_valid_columns_pass_and_the_first_bad_row_is_named(stage):
 
 # function -> (cells of each argument that may be a column, one row per branch, fixed arguments).  The rows
 # reach the limit at d -> 0+ (wavelength * d underflows), the clamp at 0 and, under clamp=False, the negative
-# values, -0.0 in and out (an intercept of -0.0), and spectral_efficiency's log paths: the ratio overflows
-# (1e200), and a square and a noise below the normal range (3e-161, 1e-321).
+# values, -0.0 in and out (an intercept of -0.0), a dark, cold receiver's zero noise, and spectral_efficiency's
+# log paths: the ratio overflows (1e200), and a square and a noise below the normal range (3e-161, 1e-321).
 SIGNED_ZERO = LinkBudgetParams(intercept=-0.0, pv_intercept=-0.0)
+DARK_COLD = ReceiverParams(background_current=0.0, temperature=0.0)
 CLAMPS = [("clamped", LINK, True), ("unclamped", LINK, False), ("signed_zero", SIGNED_ZERO, True)]
 BRANCHES = {
     "transmission_loss": (transmission_loss, {"d": [2.6, 5e-324, 1e-3, 1e300], "b": [1.5e-3, 1e-3, 1e-2, 5e-324],
@@ -91,6 +93,8 @@ BRANCHES = {
                              {"p": p, "clamp": clamp})
        for name, p, clamp in CLAMPS},
     "shot_noise": (shot_noise, {"p_data": [1.0, 0.0, -0.0, 1e300]}, {"r": RX}),
+    **{f"total_noise_{name}": (total_noise, {"p_data": [1.0, 0.0, -0.0, 1e300]}, {"r": r})
+       for name, r in (("warm", RX), ("dark_cold", DARK_COLD))},
     "spectral_efficiency": (spectral_efficiency, {"p_data": [1.0, 0.0, -0.0, 1e200, 3e-161, 1e-3],
                                                   "n2_total": [1.0, 1.0, 1.0, 1.0, 1e-321, 1e300]}, {"log_base": 2.0}),
 }
@@ -118,6 +122,7 @@ def test_the_branches_are_reached():
     assert math.copysign(1.0, beam_power(-0.0, 0.0, SIGNED_ZERO)) == -1.0
     assert pv_output(10.0, 0.0, LINK) == 0.0 and pv_output(10.0, 0.0, LINK, clamp=False) == LINK.pv_intercept
     assert math.copysign(1.0, pv_output(-0.0, 0.5, SIGNED_ZERO)) == -1.0
+    assert total_noise(0.0, DARK_COLD) == 0.0 and total_noise(1.0, RX) > shot_noise(1.0, RX)
     assert (1e200 * 1e200 * math.e == math.inf and 3e-161 * 3e-161 < sys.float_info.min
             and 2.0 * math.pi * 1e-321 < sys.float_info.min)
     assert 0.0 < spectral_efficiency(3e-161, 1e-321) < math.inf and spectral_efficiency(1e200, 1.0) > 600.0

@@ -5,6 +5,7 @@ import re
 import sys
 import tempfile
 from dataclasses import replace
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,8 @@ from bcrbsim import (
 )
 from bcrbsim.cli import _BLOCK, format_dataset_csv
 from bcrbsim.gaussian_beam import _spots
-from bcrbsim.ray_matrix import _MIRROR, _affine, _close, _focus, _product, _shift, round_trip, round_trip_prefix
+from bcrbsim.ray_matrix import (_MIRROR, _affine, _close, _fold, _focus, _layout, _product, _shift, round_trip,
+                                round_trip_prefix)
 from bcrbsim.sweep_search import (_SWEEP_UNITS, FigureDataset, _distance_bands, _grid, _require_cap,
                                   _stable_at, stability_bands)
 
@@ -432,17 +434,55 @@ def test_affine_pairs_match_close(system, geometry, d):
         assert [(value + slope * d).hex() for value, slope in pairs[:2]] == [entry.hex() for entry in entries[:2]]
 
 
-# |det - 1| of a round trip, relative to |A*D| + |B*C|: the largest seen over
-# 20,000 draws was about 56 ulps (1.2e-14).
-DET_REL_TOL = 1e-13
+UNIT_ROUNDOFF = sys.float_info.epsilon / 2
+
+
+def _gamma(n: int) -> float:
+    # gamma_n = n u / (1 - n u), which bounds the relative error of n roundings (Higham 2002, Lemma 3.1).
+    return n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF)
+
+
+def _det_error_bound(geometry, system: str, m) -> float:
+    """A bound on |det(m) - 1| for m, the float round trip of geometry.
+
+    The round trip is the left fold of its k element matrices E_i, each step a
+    2x2 product.  So |m - E_k...E_1| <= gamma_{2(k-1)} P entrywise, with
+    P = |E_k|...|E_1| (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., 2002, section 3.5).  That moves a*d - b*c by at most
+    gamma (P_a|d| + |a|P_d + P_b|c| + |b|P_c) + gamma^2 (P_a P_d + P_b P_c);
+    computing it rounds twice more, gamma_2 (|ad| + |bc|).  Each element has
+    determinant 1, except the magnifier's m * fl(1/m), which is within u of 1.
+    """
+    elements, (reads, offset) = _layout(system)
+    entries = [_fold(geometry, [element]) for element in elements]
+    entries += [_shift(offset(*[getattr(geometry, name) for name in reads]) + geometry.d),
+                _focus(_MIRROR, geometry.rho2)]
+    pa, pb, pc, pd = reduce(lambda p, e: _product(e, p), [tuple(map(abs, e)) for e in entries])
+    gamma = _gamma(2 * (len(entries) - 1))
+    return (gamma * (pa * abs(m.d) + abs(m.a) * pd + pb * abs(m.c) + abs(m.b) * pc)
+            + gamma * gamma * (pa * pd + pb * pc) + _gamma(2) * (abs(m.a * m.d) + abs(m.b * m.c)) + UNIT_ROUNDOFF)
+
+
+# Here det - 1 = -1.029e-13 exceeds 1e-13 * (|ad| + |bc|), so a scale read from the final entries does not bound
+# the rounding: C = -4.2e-4 is the cancelled sum of terms of size ~20.  The bound here is 2.4e-12.
+CANCELLED_C = CavityGeometry(rho1=36.44851898993665, rho2=16.407046330139465, f_gain=0.2, f1=0.035113639013539893,
+                             magnification=0.5, L1=0.0, L2=0.23127584313762306, d=16.407046330139465)
 
 
 @pytest.mark.parametrize("system", ["bcrb", "original"])
 @settings(max_examples=300, deadline=None)
 @given(geometry=GEOMETRIES)
+@example(geometry=CANCELLED_C)
 def test_round_trip_is_unimodular(system, geometry):
     m = round_trip(geometry, system)
-    assert abs(m.det() - 1.0) <= DET_REL_TOL * (abs(m.a * m.d) + abs(m.b * m.c))
+    assert abs(m.det() - 1.0) <= _det_error_bound(geometry, system, m)
+
+
+def test_det_error_bound_rejects_a_perturbed_entry():
+    # One part in 1e9 of C moves det by |b*c| * 1e-9 = 1.4e-11 at this geometry, over five times the bound.
+    m = round_trip(CANCELLED_C, "bcrb")
+    perturbed = m._replace(c=m.c * (1.0 + 1e-9))
+    assert abs(perturbed.det() - 1.0) > _det_error_bound(CANCELLED_C, "bcrb", perturbed)
 
 
 # Entrywise error of the closed form times the entry's partner in the

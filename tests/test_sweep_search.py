@@ -637,6 +637,13 @@ class TestRunSweep:
         assert len(run_sweep(SweepSpec(variable, lo, hi, 101), default_scenario()).rows) == 101
         assert cells == {"transmission_loss": [1, n]}
 
+    @pytest.mark.parametrize("variable, lo, hi, n", [("d", 1.0, 6.0, 101), ("rho2", 1.0, 50.0, 1)])
+    def test_chain_sums_the_noise_with_total_noise(self, monkeypatch, variable, lo, hi, n):
+        # The chain's shot + thermal sum is total_noise's, one call over the column of signal levels.
+        cells = self.count_cells(monkeypatch, "total_noise")
+        assert len(run_sweep(SweepSpec(variable, lo, hi, 101), default_scenario()).rows) == 101
+        assert cells == {"total_noise": [n]}
+
     @pytest.mark.parametrize("system", ["bcrb", "original"])
     @pytest.mark.parametrize("variable, lo, hi", [("d", 1.0, 6.0), ("rho2", 1.0, 50.0), ("p_in", 150.0, 300.0),
                                                   ("mu", 0.0, 1.0), ("magnification", 1.5, 6.0)])

@@ -1,0 +1,167 @@
+"""Run one set of edge cases against two bcrbsim source trees and print the cases whose outcomes differ.
+
+    mkdir -p /tmp/bcrbsim-parent && git archive HEAD~1 | tar -x -C /tmp/bcrbsim-parent
+    python3 tools/differential.py /tmp/bcrbsim-parent .
+
+A tree is a directory holding src/bcrbsim, such as a checkout or the
+extract of `git archive`.  Each tree runs in its own interpreter
+(`differential.py --run TREE`), which imports bcrbsim from TREE/src only and
+prints one JSON line per case.  The cases are:
+
+- cli: the float flags of `stability`, `spot`, `power` and `comms`, alone and
+  in pairs, over the edge values VALUES, on both layouts;
+- sweep: 3-sample sweeps of every sweep variable and CLI alias, over every
+  range lo < hi of the finite edge values, on both layouts;
+- point: `operating_point` over a 14^3 grid of d, p_in and mu, on both
+  layouts and an unknown one, in four scenarios: the default, unclamped
+  power, a dark, cold receiver, and an explicit N.
+
+A command's outcome is its exit code, the sha256 of its stdout, its stderr
+and the file it wrote (or the class and message of an exception that
+escaped run_command); a point's is the sha256 of the result's repr, or the
+error's class and message.  Each outcome also counts the records logged
+under `bcrbsim`.  The script exits 0 when every case matches, 1 otherwise.
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import logging
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from collections import Counter, defaultdict
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
+from itertools import combinations, product
+from pathlib import Path
+
+MAX = sys.float_info.max
+# Zeros of both signs, the least subnormal, the normal limits, the extremes, the non-finite values, and a few
+# values inside the model's ranges.
+VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-308, -1e-308, 1.0, -1.0, 1e308, -1e308, MAX, -MAX,
+          math.inf, -math.inf, math.nan, 0.5, 2.6, 250.0]
+RANGES = list(combinations(sorted({value for value in VALUES if math.isfinite(value)}), 2))  # 0.0 stands for -0.0
+FLOAT_FLAGS = {"stability": ("--d", "--d-hi"), "spot": ("--d",), "power": ("--d", "--P-in", "--mu"),
+               "comms": ("--d", "--P-in", "--mu")}
+LAYOUTS = ("bcrb", "original")
+GRID = [None, 0.0, -0.0, 5e-324, 0.5, 1.0, 3, True, 200.0, 1e308, -1.0, math.nan, math.inf, -math.inf]
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _cli_cases():
+    for command, flags in FLOAT_FLAGS.items():
+        for system in LAYOUTS:
+            for count in (1, 2):
+                for chosen in combinations(flags, count):
+                    for values in product(VALUES, repeat=count):
+                        yield [command, *(f"{flag}={value!r}" for flag, value in zip(chosen, values)),
+                               f"--system={system}"]
+
+
+def _sweep_cases(variables):
+    for variable, system, (lo, hi) in product(variables, LAYOUTS, RANGES):
+        yield ["sweep", "--variable", variable, f"--lo={lo!r}", f"--hi={hi!r}", "--samples=3",
+               f"--system={system}", "--out", "sweep.csv"]
+
+
+def _run_tree(tree: Path) -> None:
+    """Print [family, case, outcome] for each case, as JSON lines, with bcrbsim imported from tree/src."""
+    sys.path.insert(0, str(tree.resolve() / "src"))
+    import bcrbsim
+    from bcrbsim.cli import _VARIABLE_ALIASES, run_command
+    from bcrbsim.sweep_search import _SWEEP_UNITS
+
+    if not Path(bcrbsim.__file__).resolve().is_relative_to(tree.resolve()):
+        raise SystemExit(f"bcrbsim was imported from {bcrbsim.__file__}, not from {tree}")
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    log = logging.getLogger("bcrbsim")
+    log.addHandler(handler)
+    log.propagate = False
+
+    def emit(family, case, outcome):
+        print(json.dumps([family, case, [*outcome, len(records)]]))
+        records.clear()
+
+    def command(argv):
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                code = run_command(argv)
+        except Exception as exc:  # an escaping exception is an outcome to compare, not a failure of the script
+            return ["raised", type(exc).__name__, str(exc)]
+        written = Path("sweep.csv")
+        data = written.read_bytes() if written.exists() else None
+        written.unlink(missing_ok=True)
+        return [code, _digest(out.getvalue().encode()), _digest(err.getvalue().encode()),
+                None if data is None else _digest(data)]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        for argv in _cli_cases():
+            emit("cli", argv, command(argv))
+        for argv in _sweep_cases(sorted(_SWEEP_UNITS) + sorted(_VARIABLE_ALIASES)):
+            emit("sweep", argv, command(argv))
+
+    s = bcrbsim.default_scenario()
+    scenarios = {
+        "default": s,
+        "unclamped": replace(s, model_choices=replace(s.model_choices, clamp_negative_power=False)),
+        "dark_cold": replace(s, receiver=replace(s.receiver, background_current=0.0, temperature=0.0)),
+        "explicit_n": replace(s, model_choices=replace(s.model_choices, n_source="explicit"),
+                              link=replace(s.link, loss_scale=3.0)),
+    }
+    for (name, scenario), system in product(scenarios.items(), (*LAYOUTS, "ring")):
+        for d, p_in, mu in product(GRID, repeat=3):
+            try:
+                outcome = ["ok", _digest(repr(bcrbsim.operating_point(scenario, system, d, p_in, mu)).encode())]
+            except Exception as exc:  # the error is the outcome
+                outcome = ["raised", type(exc).__name__, str(exc)]
+            emit("point", [name, system, repr(d), repr(p_in), repr(mu)], outcome)
+
+
+def _outcomes(tree: Path) -> dict:
+    lines = subprocess.run([sys.executable, __file__, "--run", str(tree)], check=True, stdout=subprocess.PIPE,
+                           text=True).stdout.splitlines()
+    return {(family, json.dumps(case)): json.dumps(outcome) for family, case, outcome in map(json.loads, lines)}
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[0] == "--run":
+        _run_tree(Path(argv[1]))
+        return 0
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    before, after = (_outcomes(Path(tree)) for tree in argv)
+    if before.keys() != after.keys():
+        print(f"the trees ran different cases: {len(before.keys() ^ after.keys())} are in one only")
+        return 1
+    groups = defaultdict(list)
+    for key, outcome in before.items():
+        if after[key] != outcome:
+            groups[key[0], outcome, after[key]].append(key[1])
+    counts = Counter(family for family, _ in before)
+    for (family, old, new), cases in sorted(groups.items()):
+        print(f"{family}: {len(cases)} case(s)\n  before {old}\n  after  {new}")
+        for case in cases[:5]:
+            print(f"    {case}")
+        if len(cases) > 5:
+            print(f"    ... and {len(cases) - 5} more")
+    differing = sum(map(len, groups.values()))
+    print(f"{differing} of {len(before)} cases differ ({', '.join(f'{n} {f}' for f, n in counts.items())})")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
