@@ -18,7 +18,7 @@ import operator
 from dataclasses import dataclass
 from functools import partial
 from itertools import starmap
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple
 
 from .errors import _INF, InvalidElementError, SingularConfigurationError, _column, _reject, _rows, _walk
 
@@ -42,7 +42,7 @@ class RayVector(NamedTuple):
 class TransferMatrix(NamedTuple):
     """2x2 ray transfer matrix [[a, b], [c, d]]; b in m, c in 1/m.
 
-    It is an entries tuple (a, b, c, d), as _product, _close and _fold take.
+    It is an entries tuple (a, b, c, d), as _product and _close take.
     Matrices built from validated elements have finite entries and unit
     determinant up to rounding; the container itself stays unchecked so
     that downstream guards (e.g. the NaN branch of is_stable) are honest.
@@ -142,8 +142,8 @@ class CavityGeometry:
 # Per layout: the round trip's elements before the gap to mirror 2, in
 # propagation order, each as the geometry fields it reads and a builder that
 # takes just those fields, in that order; then, in the same form, the part of
-# that gap that is not d.  _fold calls the builders with a geometry's fields,
-# _round_trip_over over columns of them.
+# that gap that is not d.  _prefix_over calls the builders over columns of
+# those fields, a geometry's fields being one-row columns.
 _HEAD = (
     (("rho1",), partial(_focus, _MIRROR)),
     (("L1",), _shift),
@@ -166,19 +166,10 @@ def _layout(system: str) -> tuple:
     return _LAYOUTS[system]
 
 
-def _fold(g, elements: Sequence) -> Optional[tuple]:
-    """Entries of the elements built from the fields of g, composed in propagation order (None if none)."""
-    m = None
-    for reads, build in elements:
-        e = build(*[getattr(g, name) for name in reads])
-        m = e if m is None else _product(e, m)
-    return m
-
-
 def bcrb_elements(g: CavityGeometry) -> list[TransferMatrix]:
     """The nine single-pass element matrices, in propagation order."""
-    entries = [_fold(g, [element]) for element in _LAYOUTS["bcrb"][0]] + [_shift(g.d), _focus(_MIRROR, g.rho2)]
-    return [TransferMatrix(*e) for e in entries]
+    entries = [build(*[getattr(g, name) for name in reads]) for reads, build in _LAYOUTS["bcrb"][0]]
+    return [TransferMatrix(*e) for e in entries + [_shift(g.d), _focus(_MIRROR, g.rho2)]]
 
 
 def round_trip_prefix(g: CavityGeometry, system: str) -> tuple[TransferMatrix, float]:
@@ -190,8 +181,8 @@ def round_trip_prefix(g: CavityGeometry, system: str) -> tuple[TransferMatrix, f
     L2 + d.  The round trip itself is this prefix closed, so a search that
     closes it sees the round trip's bits.
     """
-    elements, (reads, offset) = _layout(system)
-    return TransferMatrix(*_fold(g, elements)), offset(*[getattr(g, name) for name in reads])
+    x, offset = _prefix_over(system, partial(getattr, g))
+    return TransferMatrix(*x), offset
 
 
 def _over(f: Callable, *columns) -> object:
@@ -201,22 +192,28 @@ def _over(f: Callable, *columns) -> object:
     return f(*columns) if type(rows) is tuple else starmap(f, rows)
 
 
-def _round_trip_over(system: str, column: Callable[[str], object]) -> object:
-    """A layout's round trips over columns, with column(name) the column (a list, or a float) of the field name.
+def _prefix_over(system: str, column: Callable[[str], object]) -> tuple:
+    """round_trip_prefix over columns: the one fold of a layout's elements, each step an _over stage.
 
-    The entries of one round trip, when no column it reads varies, else a lazy
-    column of them, one tuple per row.  Each element (the receiver mirror too)
-    and partial product is an _over stage, composed as in _fold; the gap
-    (offset + d) is one column, checked once, and each row is closed as _close
-    closes it, so each row keeps the round trip's bits.
+    column(name) is the column (a list, or a float) of the field name; a geometry's fields are one-row columns.
+    The entries and the offset are each one value when no column they read varies, else a lazy column.
     """
     elements, (offset_reads, offset) = _layout(system)
     m = None
     for reads, build in elements:
         e = _over(build, *map(column, reads))
         m = e if m is None else _over(_product, e, m)
+    return m, _over(offset, *map(column, offset_reads))
+
+
+def _round_trip_over(system: str, column: Callable[[str], object]) -> object:
+    """A layout's round trips over columns, as in _prefix_over: one entries tuple, or a lazy column of them.
+
+    The gap (offset + d) is one column, checked once, and each row is closed as _close closes it, bit for bit.
+    """
+    m, offset = _prefix_over(system, column)
     mirror = _over(partial(_focus, _MIRROR), column("rho2"))
-    rows = _rows(_over(offset, *map(column, offset_reads)), column("d"))
+    rows = _rows(offset, column("d"))
     gap = _column(rows, list(starmap(operator.add, rows)))
     _reject(InvalidElementError, ("offset", gap, None))
     return _over(_closed, m, gap, mirror)
@@ -259,7 +256,7 @@ def _affine(m: tuple, offset: float, rho2: float) -> tuple:
 
 
 def _round_trip(g: CavityGeometry, system: str) -> TransferMatrix:
-    x, offset = round_trip_prefix(g, system)
+    x, offset = _prefix_over(system, partial(getattr, g))
     return TransferMatrix(*_close(x, offset + g.d, g.rho2))
 
 

@@ -31,13 +31,13 @@ import operator
 from dataclasses import dataclass, fields, replace
 from functools import cache, partial
 from itertools import repeat
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .comms import _data_signal, shot_noise, spectral_efficiency, thermal_noise, total_noise
 from .errors import InfeasibleSearchError, NoStableRegionError, UnstableCavityError, _reject
 from .gaussian_beam import _cavity, _spots
 from .link_budget import LinkBudgetParams, beam_power, effective_aperture, pv_output, transmission_loss
-from .ray_matrix import (CavityGeometry, TransferMatrix, _affine, _close, _layout, _require_mirror_radius,
+from .ray_matrix import (CavityGeometry, _affine, _close, _layout, _prefix_over, _require_mirror_radius,
                          _round_trip_over, _stable, is_stable, round_trip, round_trip_prefix)
 from .scenario import Scenario, default_scenario, scenario_to_dict
 
@@ -179,7 +179,7 @@ def _require_cap(name: str, value: float) -> None:
     _reject(ValueError, (name, value, "> 0"))
 
 
-def _distance_bands(x: TransferMatrix, offset: float, rho2: float, d_hi: float) -> list[tuple[float, float]]:
+def _distance_bands(x: tuple, offset: float, rho2: float, d_hi: float) -> list[tuple[float, float]]:
     # Bands of d for the round trip with the entries _close(x, offset + d, rho2).  A point is tested
     # as is_stable tests it, on the entries a and d ([::3]) of _close, with no matrix built.
     (a0, a1), _, _, (d0, d1) = _affine(x, offset, rho2)
@@ -234,7 +234,7 @@ def required_rho2(g: CavityGeometry, d: float, rho2_hi: float) -> float:
     return _required_rho2(round_trip_prefix(replace(g, d=d), "bcrb")[0], d, rho2_hi)
 
 
-def _required_rho2(x: TransferMatrix, d: float, rho2_hi: float) -> float:
+def _required_rho2(x: tuple, d: float, rho2_hi: float) -> float:
     # required_rho2 from the round trip's prefix x, which does not read d or rho2.
     (a, _), (b, b_slope), _, _ = _affine(x, d, rho2_hi)  # A and B read no rho2
     bands = _bands(_roots(0.0, b_slope, -b) + _roots(0.0, a * b_slope - 1.0, -a * b), rho2_hi,
@@ -274,7 +274,7 @@ def max_spot_over_range(g: CavityGeometry, d_lo: float, d_hi: float, samples: in
     return _max_spot(g, *round_trip_prefix(g, "bcrb"), d_lo, d_hi, samples)
 
 
-def _max_spot(g, x: TransferMatrix, offset: float, d_lo: float, d_hi: float, samples: int) -> float:
+def _max_spot(g, x: tuple, offset: float, d_lo: float, d_hi: float, samples: int) -> float:
     # max_spot_over_range from the round trip's prefix x and gap offset; g gives rho2 and the spot's fields.
     band = next(((lo, hi) for lo, hi in _distance_bands(x, offset, g.rho2, d_hi) if lo <= d_lo <= hi), None)
     if band is None or band[1] < d_hi:
@@ -456,14 +456,14 @@ def _series(key: str, values: Sequence[float]) -> dict:
 # function giving each series as a column (a list) over the grid, and its own
 # metadata.  The chain figures evaluate each series as one column, as run_sweep
 # does; the search figures search at each grid value, through _per_point.
-# Grid-independent constants come from the _FIGURES table.  The search figures
-# build the round-trip prefix, which reads neither d nor rho2, once per
-# magnification, and check each series value once, at its first cell: the cell
-# that fails first is the one that failed when every cell was checked.
+# Grid-independent constants come from the _FIGURES table.  The search figures build the
+# round-trip prefix, which reads neither d nor rho2, once per magnification (fig9 and fig10
+# as one column over their grid), and check each series value once, at its first cell: the
+# cell that fails first is the one that failed when every cell was checked.
 
-def _per_point(cells: Callable[[float], list]) -> Callable[[list], list]:
-    # series(grid) from cells(x), the series cells of the row at grid value x.
-    return lambda grid: [list(column) for column in zip(*map(cells, grid))]
+def _per_point(cells: Callable[[object], list], rows: Iterable) -> list:
+    # The series columns from cells(x), the series cells of the row x; the rows are taken one at a time, in order.
+    return [list(column) for column in zip(*map(cells, rows))]
 
 
 def _fig6(s: Scenario, link: LinkBudgetParams, **_):
@@ -494,8 +494,8 @@ def _fig8(s: Scenario, link: LinkBudgetParams, *, d_hi: float, m_values: Sequenc
     # Maximum stable distance vs receiver-mirror curvature, one series per magnification.
     prefix = cache(lambda m: round_trip_prefix(replace(s.geometry, magnification=m), "bcrb"))
     return ([f"d_max_M{_fmt(m)} [m]" for m in m_values],
-            _per_point(lambda rho2: [_first_band(_distance_bands(*prefix(float(m)), rho2, d_hi), d_hi)[1]
-                                     for m in m_values]),
+            partial(_per_point, lambda rho2: [_first_band(_distance_bands(*prefix(float(m)), rho2, d_hi), d_hi)[1]
+                                              for m in m_values]),
             {"sweep.d_hi_m": d_hi, **_series("magnification", m_values)})
 
 
@@ -503,24 +503,25 @@ def _fig9(s: Scenario, link: LinkBudgetParams, *, rho2_hi: float, d_values: Sequ
     # Required receiver-mirror curvature vs magnification, one series per distance.
     distance = cache(lambda d: replace(s.geometry, d=d).d)
 
-    def cells(m: float) -> list[float]:
-        x, _ = round_trip_prefix(replace(s.geometry, magnification=m), "bcrb")
-        return [_required_rho2(x, distance(float(d)), rho2_hi) for d in d_values]
-    return ([f"rho2_min_d{_fmt(d)} [m]" for d in d_values], _per_point(cells),
+    def series(m: list) -> list:
+        prefixes, _ = _prefix_over("bcrb", {**vars(s.geometry), "magnification": m}.__getitem__)
+        return _per_point(lambda x: [_required_rho2(x, distance(float(d)), rho2_hi) for d in d_values], prefixes)
+    return ([f"rho2_min_d{_fmt(d)} [m]" for d in d_values], series,
             {"sweep.rho2_hi_m": rho2_hi, **_series("d_m", d_values)})
 
 
 def _fig10(s: Scenario, link: LinkBudgetParams, *, rho2: float, d_lo: float, samples: int,
            d_values: Sequence[float], **_):
     # Worst-case gain-module spot radius vs magnification, one series per distance cap.
-    # rho2 is large so that every distance range stays stable.
+    # rho2 is large so that every distance range stays stable; the spot reads no magnification.
     d_hi = cache(lambda d: _spot_range(d_lo, d, samples))
+    g = replace(s.geometry, rho2=rho2)
 
-    def cells(m: float) -> list[float]:
-        g = replace(s.geometry, magnification=m, rho2=rho2)
-        x, offset = round_trip_prefix(g, "bcrb")
-        return [_max_spot(g, x, offset, d_lo, d_hi(float(d)), samples) for d in d_values]
-    return ([f"omega3_max_d{_fmt(d)} [m]" for d in d_values], _per_point(cells),
+    def series(m: list) -> list:
+        prefixes, offset = _prefix_over("bcrb", {**vars(g), "magnification": m}.__getitem__)
+        return _per_point(lambda x: [_max_spot(g, x, offset, d_lo, d_hi(float(d)), samples) for d in d_values],
+                          prefixes)
+    return ([f"omega3_max_d{_fmt(d)} [m]" for d in d_values], series,
             {"sweep.rho2_m": rho2, "sweep.d_lo_m": d_lo, **_series("d_hi_m", d_values)})
 
 

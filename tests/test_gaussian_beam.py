@@ -13,12 +13,15 @@ from bcrbsim import (
     UnstableCavityError,
     cavity_spot_radii,
     default_scenario,
+    generate_figure,
     mirror_spot_radii,
     operating_point,
     propagate_spot,
     round_trip_bcrb,
 )
 from dataclasses import replace
+
+from bcrbsim.sweep_search import _grid
 
 LAMBDA = 1064e-9
 
@@ -48,6 +51,12 @@ class TestMirrorSpotRadii:
     def test_zero_b_names_failed_radicand(self):
         with pytest.raises(UnstableCavityError, match="omega1"):
             mirror_spot_radii(TransferMatrix(0.5, 0.0, -1.5, 0.5), LAMBDA)
+
+    def test_underflowing_omega2_radicand_names_omega2(self):
+        # a*d = 0.1 is stable and omega1's radicand is positive, but b*b*a underflows: omega2's radicand is 0.
+        with pytest.raises(UnstableCavityError, match=re.escape(
+                "omega2 radicand nonpositive (0.0); cavity at or beyond stability boundary")):
+            mirror_spot_radii(TransferMatrix(1e-10, 1e-150, 0.0, 1e9), LAMBDA)
 
     def test_symmetric_matrix_equal_spots(self):
         # a == d makes both expressions identical
@@ -171,3 +180,15 @@ class TestCavitySpotRadii:
     def test_omega2_positive_finite(self):
         spots = cavity_spot_radii(CavityGeometry(), "original")
         assert spots.omega1 > 0 and spots.omega2 > 0 and spots.omega3 > 0
+
+    def test_a_column_names_its_first_unstable_row(self):
+        # fig6 takes omega3 over its whole d column (1.5 to 6 m).  With rho2 = 3 m the cavity is stable at
+        # 1.5 m and unstable further out; the error names the a*d of the first unstable row.
+        s = default_scenario()
+        g = replace(s.geometry, rho2=3.0)
+        products = [m.a * m.d for m in (round_trip_bcrb(replace(g, d=d)) for d in _grid(1.5, 6.0, 91))]
+        first = next(p for p in products if not 0.0 < p < 1.0)
+        assert 0.0 < products[0] < 1.0 and repr(first) == "-0.008252016405633156"
+        message = f"round trip unstable: a*d = {first!r} outside (0, 1)"
+        with pytest.raises(UnstableCavityError, match=re.escape(message)):
+            generate_figure("fig6", replace(s, geometry=g))

@@ -47,9 +47,9 @@ from bcrbsim import (
 )
 from bcrbsim.cli import _BLOCK, format_dataset_csv
 from bcrbsim.gaussian_beam import _spots
-from bcrbsim.ray_matrix import (_MIRROR, _affine, _close, _fold, _focus, _layout, _product, _shift, round_trip,
+from bcrbsim.ray_matrix import (_MIRROR, _affine, _close, _focus, _layout, _product, _shift, round_trip,
                                 round_trip_prefix)
-from bcrbsim.sweep_search import (_SWEEP_UNITS, FigureDataset, _distance_bands, _grid, _require_cap,
+from bcrbsim.sweep_search import (_SWEEP_UNITS, FigureDataset, _distance_bands, _grid, _require_cap, _roots,
                                   _stable_at, stability_bands)
 
 
@@ -411,6 +411,41 @@ def test_close_round_trip_is_mirror_after_gap_after_prefix(system, geometry, gap
             assert _hex_outcome(_close, *args) == _hex_outcome(_closed, *args)
 
 
+def _reference_elements(g, system):
+    """The entries of a layout's elements before the gap, written out per layout, and the gap's offset."""
+    def focus(f):
+        return 1.0, 0.0, -1.0 / f, 1.0
+
+    def shift(x):
+        return 1.0, x, 0.0, 1.0
+    head = [focus(g.rho1), shift(g.L1), focus(g.f_gain)]
+    if system == "original":
+        return head, g.L2
+    m = g.magnification
+    return head + [shift(g.L2), shift(g.f1), (m, 0.0, 0.0, 1.0 / m), shift(-(g.f1 * m))], 0.0
+
+
+def _reference_fold(entries):
+    """The product of 2x2 entry tuples given in propagation order: each next one multiplies from the left."""
+    a, b, c, d = entries[0]
+    for ea, eb, ec, ed in entries[1:]:
+        a, b, c, d = ea * a + eb * c, ea * b + eb * d, ec * a + ed * c, ec * b + ed * d
+    return a, b, c, d
+
+
+@pytest.mark.parametrize("system", ["bcrb", "original"])
+@settings(max_examples=300, deadline=None)
+@given(geometry=GEOMETRIES)
+def test_prefix_and_round_trip_are_the_reference_fold(system, geometry):
+    # Bit for bit, signed zeros included: the prefix is the elements' fold, and the round trip that fold
+    # continued by the gap (offset + d) and mirror 2.
+    elements, offset = _reference_elements(geometry, system)
+    x, x_offset = round_trip_prefix(geometry, system)
+    closing = [(1.0, offset + geometry.d, 0.0, 1.0), (1.0, 0.0, -1.0 / geometry.rho2, 1.0)]
+    assert [v.hex() for v in (*x, x_offset)] == [v.hex() for v in (*_reference_fold(elements), offset)]
+    assert [v.hex() for v in round_trip(geometry, system)] == [v.hex() for v in _reference_fold(elements + closing)]
+
+
 # |value + slope*d - entry| of each _affine pair against the entry of _close at
 # d, relative to the sum of the magnitudes of the entry's terms: |m.a| +
 # (|offset| + d)*|m.c| for A, that of A over |rho2| plus |m.c| for C, and the
@@ -454,7 +489,7 @@ def _det_error_bound(geometry, system: str, m) -> float:
     determinant 1, except the magnifier's m * fl(1/m), which is within u of 1.
     """
     elements, (reads, offset) = _layout(system)
-    entries = [_fold(geometry, [element]) for element in elements]
+    entries = [build(*[getattr(geometry, name) for name in fields]) for fields, build in elements]
     entries += [_shift(offset(*[getattr(geometry, name) for name in reads]) + geometry.d),
                 _focus(_MIRROR, geometry.rho2)]
     pa, pb, pc, pd = reduce(lambda p, e: _product(e, p), [tuple(map(abs, e)) for e in entries])
@@ -483,6 +518,36 @@ def test_det_error_bound_rejects_a_perturbed_entry():
     m = round_trip(CANCELLED_C, "bcrb")
     perturbed = m._replace(c=m.c * (1.0 + 1e-9))
     assert abs(perturbed.det() - 1.0) > _det_error_bound(CANCELLED_C, "bcrb", perturbed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(geometry=GEOMETRIES, rho2_hi=st.floats(0.3, 100.0))
+@example(geometry=CavityGeometry(d=10.0), rho2_hi=80.0)  # a fig9 cell
+def test_required_rho2_is_the_d_zero_law_where_that_edge_binds(geometry, rho2_hi):
+    """Where the D = 0 edge binds, required_rho2(g, d, rho2_hi) is d + c, with c = x.b / x.d of the bcrb prefix x.
+
+    The search's edge is the root fl(fl(x.b + fl(d * x.d)) / x.d), within gamma_3 (|c| + d) of the exact
+    d + c; the law fl(d + fl(c)) is within gamma_2 (|c| + d) of it.  The search walks up from its root to
+    the first point is_stable accepts.  There D = fl(x.d + fl(fl(-1/rho2) * B)), with the root's B, has
+    the sign of the exact D once rho2 is (2u + O(u^2)) relative past the root, which the walk's steps of
+    1, 2 and 4 ulps pass within 7 ulps.  So the two differ by at most gamma_6 (|c| + d) + 7 ulps of the
+    result, gamma_6 covering the rounding of c too: 10 ulps of the law when c > 0.  The D = 0 edge binds
+    where it is the greatest root that _bands keeps at or below the result, the edge the result was
+    walked from.
+    """
+    x, _ = round_trip_prefix(geometry, "bcrb")
+    d = geometry.d
+    (a, _), (b, b_slope), _, _ = _affine(x, d, rho2_hi)
+    d_zero, ad_one = _roots(0.0, b_slope, -b), _roots(0.0, a * b_slope - 1.0, -a * b)
+    try:
+        result = required_rho2(geometry, d, rho2_hi)
+    except InfeasibleSearchError:
+        assume(False)
+    margin = 16.0 * math.ulp(rho2_hi)
+    kept = [root for root in d_zero + ad_one if margin < root < rho2_hi - margin]
+    assume(d_zero and max([0.0] + [root for root in kept if root <= result]) == d_zero[0])
+    c = x.b / x.d
+    assert abs(result - (d + c)) <= _gamma(6) * (abs(c) + d) + 7.0 * math.ulp(result)
 
 
 # Entrywise error of the closed form times the entry's partner in the

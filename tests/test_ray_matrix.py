@@ -20,8 +20,8 @@ from bcrbsim import (
     round_trip_closed_form,
     round_trip_original,
 )
-from bcrbsim.ray_matrix import (_LAYOUTS, _LENS, _MIRROR, _focus, _fold, _magnifier, _product, _shift, bcrb_elements,
-                                round_trip, round_trip_prefix)
+from bcrbsim.ray_matrix import (_LAYOUTS, _LENS, _MIRROR, _focus, _magnifier, _prefix_over, _product, _shift,
+                                bcrb_elements, round_trip, round_trip_prefix)
 
 IDENTITY = (1.0, 0.0, 0.0, 1.0)
 
@@ -120,9 +120,14 @@ class TestApply:
         assert combined.slope == pytest.approx(ra.slope + rb.slope, rel=1e-12)
 
 
-def elements(*entries):
-    # A _LAYOUTS-style element sequence, in propagation order, that builds the given entries.
-    return [((), lambda e=e: e) for e in entries]
+@pytest.fixture
+def compose(monkeypatch):
+    # compose(*entries): the prefix that _prefix_over folds from a layout of elements building the given
+    # entries, in propagation order.
+    def prefix(*entries):
+        monkeypatch.setitem(_LAYOUTS, "probe", ([((), lambda e=e: e) for e in entries], ((), lambda: 0.0)))
+        return _prefix_over("probe", {}.__getitem__)[0]
+    return prefix
 
 
 class TestCompose:
@@ -132,25 +137,35 @@ class TestCompose:
     def test_translation_additivity(self):
         assert _product(_shift(1.0), _shift(2.0)) == _shift(3.0)
 
-    def test_order_last_traversed_leftmost(self):
+    def test_order_last_traversed_leftmost(self, compose):
         lens, gap = _focus(_LENS, 0.5), _shift(2.0)
-        composed = _fold(None, elements(gap, lens))
+        composed = compose(gap, lens)
         assert composed == _product(lens, gap)
         # and it acts like sequential application
         r = RayVector(1e-3, 0.0)
         assert apply(TransferMatrix(*composed), r) == apply(TransferMatrix(*lens), apply(TransferMatrix(*gap), r))
 
-    def test_fold_is_its_tail_folded_then_applied_after_its_head(self):
+    def test_fold_is_its_tail_folded_then_applied_after_its_head(self, compose):
         p, q, r = _focus(_MIRROR, -0.88), _shift(0.3), _magnifier(2.0)
-        assert _product(_fold(None, elements(q, r)), p) == _fold(None, elements(p, q, r)) == _product(r, _product(q, p))
+        assert _product(compose(q, r), p) == compose(p, q, r) == _product(r, _product(q, p))
 
-    def test_associativity(self):
+    def test_associativity(self, compose):
         rng = np.random.default_rng(7)
         for _ in range(200):
             p, q, r = (tuple(rng.uniform(-2, 2, size=4)) for _ in range(3))
             left = _product(_product(r, q), p)
-            flat = _fold(None, elements(p, q, r))
+            flat = compose(p, q, r)
             assert left == pytest.approx(flat, abs=1e-12)
+
+    def test_a_column_is_folded_row_by_row(self):
+        # Over a magnification column the bcrb prefix is a lazy column, each row the bits of that geometry's
+        # prefix.  The original layout reads no magnification, so its prefix is one value.
+        g, grid = CavityGeometry(), [0.5, 1.0, 3.5, 5.0]
+        column = {**vars(g), "magnification": grid}.__getitem__
+        prefixes, offset = _prefix_over("bcrb", column)
+        rows = [round_trip_prefix(CavityGeometry(magnification=m), "bcrb")[0] for m in grid]
+        assert [[v.hex() for v in x] for x in prefixes] == [[v.hex() for v in x] for x in rows] and offset == 0.0
+        assert _prefix_over("original", column) == round_trip_prefix(g, "original")
 
     def test_nine_element_chain_matches_closed_form(self):
         # Independent oracle: numpy matmul over the nine element matrices.
@@ -285,7 +300,7 @@ class TestGeometryValidation:
     def test_largest_finite_f2_keeps_its_bits(self):
         # Just below the overflow, the -f2 element is the shift by -(f1 * M), as before.
         f1, m = sys.float_info.max / 2.0, 2.0
-        assert _fold(CavityGeometry(f1=f1, magnification=m), [_LAYOUTS["bcrb"][0][-1]]) == _shift(-(f1 * m))
+        assert bcrb_elements(CavityGeometry(f1=f1, magnification=m))[6] == _shift(-(f1 * m))
 
     @pytest.mark.parametrize("g, entries", [
         (CavityGeometry(), ["0x1.c05306b5b5680p+1", "0x1.1ebe030837f60p+0", "-0x1.670989ee84ac5p-2",

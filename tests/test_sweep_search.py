@@ -530,27 +530,49 @@ class TestFigureDatasets:
             ds = generate_figure(fid)
             assert all(len(row) == len(ds.columns) for row in ds.rows)
 
+    @staticmethod
+    def built(monkeypatch, fid, series):
+        # The figure on the default scenario with the first `series` series values, and a count of the geometry
+        # checks, TransferMatrix builds, sweep_search replace copies and round_trip_prefix calls it made.
+        s, built = default_scenario(), Counter()
+        with monkeypatch.context() as patch:
+            post_init, new = CavityGeometry.__post_init__, TransferMatrix.__new__
+            prefix = sweep_search.round_trip_prefix
+            patch.setattr(CavityGeometry, "__post_init__", lambda g: built.update(["checks"]) or post_init(g))
+            patch.setattr(TransferMatrix, "__new__", lambda cls, *args: built.update(["matrices"]) or new(cls, *args))
+            patch.setattr(sweep_search, "replace", lambda *args, **kw: built.update(["copies"]) or replace(*args, **kw))
+            patch.setattr(sweep_search, "round_trip_prefix", lambda *args: built.update(["prefixes"]) or prefix(*args))
+            ds = generate_figure(fid, s, m_values=(2.5, 3.0, 3.5, 5.0)[:series],
+                                 d_values=(10.0, 20.0, 30.0, 40.0)[:series])
+        return ds, built
+
     @pytest.mark.parametrize("fid", ["fig6", "fig8", "fig9", "fig10"])
     def test_cells_build_no_objects(self, monkeypatch, fid):
         # Geometry copies, validations, matrices and round-trip prefixes are built once per
         # row or series, never per cell: with one and with four series each count stays
         # within rows + series + 1 (the +1 is the link copy of the calibration).
-        s = default_scenario()
         for series in (1, 4):
-            built = Counter()
-            with monkeypatch.context() as patch:
-                post_init, new = CavityGeometry.__post_init__, TransferMatrix.__new__
-                prefix = sweep_search.round_trip_prefix
-                patch.setattr(CavityGeometry, "__post_init__", lambda g: built.update(["checks"]) or post_init(g))
-                patch.setattr(TransferMatrix, "__new__",
-                              lambda cls, *args: built.update(["matrices"]) or new(cls, *args))
-                patch.setattr(sweep_search, "replace", lambda *args, **kw: built.update(["copies"]) or replace(*args, **kw))
-                patch.setattr(sweep_search, "round_trip_prefix", lambda *args: built.update(["prefixes"]) or prefix(*args))
-                ds = generate_figure(fid, s, m_values=(2.5, 3.0, 3.5, 5.0)[:series],
-                                     d_values=(10.0, 20.0, 30.0, 40.0)[:series])
+            ds, built = self.built(monkeypatch, fid, series)
             rows, cells = len(ds.rows), len(ds.rows) * (len(ds.columns) - 1)
             assert cells >= rows * series
             assert all(count <= rows + series + 1 for count in built.values()), (series, built)
+
+    @pytest.mark.parametrize("fid", ["fig9", "fig10"])
+    def test_magnification_grid_builds_no_objects_per_row(self, monkeypatch, fid):
+        # fig9 and fig10 fold their grid's prefixes as one column over the magnification: no geometry
+        # copy, check, matrix or scalar prefix is made per row.  Each count stays within series + 2 (fig9
+        # copies and checks each series value, fig10 makes one rho2 copy, and the calibration one link
+        # copy), the same on the table's grid and on one three times as long.
+        (variable, unit, lo, hi, samples), build = sweep_search._FIGURES[fid]
+        for series in (1, 4):
+            counts = []
+            for rows in (samples, 3 * samples):
+                monkeypatch.setitem(sweep_search._FIGURES, fid, ((variable, unit, lo, hi, rows), build))
+                ds, built = self.built(monkeypatch, fid, series)
+                assert ds.n_rows == rows and len(ds.columns) == series + 1
+                assert all(count <= series + 2 for count in built.values()), (rows, series, built)
+                counts.append(built)
+            assert counts[0] == counts[1]
 
 
 class TestRunSweep:

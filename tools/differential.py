@@ -21,7 +21,8 @@ and the file it wrote (or the class and message of an exception that
 escaped run_command); a point's is the sha256 of the result's repr, or the
 error's class and message.  Each outcome also counts the records logged
 under `bcrbsim`.  The script exits 0 when every case matches, 1 otherwise.
-Standard library only.
+Standard library only.  tests/test_differential_slice.py runs a fixed slice
+of the cases in process, through run_cases, against recorded outcomes.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import tempfile
 from collections import Counter, defaultdict
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from functools import partial
 from itertools import combinations, product
 from pathlib import Path
 
@@ -73,25 +75,22 @@ def _sweep_cases(variables):
                f"--system={system}", "--out", "sweep.csv"]
 
 
-def _run_tree(tree: Path) -> None:
-    """Print [family, case, outcome] for each case, as JSON lines, with bcrbsim imported from tree/src."""
-    sys.path.insert(0, str(tree.resolve() / "src"))
+def run_cases(select=lambda family, index: True):
+    """Yield [family, case, outcome] for each selected case, with bcrbsim imported as it stands.
+
+    select(family, index) picks cases by their index within their family.
+    The commands run in a temporary working directory, and the records logged
+    under `bcrbsim` are counted, not shown; both are restored when the cases
+    are done.
+    """
     import bcrbsim
     from bcrbsim.cli import _VARIABLE_ALIASES, run_command
     from bcrbsim.sweep_search import _SWEEP_UNITS
 
-    if not Path(bcrbsim.__file__).resolve().is_relative_to(tree.resolve()):
-        raise SystemExit(f"bcrbsim was imported from {bcrbsim.__file__}, not from {tree}")
     records = []
     handler = logging.Handler()
     handler.emit = records.append
     log = logging.getLogger("bcrbsim")
-    log.addHandler(handler)
-    log.propagate = False
-
-    def emit(family, case, outcome):
-        print(json.dumps([family, case, [*outcome, len(records)]]))
-        records.clear()
 
     def command(argv):
         out, err = io.StringIO(), io.StringIO()
@@ -106,12 +105,11 @@ def _run_tree(tree: Path) -> None:
         return [code, _digest(out.getvalue().encode()), _digest(err.getvalue().encode()),
                 None if data is None else _digest(data)]
 
-    with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)
-        for argv in _cli_cases():
-            emit("cli", argv, command(argv))
-        for argv in _sweep_cases(sorted(_SWEEP_UNITS) + sorted(_VARIABLE_ALIASES)):
-            emit("sweep", argv, command(argv))
+    def point(scenario, system, d, p_in, mu):
+        try:
+            return ["ok", _digest(repr(bcrbsim.operating_point(scenario, system, d, p_in, mu)).encode())]
+        except Exception as exc:  # the error is the outcome
+            return ["raised", type(exc).__name__, str(exc)]
 
     s = bcrbsim.default_scenario()
     scenarios = {
@@ -121,13 +119,41 @@ def _run_tree(tree: Path) -> None:
         "explicit_n": replace(s, model_choices=replace(s.model_choices, n_source="explicit"),
                               link=replace(s.link, loss_scale=3.0)),
     }
-    for (name, scenario), system in product(scenarios.items(), (*LAYOUTS, "ring")):
-        for d, p_in, mu in product(GRID, repeat=3):
-            try:
-                outcome = ["ok", _digest(repr(bcrbsim.operating_point(scenario, system, d, p_in, mu)).encode())]
-            except Exception as exc:  # the error is the outcome
-                outcome = ["raised", type(exc).__name__, str(exc)]
-            emit("point", [name, system, repr(d), repr(p_in), repr(mu)], outcome)
+    families = {
+        "cli": ((argv, partial(command, argv)) for argv in _cli_cases()),
+        "sweep": ((argv, partial(command, argv))
+                  for argv in _sweep_cases(sorted(_SWEEP_UNITS) + sorted(_VARIABLE_ALIASES))),
+        "point": (([name, system, repr(d), repr(p_in), repr(mu)], partial(point, scenario, system, d, p_in, mu))
+                  for (name, scenario), system, (d, p_in, mu)
+                  in product(scenarios.items(), (*LAYOUTS, "ring"), product(GRID, repeat=3))),
+    }
+    cwd, propagate = os.getcwd(), log.propagate
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        log.addHandler(handler)
+        log.propagate = False
+        try:
+            for family, cases in families.items():
+                for index, (case, run) in enumerate(cases):
+                    if select(family, index):
+                        records.clear()
+                        outcome = run()
+                        yield [family, case, [*outcome, len(records)]]
+        finally:
+            os.chdir(cwd)
+            log.removeHandler(handler)
+            log.propagate = propagate
+
+
+def _run_tree(tree: Path) -> None:
+    """Print [family, case, outcome] for each case, as JSON lines, with bcrbsim imported from tree/src."""
+    sys.path.insert(0, str(tree.resolve() / "src"))
+    import bcrbsim
+
+    if not Path(bcrbsim.__file__).resolve().is_relative_to(tree.resolve()):
+        raise SystemExit(f"bcrbsim was imported from {bcrbsim.__file__}, not from {tree}")
+    for line in run_cases():
+        print(json.dumps(line))
 
 
 def _outcomes(tree: Path) -> dict:
