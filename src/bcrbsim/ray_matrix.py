@@ -136,7 +136,7 @@ class CavityGeometry:
     @property
     def f2(self) -> float:
         """Convex-lens focal length, tied to f1 by the magnification; the -f2 element of _LAYOUTS is this product."""
-        return self.f1 * self.magnification
+        return _f2(self.f1, self.magnification)
 
 
 # Per layout: the round trip's elements before the gap to mirror 2, in

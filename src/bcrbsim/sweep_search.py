@@ -147,21 +147,28 @@ def _roots(a: float, b: float, c: float) -> list[float]:
     return [q / a, c / q] if q != 0.0 else [0.0, 0.0]
 
 
+def _inside(lo: float, up: float) -> float:
+    # A float in (lo, up] for 0 <= lo < up: the midpoint, which cannot overflow, or up where no float lies between.
+    mid = lo + 0.5 * (up - lo)
+    return mid if mid > lo else up
+
+
 def _bands(roots: Sequence[float], hi: float,
            stable: Callable[[float], bool]) -> list[tuple[float, float]]:
     """Stable bands of (0, hi] between consecutive roots, as (lowest, highest) stable points.
 
-    An interval is kept when stable() holds at its midpoint; roots within 16
-    ulps of 0 or hi are rounding, not edges.  Stable neighbours are joined:
-    only a tangent root, a point no float resolves, separates them.  Each
-    kept edge is walked toward the middle of its band (one ulp, then
-    doubling steps) to the first point > 0 at which stable() holds.
+    Every root strictly inside (0, hi) is an edge.  An interval is kept when
+    stable() holds at a float inside it: its midpoint, or its upper end where
+    no float lies between the two.  Stable neighbours are joined: only a
+    tangent root, a point no float resolves, separates them.  Each kept edge
+    is walked toward that inside float (one ulp, then doubling steps) and
+    returned at the first point > 0 it probes at which stable() holds; the
+    doubling steps can pass the first stable float by a few ulps.
     """
-    margin = 16.0 * math.ulp(hi)
-    edges = [0.0] + sorted(r for r in roots if margin < r < hi - margin) + [hi]
+    edges = [0.0] + sorted(r for r in roots if 0.0 < r < hi) + [hi]
     bands: list[tuple[float, float]] = []
     for lo, up in zip(edges, edges[1:]):
-        if lo < up and stable(0.5 * (lo + up)):
+        if lo < up and stable(_inside(lo, up)):
             if bands and bands[-1][1] == lo:
                 lo = bands.pop()[0]
             bands.append((lo, up))
@@ -172,7 +179,7 @@ def _bands(roots: Sequence[float], hi: float,
             step = max(2.0 * step, abs(math.nextafter(x, toward) - x))
             x = min(x + step, toward) if toward > x else max(x - step, toward)
         return x
-    return [(inward(lo, 0.5 * (lo + up)), inward(up, 0.5 * (lo + up))) for lo, up in bands]
+    return [(inward(lo, mid), inward(up, mid)) for lo, up in bands for mid in [_inside(lo, up)]]
 
 
 def _require_cap(name: str, value: float) -> None:

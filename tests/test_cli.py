@@ -78,6 +78,15 @@ class TestStability:
         assert [(r.name, r.getMessage()) for r in caplog.records] == [
             ("bcrbsim.sweep_search", "found 2 stability bands in (0, 20] m; returning the upper edge of the first")]
 
+    @pytest.mark.parametrize("cap", ["4.51e15", "1e308", repr(sys.float_info.max)])
+    def test_huge_cap_keeps_the_first_edge(self, capsys, caplog, cap):
+        # The second band starts past the first edge and reaches the cap; a cap this large moves neither.
+        code, out, err = run(capsys, "stability", "--d-hi", cap)
+        assert code == 0
+        assert "stability_bands = 2 [-]" in out.splitlines()
+        assert "d_max = 8.67523606 [m]" in out.splitlines()
+        assert len(caplog.records) == 1
+
     def test_invalid_search_cap_prints_nothing(self, capsys):
         code, out, err = run(capsys, "stability", "--d-hi", "-1")
         assert code == 1

@@ -532,8 +532,8 @@ def test_required_rho2_is_the_d_zero_law_where_that_edge_binds(geometry, rho2_hi
     the sign of the exact D once rho2 is (2u + O(u^2)) relative past the root, which the walk's steps of
     1, 2 and 4 ulps pass within 7 ulps.  So the two differ by at most gamma_6 (|c| + d) + 7 ulps of the
     result, gamma_6 covering the rounding of c too: 10 ulps of the law when c > 0.  The D = 0 edge binds
-    where it is the greatest root that _bands keeps at or below the result, the edge the result was
-    walked from.
+    where it is the greatest root in (0, rho2_hi), each of which _bands keeps as an edge, at or below the
+    result: the edge the result was walked from.
     """
     x, _ = round_trip_prefix(geometry, "bcrb")
     d = geometry.d
@@ -543,11 +543,29 @@ def test_required_rho2_is_the_d_zero_law_where_that_edge_binds(geometry, rho2_hi
         result = required_rho2(geometry, d, rho2_hi)
     except InfeasibleSearchError:
         assume(False)
-    margin = 16.0 * math.ulp(rho2_hi)
-    kept = [root for root in d_zero + ad_one if margin < root < rho2_hi - margin]
+    kept = [root for root in d_zero + ad_one if 0.0 < root < rho2_hi]
     assume(d_zero and max([0.0] + [root for root in kept if root <= result]) == d_zero[0])
     c = x.b / x.d
     assert abs(result - (d + c)) <= _gamma(6) * (abs(c) + d) + 7.0 * math.ulp(result)
+
+
+@pytest.mark.parametrize("system", ["bcrb", "original"])
+@settings(max_examples=150, deadline=None)
+@given(geometry=GEOMETRIES, data=st.data())
+def test_a_larger_cap_keeps_the_first_edge(system, geometry, data):
+    # E, the upper edge of the first band under a 100 m cap, and R, the least stabilizing rho2 (bcrb only),
+    # are roots: found well below that cap, each comes back at every cap from 1.5 times it to the largest float.
+    searches = {"E": lambda cap: max_stable_distance(geometry, cap, system=system)}
+    if system == "bcrb":
+        searches["R"] = lambda cap: required_rho2(geometry, geometry.d, cap)
+    for name, search in searches.items():
+        try:
+            found = search(100.0)
+        except (NoStableRegionError, InfeasibleSearchError):
+            continue
+        if found < 66.0:
+            cap = data.draw(st.floats(1.5 * found, sys.float_info.max), label=f"cap above {name}")
+            assert search(cap) == found
 
 
 # Entrywise error of the closed form times the entry's partner in the

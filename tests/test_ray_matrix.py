@@ -292,7 +292,7 @@ class TestGeometryValidation:
         # f1 and M are each finite, their product f2 is not: the error names both, not the -f2 gap.
         g = CavityGeometry(f1=f1, magnification=m)
         for build in (round_trip_bcrb, lambda g: round_trip(g, "bcrb"), lambda g: round_trip_prefix(g, "bcrb"),
-                      round_trip_closed_form):
+                      round_trip_closed_form, lambda g: g.f2):
             with pytest.raises(InvalidElementError) as info:
                 build(g)
             assert str(info.value) == f"f2 = f1 * magnification overflows: f1 = {f1!r} m, magnification = {m!r}"
@@ -300,7 +300,8 @@ class TestGeometryValidation:
     def test_largest_finite_f2_keeps_its_bits(self):
         # Just below the overflow, the -f2 element is the shift by -(f1 * M), as before.
         f1, m = sys.float_info.max / 2.0, 2.0
-        assert bcrb_elements(CavityGeometry(f1=f1, magnification=m))[6] == _shift(-(f1 * m))
+        g = CavityGeometry(f1=f1, magnification=m)
+        assert bcrb_elements(g)[6] == _shift(-(f1 * m)) == _shift(-g.f2)
 
     @pytest.mark.parametrize("g, entries", [
         (CavityGeometry(), ["0x1.c05306b5b5680p+1", "0x1.1ebe030837f60p+0", "-0x1.670989ee84ac5p-2",

@@ -3,6 +3,7 @@
 import math
 import re
 import statistics
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -224,6 +225,18 @@ class TestMaxSpotOverRange:
         with pytest.raises(UnstableCavityError, match="unstable at d"):
             max_spot_over_range(CavityGeometry(rho2=10.0), 1.0, 12.0)
 
+    def test_unstable_sample_names_its_distance(self, monkeypatch):
+        # A sample inside the band that the spot radii still reject (by rounding) names its own distance.
+        cause = UnstableCavityError("not stable here")
+
+        def spots(entries, g):
+            raise cause
+        monkeypatch.setattr(sweep_search, "_spots", spots)
+        with pytest.raises(UnstableCavityError) as info:
+            max_spot_over_range(CavityGeometry(rho2=50.0), 2.0, 10.0, 3)
+        assert str(info.value) == "cavity unstable at d = 2 m inside [2, 10] m"
+        assert info.value.__cause__ is cause
+
     def test_domain_errors(self):
         g = CavityGeometry(rho2=50.0)
         with pytest.raises(ValueError):
@@ -281,6 +294,51 @@ class TestSearchCaps:
                              ("tol", lambda: max_stable_distance(g, 10.0, tol=value))):
             with pytest.raises(ValueError, match=f"{name} must be finite, got {value!r}"):
                 search()
+
+
+class TestEdgesAtAnyCap:
+    """Every root in (0, cap) is an edge, so a cap above the answer, by one ulp or up to the largest float,
+    gives the answer of the reference design again; and every interval is judged at a float inside it."""
+
+    MAX = sys.float_info.max
+    D_MAX = {"bcrb": 8.675236063708757, "original": 9.898998862343571}
+    RHO2_AT_10 = 11.324763936291243
+
+    @pytest.mark.parametrize("system", ["bcrb", "original"])
+    def test_max_stable_distance_at_caps_above_its_edge(self, system):
+        e = self.D_MAX[system]
+        for cap in [e + k * math.ulp(e) for k in range(17)] + [4.51e15, 1e308, self.MAX]:
+            assert max_stable_distance(CavityGeometry(), cap, system=system) == e, cap
+
+    def test_required_rho2_at_caps_above_its_edge(self):
+        r = self.RHO2_AT_10
+        for cap in [r + k * math.ulp(r) for k in range(17)] + [4.51e15, self.MAX]:
+            assert required_rho2(CavityGeometry(), 10.0, cap) == r, cap
+
+    def test_required_rho2_for_200_m_reads_no_cap(self):
+        assert required_rho2(CavityGeometry(), 200.0, 1e300) == required_rho2(CavityGeometry(), 200.0, 1000.0)
+
+    def test_max_spot_names_the_first_edge_under_a_huge_cap(self):
+        with pytest.raises(UnstableCavityError, match=re.escape("unstable at d = 8.67524 m inside [1, 5e+15] m")):
+            max_spot_over_range(CavityGeometry(), 1.0, 5e15, 3)
+
+    def test_least_subnormal_cap_is_one_stable_point(self):
+        # (0, 5e-324) holds no float: it is judged at 5e-324, the band's only point, not at 0.
+        assert stability_bands(CavityGeometry(), 5e-324) == [(5e-324, 5e-324)]
+
+    def test_least_subnormal_rho2_cap_is_judged_inside(self):
+        with pytest.raises(InfeasibleSearchError,
+                           match=re.escape("no rho2 in (0, 5e-324] m stabilizes d = 10.0 m")):
+            required_rho2(CavityGeometry(), 10.0, 5e-324)
+
+    def test_largest_cap_judged_without_overflow(self):
+        # The midpoint of (root, largest float) is taken as lo + (up - lo)/2: their sum overflows.
+        g = CavityGeometry(rho2=self.MAX)
+        bands = stability_bands(g, self.MAX)
+        assert bands
+        for lo, hi in bands:
+            assert 0.0 < lo <= hi <= self.MAX
+            assert _stable_at(g, lo) and _stable_at(g, hi)
 
 
 class TestCalibration:

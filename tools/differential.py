@@ -14,15 +14,19 @@ prints one JSON line per case.  The cases are:
   range lo < hi of the finite edge values, on both layouts;
 - point: `operating_point` over a 14^3 grid of d, p_in and mu, on both
   layouts and an unknown one, in four scenarios: the default, unclamped
-  power, a dark, cold receiver, and an explicit N.
+  power, a dark, cold receiver, and an explicit N;
+- search: the searches on the default geometry under the caps CAPS:
+  `stability_bands` on both layouts, `required_rho2` at d = 10 and 200 m,
+  and `max_spot_over_range` from d = 1 m with 3 samples.
 
 A command's outcome is its exit code, the sha256 of its stdout, its stderr
 and the file it wrote (or the class and message of an exception that
-escaped run_command); a point's is the sha256 of the result's repr, or the
-error's class and message.  Each outcome also counts the records logged
-under `bcrbsim`.  The script exits 0 when every case matches, 1 otherwise.
-Standard library only.  tests/test_differential_slice.py runs a fixed slice
-of the cases in process, through run_cases, against recorded outcomes.
+escaped run_command); a point's or a search's is the sha256 of the result's
+repr, or the error's class and message.  Each outcome also counts the records
+logged under `bcrbsim`.  The script exits 0 when every case matches, 1
+otherwise.  Standard library only.  tests/test_differential_slice.py runs a
+fixed slice of the cases in process, through run_cases, against recorded
+outcomes.
 """
 
 from __future__ import annotations
@@ -53,6 +57,11 @@ FLOAT_FLAGS = {"stability": ("--d", "--d-hi"), "spot": ("--d",), "power": ("--d"
                "comms": ("--d", "--P-in", "--mu")}
 LAYOUTS = ("bcrb", "original")
 GRID = [None, 0.0, -0.0, 5e-324, 0.5, 1.0, 3, True, 200.0, 1e308, -1.0, math.nan, math.inf, -math.inf]
+# The positive finite edge values, a cap where one ulp is 1 m, and the reference design's d_max and
+# required_rho2 at d = 10 m, each at 0, 1, 4 and 16 ulps above.
+EDGES = (8.675236063708757, 11.324763936291243)
+CAPS = sorted({value for value in VALUES if 0.0 < value < math.inf} | {4.51e15}
+              | {edge + k * math.ulp(edge) for edge in EDGES for k in (0, 1, 4, 16)})
 
 
 def _digest(data: bytes) -> str:
@@ -105,13 +114,17 @@ def run_cases(select=lambda family, index: True):
         return [code, _digest(out.getvalue().encode()), _digest(err.getvalue().encode()),
                 None if data is None else _digest(data)]
 
-    def point(scenario, system, d, p_in, mu):
+    def call(function, *args):
         try:
-            return ["ok", _digest(repr(bcrbsim.operating_point(scenario, system, d, p_in, mu)).encode())]
+            return ["ok", _digest(repr(function(*args)).encode())]
         except Exception as exc:  # the error is the outcome
             return ["raised", type(exc).__name__, str(exc)]
 
-    s = bcrbsim.default_scenario()
+    s, g = bcrbsim.default_scenario(), bcrbsim.CavityGeometry()
+    searches = [*((["stability_bands", system], partial(bcrbsim.stability_bands, g, system=system))
+                  for system in LAYOUTS),
+                *((["required_rho2", repr(d)], partial(bcrbsim.required_rho2, g, d)) for d in (10.0, 200.0)),
+                (["max_spot_over_range", "1.0", "3"], lambda cap: bcrbsim.max_spot_over_range(g, 1.0, cap, 3))]
     scenarios = {
         "default": s,
         "unclamped": replace(s, model_choices=replace(s.model_choices, clamp_negative_power=False)),
@@ -123,9 +136,11 @@ def run_cases(select=lambda family, index: True):
         "cli": ((argv, partial(command, argv)) for argv in _cli_cases()),
         "sweep": ((argv, partial(command, argv))
                   for argv in _sweep_cases(sorted(_SWEEP_UNITS) + sorted(_VARIABLE_ALIASES))),
-        "point": (([name, system, repr(d), repr(p_in), repr(mu)], partial(point, scenario, system, d, p_in, mu))
+        "point": (([name, system, repr(d), repr(p_in), repr(mu)],
+                   partial(call, bcrbsim.operating_point, scenario, system, d, p_in, mu))
                   for (name, scenario), system, (d, p_in, mu)
                   in product(scenarios.items(), (*LAYOUTS, "ring"), product(GRID, repeat=3))),
+        "search": (([*name, repr(cap)], partial(call, search, cap)) for (name, search), cap in product(searches, CAPS)),
     }
     cwd, propagate = os.getcwd(), log.propagate
     with tempfile.TemporaryDirectory() as tmp:
