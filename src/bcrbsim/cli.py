@@ -187,23 +187,23 @@ def _cmd_calibrate(s: Scenario, args) -> int:
     return 0
 
 
-def _cmd_figure(s: Scenario, args) -> int:
-    ds = generate_figure(args.figure_id, s)
-    out = args.out if args.out is not None else f"{args.figure_id}.csv"
+def _write(ds: FigureDataset, out) -> int:
+    # The figure and sweep commands' output: the CSV at out, by default named after the dataset's figure_id.
+    out = out if out is not None else f"{ds.figure_id}.csv"
     write_dataset(ds, out)
     print(f"wrote {out} ({ds.n_rows} rows)")
     return 0
+
+
+def _cmd_figure(s: Scenario, args) -> int:
+    return _write(generate_figure(args.figure_id, s), args.out)
 
 
 def _cmd_sweep(s: Scenario, args) -> int:
     variable = _VARIABLE_ALIASES.get(args.variable, args.variable)
     spec = SweepSpec(variable=variable, lo=args.lo, hi=args.hi,
                      samples=args.samples, system=args.system)
-    ds = run_sweep(spec, s)
-    out = args.out if args.out is not None else f"sweep_{variable}.csv"
-    write_dataset(ds, out)
-    print(f"wrote {out} ({ds.n_rows} rows)")
-    return 0
+    return _write(run_sweep(spec, s), args.out)
 
 
 def _add_common(sub, d_flag=True, power_flags=False, system_flag=True, out_flag=False):

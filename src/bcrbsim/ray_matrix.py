@@ -255,18 +255,13 @@ def _affine(m: tuple, offset: float, rho2: float) -> tuple:
     return a, b, (m[2] - r * a[0], -r * a[1]), (m[3] - r * b[0], -r * b[1])
 
 
-def _round_trip(g: CavityGeometry, system: str) -> TransferMatrix:
-    x, offset = _prefix_over(system, partial(getattr, g))
-    return TransferMatrix(*_close(x, offset + g.d, g.rho2))
-
-
 def round_trip_bcrb(g: CavityGeometry) -> TransferMatrix:
     """Round-trip matrix of the beam-compression cavity (canonical form).
 
     Composes mirror / gap / gain lens / telescope / gap / mirror in
     propagation order; the product is unimodular up to rounding.
     """
-    return _round_trip(g, "bcrb")
+    return TransferMatrix(*_round_trip_over("bcrb", partial(getattr, g)))
 
 
 def round_trip_closed_form(g: CavityGeometry) -> TransferMatrix:
@@ -296,7 +291,7 @@ def round_trip_original(g: CavityGeometry) -> TransferMatrix:
     The gain module faces the receiver mirror across a single gap L2 + d;
     telescope fields of the geometry are ignored.
     """
-    return _round_trip(g, "original")
+    return TransferMatrix(*_round_trip_over("original", partial(getattr, g)))
 
 
 def round_trip(g: CavityGeometry, system: str) -> TransferMatrix:

@@ -148,7 +148,10 @@ def _roots(a: float, b: float, c: float) -> list[float]:
 
 
 def _inside(lo: float, up: float) -> float:
-    # A float in (lo, up] for 0 <= lo < up: the midpoint, which cannot overflow, or up where no float lies between.
+    # A float in (lo, up] for 0 <= lo < up: the midpoint of (lo, min(up, 2 lo)], which cannot overflow, or that
+    # interval's upper end where no float lies between.  For lo > 0 it is at most 1.5 lo, whatever up is.
+    if 0.0 < 2.0 * lo < up:
+        up = 2.0 * lo
     mid = lo + 0.5 * (up - lo)
     return mid if mid > lo else up
 
@@ -157,13 +160,15 @@ def _bands(roots: Sequence[float], hi: float,
            stable: Callable[[float], bool]) -> list[tuple[float, float]]:
     """Stable bands of (0, hi] between consecutive roots, as (lowest, highest) stable points.
 
-    Every root strictly inside (0, hi) is an edge.  An interval is kept when
-    stable() holds at a float inside it: its midpoint, or its upper end where
-    no float lies between the two.  Stable neighbours are joined: only a
-    tangent root, a point no float resolves, separates them.  Each kept edge
-    is walked toward that inside float (one ulp, then doubling steps) and
-    returned at the first point > 0 it probes at which stable() holds; the
-    doubling steps can pass the first stable float by a few ulps.
+    Every root strictly inside (0, hi) is an edge.  An interval (lo, up] is
+    kept when stable() holds at _inside(lo, up), at most 1.5 lo when lo > 0,
+    so a huge cap, where the float entries stop resolving the exact ones,
+    does not move the point that judges an interval starting at a root.
+    Stable neighbours are joined: only a tangent root, a point no float
+    resolves, separates them.  Each kept edge is walked toward that inside
+    float (one ulp, then doubling steps) and returned at the first point > 0
+    it probes at which stable() holds; the doubling steps can pass the first
+    stable float by a few ulps.
     """
     edges = [0.0] + sorted(r for r in roots if 0.0 < r < hi) + [hi]
     bands: list[tuple[float, float]] = []
@@ -203,6 +208,9 @@ def stability_bands(g: CavityGeometry, d_hi: float, system: str = "bcrb") -> lis
     starts at 5e-324.  With (x, offset) = round_trip_prefix(g, system), D = x.d - B/rho2
     and B = x.b + (offset + d)*x.d, so the D = 0 edge is d = rho2 - offset - x.b/x.d;
     for the reference design it is the upper edge, d_max = rho2 - c(M) with c = x.b/x.d.
+    For bcrb, c(M) = M^2 (L2 + f1 + L1 f_gain/(f_gain - L1)) - M f1, with no rho1 in it:
+    the image of mirror 1 lies c behind the telescope's output, and at D = 0 mirror 2's
+    centre of curvature sits on that image.
     """
     _require_cap("d_hi", d_hi)
     return _distance_bands(*round_trip_prefix(g, system), g.rho2, d_hi)
@@ -235,7 +243,8 @@ def required_rho2(g: CavityGeometry, d: float, rho2_hi: float) -> float:
     with B' the slope of B in d the edges are rho2 = B/B' (D = 0) and
     A*B/(A*B' - 1) (A*D = 1).  The result is the lower edge of the first
     band, a point is_stable accepts, exact to rounding.  With x the d-free prefix,
-    B/B' = d + x.b/x.d; for the reference design that D = 0 edge binds: d + c(M).
+    B/B' = d + x.b/x.d; for the reference design that D = 0 edge binds: d + c(M), with
+    c(M) = M^2 (L2 + f1 + L1 f_gain/(f_gain - L1)) - M f1 (see stability_bands).
     """
     _require_cap("rho2_hi", rho2_hi)
     return _required_rho2(round_trip_prefix(replace(g, d=d), "bcrb")[0], d, rho2_hi)
@@ -408,8 +417,7 @@ def _points(s: Scenario, link: LinkBudgetParams, system: str, inputs: dict) -> t
 
 def operating_point(s: Scenario, system: str = "bcrb",
                     d: Optional[float] = None, p_in: Optional[float] = None,
-                    mu: Optional[float] = None,
-                    link: Optional[LinkBudgetParams] = None) -> dict:
+                    mu: Optional[float] = None) -> dict:
     """Evaluate the full model chain at one distance; fixed key order.
 
     This is run_sweep's program, _points, over one row: d, p_in and mu are
@@ -420,24 +428,19 @@ def operating_point(s: Scenario, system: str = "bcrb",
     g = s.geometry if d is None else replace(s.geometry, d=d)
     p_in = s.pump_input_power if p_in is None else p_in
     mu = s.receiver.split_ratio if mu is None else mu
-    link = resolve_link_params(s) if link is None else link
-    cells = _points(s, link, system, {"d": g.d, "p_in": p_in, "mu": mu})
+    cells = _points(s, resolve_link_params(s), system, {"d": g.d, "p_in": p_in, "mu": mu})
     point = dict(zip(("d", "p_in", "mu") + tuple(name for name, _ in _POINT_COLUMNS), (g.d, p_in, mu, *cells)))
     point["stable"] = bool(point["stable"])
     return point
 
 
 def _scenario_metadata(s: Scenario, link: LinkBudgetParams) -> dict:
+    # The scenario file's keys in its order, a section's as section.key (model_choices as model.), then the N used.
     meta: dict = {}
-    ext = scenario_to_dict(s)
-    for section in ("geometry", "link", "receiver"):
-        for key, value in ext[section].items():
-            meta[f"{section}.{key}"] = value
-    meta["pump_input_power_w"] = ext["pump_input_power_w"]
-    for key, value in ext["model_choices"].items():
-        meta[f"model.{key}"] = value
-    meta["model.loss_scale_effective"] = link.loss_scale
-    return meta
+    for section, value in scenario_to_dict(s).items():
+        prefix = "model" if section == "model_choices" else section
+        meta.update({f"{prefix}.{k}": v for k, v in value.items()} if type(value) is dict else {section: value})
+    return {**meta, "model.loss_scale_effective": link.loss_scale}
 
 
 def _dataset(figure_id: str, s: Scenario, link: LinkBudgetParams,

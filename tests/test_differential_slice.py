@@ -1,6 +1,6 @@
 """A fixed slice of tools/differential.py's edge cases, pinned by the outcomes in differential_slice.json.
 
-Every STRIDE[family]-th case of each family (cli, sweep, point, search) runs
+Every STRIDE[family]-th case of each family (cli, sweep, point, search, scenario) runs
 in this process, through the script's run_cases.  An outcome is a command's
 exit code and the digests of its stdout, stderr and written file, or the
 digest of a point's or a search's result, or the class and message of the
@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 RECORDED = Path(__file__).with_name("differential_slice.json")
-STRIDE = {"cli": 19, "sweep": 13, "point": 131, "search": 1}
+STRIDE = {"cli": 19, "sweep": 13, "point": 131, "search": 1, "scenario": 19}
 
 
 def _run_cases():

@@ -202,7 +202,7 @@ def test_sweep_rows_are_operating_points(variable, system, clamp, data, geometry
     assert list(map(repr, run_sweep(spec, s).rows)) == want
     if variable in ("d", "p_in", "mu"):
         # operating_point evaluates the same row at one point.
-        points = [operating_point(s, system, link=link, **{variable: value}) for value in grid]
+        points = [operating_point(s, system, **{variable: value}) for value in grid]
         assert [repr((value, *map(float, list(point.values())[3:]))) for value, point in zip(grid, points)] == want
 
 
@@ -549,9 +549,54 @@ def test_required_rho2_is_the_d_zero_law_where_that_edge_binds(geometry, rho2_hi
     assert abs(result - (d + c)) <= _gamma(6) * (abs(c) + d) + 7.0 * math.ulp(result)
 
 
+@settings(max_examples=300, deadline=None)
+@given(geometry=GEOMETRIES)
+@example(geometry=CavityGeometry())
+def test_c_is_its_formula_in_the_geometry_fields(geometry):
+    """c = x.b / x.d of the bcrb prefix x is M^2 (L2 + f1 + L1 f_gain / (f_gain - L1)) - M f1: no rho1 in it.
+
+    x maps a ray leaving mirror 1's vertex to the telescope's output, so the image of mirror 1 lies c
+    behind that output, and D = 0 (rho2 = d + c) puts mirror 2's centre of curvature on it.  The second
+    column (b, d) is the fold of the elements after mirror 1 on (0, 1): (L1, 1 - L1/f_gain), then
+    (L1 + (L2 + f1)(1 - L1/f_gain), 1 - L1/f_gain), then M times and 1/M times these, then b less f1 M d.
+    The bound: the formula rounds each of its two terms at most seven times, over values of one sign
+    until the last subtraction, so it is within gamma_7 (M^2 s + M f1) of c, gamma_8 with s its computed
+    sum.  The prefix's six 2x2 products give gamma_12 P and its rounded element entries (-1/f_gain, 1/M
+    and f1 M) gamma_3 P, with P = |E_7|...|E_1| (Higham 2002, section 3.5); gamma_16 P in all, with P
+    computed, is E_b on b and E_d on d.  Then |fl(b/d) - c| <= u |b/d| + (E_b + |b/d| E_d) / (|d| - E_d).
+    """
+    x, _ = round_trip_prefix(geometry, "bcrb")
+    elements, _ = _layout("bcrb")
+    entries = [build(*[getattr(geometry, name) for name in reads]) for reads, build in elements]
+    _, pb, _, pd = reduce(lambda p, e: _product(e, p), [tuple(map(abs, e)) for e in entries])
+    error_b, error_d = _gamma(16) * pb, _gamma(16) * pd
+    assert abs(x.d) > error_d
+    c, m = x.b / x.d, geometry.magnification
+    s = geometry.L2 + geometry.f1 + geometry.L1 * geometry.f_gain / (geometry.f_gain - geometry.L1)
+    ratio = abs(c) / (1.0 - UNIT_ROUNDOFF)
+    bound = (_gamma(8) * (m * m * s + m * geometry.f1) + UNIT_ROUNDOFF * ratio
+             + (error_b + ratio * error_d) / (abs(x.d) - error_d))
+    assert abs(m * m * s - m * geometry.f1 - c) <= bound
+
+
+# Its bcrb prefix is the identity, so the A*D = 1 root in rho2 lies at infinity, and R = 0.5000000000000001 m at
+# d = 0.5 m.  Yet the float D = 1 - 0.5/rho2 rounds to 1 once rho2 passes ~9e15 m: an interval (R, cap] judged at
+# its middle read unstable for every cap from 2**54 m up.
+IDENTITY_PREFIX = CavityGeometry(rho1=-1.0, rho2=-1.0, f_gain=1.0, f1=0.03125, magnification=1.0, L1=0.0, L2=0.0,
+                                 d=0.5)
+
+
+class _LargestCap:
+    # Stands in for st.data() in an explicit example: every cap drawn is the largest float.
+    @staticmethod
+    def draw(strategy, label=None):
+        return sys.float_info.max
+
+
 @pytest.mark.parametrize("system", ["bcrb", "original"])
 @settings(max_examples=150, deadline=None)
 @given(geometry=GEOMETRIES, data=st.data())
+@example(geometry=IDENTITY_PREFIX, data=_LargestCap())
 def test_a_larger_cap_keeps_the_first_edge(system, geometry, data):
     # E, the upper edge of the first band under a 100 m cap, and R, the least stabilizing rho2 (bcrb only),
     # are roots: found well below that cap, each comes back at every cap from 1.5 times it to the largest float.

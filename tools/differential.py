@@ -17,16 +17,21 @@ prints one JSON line per case.  The cases are:
   power, a dark, cold receiver, and an explicit N;
 - search: the searches on the default geometry under the caps CAPS:
   `stability_bands` on both layouts, `required_rho2` at d = 10 and 200 m,
-  and `max_spot_over_range` from d = 1 m with 3 samples.
+  and `max_spot_over_range` from d = 1 m with 3 samples; and `required_rho2`
+  at d = 0.5 m on IDENTITY_PREFIX, whose answer lies where huge caps round
+  the receiver mirror's D to 1;
+- scenario: each of the 27 numeric keys of the scenario file, alone, over
+  VALUES, through `--config`, for every command: each figure id, and a
+  3-sample d sweep.
 
 A command's outcome is its exit code, the sha256 of its stdout, its stderr
-and the file it wrote (or the class and message of an exception that
-escaped run_command); a point's or a search's is the sha256 of the result's
-repr, or the error's class and message.  Each outcome also counts the records
-logged under `bcrbsim`.  The script exits 0 when every case matches, 1
-otherwise.  Standard library only.  tests/test_differential_slice.py runs a
-fixed slice of the cases in process, through run_cases, against recorded
-outcomes.
+and the file it wrote, whose name its stdout gives (or the class and message
+of an exception that escaped run_command); a point's or a search's is the
+sha256 of the result's repr, or the error's class and message.  Each outcome
+also counts the records logged under `bcrbsim`.  The script exits 0 when
+every case matches, 1 otherwise.  Standard library only.
+tests/test_differential_slice.py runs a fixed slice of the cases in process,
+through run_cases, against recorded outcomes.
 """
 
 from __future__ import annotations
@@ -57,11 +62,15 @@ FLOAT_FLAGS = {"stability": ("--d", "--d-hi"), "spot": ("--d",), "power": ("--d"
                "comms": ("--d", "--P-in", "--mu")}
 LAYOUTS = ("bcrb", "original")
 GRID = [None, 0.0, -0.0, 5e-324, 0.5, 1.0, 3, True, 200.0, 1e308, -1.0, math.nan, math.inf, -math.inf]
+# A geometry whose bcrb round-trip prefix is the identity: required_rho2 at d = 0.5 m is 0.5000000000000001 m,
+# and the A*D = 1 root lies at infinity.
+IDENTITY_PREFIX = dict(rho1=-1.0, rho2=-1.0, f_gain=1.0, f1=0.03125, magnification=1.0, L1=0.0, L2=0.0, d=0.5)
 # The positive finite edge values, a cap where one ulp is 1 m, and the reference design's d_max and
 # required_rho2 at d = 10 m, each at 0, 1, 4 and 16 ulps above.
 EDGES = (8.675236063708757, 11.324763936291243)
 CAPS = sorted({value for value in VALUES if 0.0 < value < math.inf} | {4.51e15}
               | {edge + k * math.ulp(edge) for edge in EDGES for k in (0, 1, 4, 16)})
+CONFIG = "scenario.json"
 
 
 def _digest(data: bytes) -> str:
@@ -84,6 +93,16 @@ def _sweep_cases(variables):
                f"--system={system}", "--out", "sweep.csv"]
 
 
+def _scenario_cases(keys, figure_ids):
+    # [section.key, value, *command] and the --config text that sets just that key to that value, for every
+    # command with the arguments it needs and no others: each figure, and a sweep, write their default path.
+    commands = [["stability"], ["spot"], ["power"], ["comms"], ["calibrate"], *(["figure", f] for f in figure_ids),
+                ["sweep", "--variable", "d", "--lo=1.0", "--hi=250.0", "--samples=3"]]
+    for k, value, argv in product(keys, VALUES, commands):
+        raw = {k.section: {k.key: value}} if k.section else {k.key: value}
+        yield [f"{k.section}.{k.key}" if k.section else k.key, repr(value), *argv], json.dumps(raw)
+
+
 def run_cases(select=lambda family, index: True):
     """Yield [family, case, outcome] for each selected case, with bcrbsim imported as it stands.
 
@@ -94,23 +113,28 @@ def run_cases(select=lambda family, index: True):
     """
     import bcrbsim
     from bcrbsim.cli import _VARIABLE_ALIASES, run_command
-    from bcrbsim.sweep_search import _SWEEP_UNITS
+    from bcrbsim.scenario import _KEYS, _number
+    from bcrbsim.sweep_search import _SWEEP_UNITS, FIGURE_IDS
 
     records = []
     handler = logging.Handler()
     handler.emit = records.append
     log = logging.getLogger("bcrbsim")
 
-    def command(argv):
+    def command(argv, config=None):
+        if config is not None:
+            Path(CONFIG).write_text(config)
+            argv = ["--config", CONFIG, *argv]
         out, err = io.StringIO(), io.StringIO()
         try:
             with redirect_stdout(out), redirect_stderr(err):
                 code = run_command(argv)
         except Exception as exc:  # an escaping exception is an outcome to compare, not a failure of the script
             return ["raised", type(exc).__name__, str(exc)]
-        written = Path("sweep.csv")
-        data = written.read_bytes() if written.exists() else None
-        written.unlink(missing_ok=True)
+        written = [path for path in Path().iterdir() if path.name != CONFIG]
+        data = b"".join(path.read_bytes() for path in written) if written else None
+        for path in written:
+            path.unlink()
         return [code, _digest(out.getvalue().encode()), _digest(err.getvalue().encode()),
                 None if data is None else _digest(data)]
 
@@ -124,7 +148,9 @@ def run_cases(select=lambda family, index: True):
     searches = [*((["stability_bands", system], partial(bcrbsim.stability_bands, g, system=system))
                   for system in LAYOUTS),
                 *((["required_rho2", repr(d)], partial(bcrbsim.required_rho2, g, d)) for d in (10.0, 200.0)),
-                (["max_spot_over_range", "1.0", "3"], lambda cap: bcrbsim.max_spot_over_range(g, 1.0, cap, 3))]
+                (["max_spot_over_range", "1.0", "3"], lambda cap: bcrbsim.max_spot_over_range(g, 1.0, cap, 3)),
+                (["required_rho2", "identity_prefix", "0.5"],
+                 partial(bcrbsim.required_rho2, bcrbsim.CavityGeometry(**IDENTITY_PREFIX), 0.5))]
     scenarios = {
         "default": s,
         "unclamped": replace(s, model_choices=replace(s.model_choices, clamp_negative_power=False)),
@@ -141,6 +167,8 @@ def run_cases(select=lambda family, index: True):
                   for (name, scenario), system, (d, p_in, mu)
                   in product(scenarios.items(), (*LAYOUTS, "ring"), product(GRID, repeat=3))),
         "search": (([*name, repr(cap)], partial(call, search, cap)) for (name, search), cap in product(searches, CAPS)),
+        "scenario": ((case, partial(command, case[2:], config))
+                     for case, config in _scenario_cases([k for k in _KEYS if k.check is _number], FIGURE_IDS)),
     }
     cwd, propagate = os.getcwd(), log.propagate
     with tempfile.TemporaryDirectory() as tmp:
