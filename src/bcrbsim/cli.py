@@ -111,19 +111,13 @@ def format_dataset_csv(ds: FigureDataset) -> str:
     return "\n".join(lines)
 
 
-def write_dataset(ds: FigureDataset, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(format_dataset_csv(ds))
-
-
 def _cmd_stability(s: Scenario, args) -> int:
-    d = args.d if args.d is not None else s.geometry.d
-    g = replace(s.geometry, d=d)
+    g = s.geometry
     m = round_trip(g, args.system)
     # Band edges are walked inward as max_stable_distance walks them, so the
     # first band's upper end is d_max.  Bands come first: d_hi fails before output.
     bands = stability_bands(g, args.d_hi, args.system)
-    _emit("d", d, "m")
+    _emit("d", g.d, "m")
     _emit("A*D", m.a * m.d, "-")
     print(f"stable = {'true' if is_stable(m) else 'false'}")
     print(f"stability_bands = {len(bands)} [-]")
@@ -132,10 +126,8 @@ def _cmd_stability(s: Scenario, args) -> int:
 
 
 def _cmd_spot(s: Scenario, args) -> int:
-    d = args.d if args.d is not None else s.geometry.d
-    g = replace(s.geometry, d=d)
-    spots = cavity_spot_radii(g, args.system)
-    _emit("d", d, "m")
+    spots = cavity_spot_radii(s.geometry, args.system)
+    _emit("d", s.geometry.d, "m")
     _emit("omega1", spots.omega1, "m")
     _emit("omega2", spots.omega2, "m")
     _emit("omega3", spots.omega3, "m")
@@ -143,14 +135,12 @@ def _cmd_spot(s: Scenario, args) -> int:
 
 
 def _cmd_power(s: Scenario, args) -> int:
-    d = args.d if args.d is not None else s.geometry.d
     p_in = args.p_in if args.p_in is not None else s.pump_input_power
     mu = args.mu if args.mu is not None else s.receiver.split_ratio
-    g = replace(s.geometry, d=d)
     link = resolve_link_params(s)
     loss, point = _chain(s, link, args.system)
-    delta_t, p_beam, p_out = point(loss(g.d), p_in, mu)
-    _emit("d", d, "m")
+    delta_t, p_beam, p_out = point(loss(), p_in, mu)
+    _emit("d", s.geometry.d, "m")
     _emit("P_in", p_in, "W")
     _emit("mu", mu, "-")
     _emit("N", link.loss_scale, "-")
@@ -161,7 +151,7 @@ def _cmd_power(s: Scenario, args) -> int:
 
 
 def _cmd_comms(s: Scenario, args) -> int:
-    point = operating_point(s, args.system, d=args.d, p_in=args.p_in, mu=args.mu)
+    point = operating_point(s, args.system, p_in=args.p_in, mu=args.mu)
     _emit("d", point["d"], "m")
     _emit("P_in", point["p_in"], "W")
     _emit("mu", point["mu"], "-")
@@ -190,7 +180,8 @@ def _cmd_calibrate(s: Scenario, args) -> int:
 def _write(ds: FigureDataset, out) -> int:
     # The figure and sweep commands' output: the CSV at out, by default named after the dataset's figure_id.
     out = out if out is not None else f"{ds.figure_id}.csv"
-    write_dataset(ds, out)
+    with open(out, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(format_dataset_csv(ds))
     print(f"wrote {out} ({ds.n_rows} rows)")
     return 0
 
@@ -206,17 +197,40 @@ def _cmd_sweep(s: Scenario, args) -> int:
     return _write(run_sweep(spec, s), args.out)
 
 
-def _add_common(sub, d_flag=True, power_flags=False, system_flag=True, out_flag=False):
-    if d_flag:
-        sub.add_argument("--d", type=float, default=None, help="transmission distance [m]")
-    if power_flags:
-        sub.add_argument("--P-in", dest="p_in", type=float, default=None, help="pump input power [W]")
-        sub.add_argument("--mu", type=float, default=None, help="power split ratio to the PV branch")
-    if system_flag:
-        sub.add_argument("--system", choices=tuple(_LAYOUTS), default="bcrb",
-                         help="cavity layout (default: bcrb)")
-    if out_flag:
-        sub.add_argument("--out", type=Path, default=None, help="output CSV path")
+# Arguments shared by several commands, each written once, as (flag, add_argument keywords).
+_D = ("--d", dict(type=float, help="transmission distance [m]"))
+_POWER = (("--P-in", dict(dest="p_in", type=float, help="pump input power [W]")),
+          ("--mu", dict(type=float, help="power split ratio to the PV branch")))
+_SYSTEM = ("--system", dict(choices=tuple(_LAYOUTS), default="bcrb", help="cavity layout (default: bcrb)"))
+_OUT = ("--out", dict(type=Path, help="output CSV path"))
+
+# command -> (help, handler, arguments in --help order)
+_COMMANDS = {
+    "stability": ("stability product, flag, and maximum stable distance", _cmd_stability, (
+        _D, _SYSTEM,
+        ("--d-hi", dict(dest="d_hi", type=float, default=100.0,
+                        help="search cap for the maximum stable distance [m] (default: 100)")))),
+    "spot": ("beam spot radii on the mirrors and the gain module", _cmd_spot, (_D, _SYSTEM)),
+    "power": ("aperture loss, beam power, and PV output", _cmd_power, (_D, *_POWER, _SYSTEM)),
+    "comms": ("signal level, noise variances, spectral efficiency", _cmd_comms, (_D, *_POWER, _SYSTEM)),
+    "calibrate": ("fit the aperture-loss scale N to an anchor measurement", _cmd_calibrate, (
+        ("--anchor-d", dict(dest="anchor_d", type=float, default=ANCHOR_DISTANCE,
+                            help=f"anchor distance [m] (default: {ANCHOR_DISTANCE})")),
+        ("--anchor-P-beam", dict(dest="anchor_p_beam", type=float, default=ANCHOR_BEAM_POWER,
+                                 help=f"anchor beam power [W] (default: {ANCHOR_BEAM_POWER})")),
+        ("--P-in", dict(dest="p_in", type=float, default=ANCHOR_INPUT_POWER,
+                        help=f"anchor pump input [W] (default: {ANCHOR_INPUT_POWER})")),
+        ("--system", dict(choices=tuple(_LAYOUTS), default="original",
+                          help="layout whose aperture limits the anchor (default: original)")))),
+    "figure": (f"write a built-in dataset ({', '.join(FIGURE_IDS)}) as CSV", _cmd_figure, (
+        ("figure_id", dict(help="figure identifier, e.g. fig6")), _OUT)),
+    "sweep": ("sweep one parameter and write the model chain as CSV", _cmd_sweep, (
+        ("--variable", dict(required=True, help="parameter to sweep (d, P_in, mu, rho2, M, ...)")),
+        ("--lo", dict(type=float, required=True, help="lower end of the sweep range")),
+        ("--hi", dict(type=float, required=True, help="upper end of the sweep range")),
+        ("--samples", dict(type=int, default=101, help="number of grid points (default: 101)")),
+        _SYSTEM, _OUT)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -227,49 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--strict", action="store_true",
                         help="treat unknown scenario keys as errors instead of warnings")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    sub = commands.add_parser("stability", help="stability product, flag, and maximum stable distance")
-    _add_common(sub)
-    sub.add_argument("--d-hi", dest="d_hi", type=float, default=100.0,
-                     help="search cap for the maximum stable distance [m] (default: 100)")
-    sub.set_defaults(handler=_cmd_stability)
-
-    sub = commands.add_parser("spot", help="beam spot radii on the mirrors and the gain module")
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_spot)
-
-    sub = commands.add_parser("power", help="aperture loss, beam power, and PV output")
-    _add_common(sub, power_flags=True)
-    sub.set_defaults(handler=_cmd_power)
-
-    sub = commands.add_parser("comms", help="signal level, noise variances, spectral efficiency")
-    _add_common(sub, power_flags=True)
-    sub.set_defaults(handler=_cmd_comms)
-
-    sub = commands.add_parser("calibrate", help="fit the aperture-loss scale N to an anchor measurement")
-    sub.add_argument("--anchor-d", dest="anchor_d", type=float, default=ANCHOR_DISTANCE,
-                     help=f"anchor distance [m] (default: {ANCHOR_DISTANCE})")
-    sub.add_argument("--anchor-P-beam", dest="anchor_p_beam", type=float, default=ANCHOR_BEAM_POWER,
-                     help=f"anchor beam power [W] (default: {ANCHOR_BEAM_POWER})")
-    sub.add_argument("--P-in", dest="p_in", type=float, default=ANCHOR_INPUT_POWER,
-                     help=f"anchor pump input [W] (default: {ANCHOR_INPUT_POWER})")
-    sub.add_argument("--system", choices=tuple(_LAYOUTS), default="original",
-                     help="layout whose aperture limits the anchor (default: original)")
-    sub.set_defaults(handler=_cmd_calibrate)
-
-    sub = commands.add_parser("figure", help=f"write a built-in dataset ({', '.join(FIGURE_IDS)}) as CSV")
-    sub.add_argument("figure_id", help="figure identifier, e.g. fig6")
-    _add_common(sub, d_flag=False, system_flag=False, out_flag=True)
-    sub.set_defaults(handler=_cmd_figure)
-
-    sub = commands.add_parser("sweep", help="sweep one parameter and write the model chain as CSV")
-    sub.add_argument("--variable", required=True, help="parameter to sweep (d, P_in, mu, rho2, M, ...)")
-    sub.add_argument("--lo", type=float, required=True, help="lower end of the sweep range")
-    sub.add_argument("--hi", type=float, required=True, help="upper end of the sweep range")
-    sub.add_argument("--samples", type=int, default=101, help="number of grid points (default: 101)")
-    _add_common(sub, d_flag=False, out_flag=True)
-    sub.set_defaults(handler=_cmd_sweep)
-
+    for command, (help_text, handler, arguments) in _COMMANDS.items():
+        sub = commands.add_parser(command, help=help_text)
+        for flag, options in arguments:
+            sub.add_argument(flag, **options)
+        sub.set_defaults(handler=handler)
     return parser
 
 
@@ -286,6 +262,8 @@ def run_command(argv) -> int:
             scenario = load_scenario(args.config, strict=args.strict)
         else:
             scenario = default_scenario()
+        if getattr(args, "d", None) is not None:  # --d replaces the scenario's distance, checked as the geometry's d
+            scenario = replace(scenario, geometry=replace(scenario.geometry, d=args.d))
         return args.handler(scenario, args)
     except (NoStableRegionError, InfeasibleSearchError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,11 +9,13 @@ import math
 from itertools import repeat, starmap
 
 _INF = math.inf
+_TINY = 2.0 ** -1024  # 1/x is finite exactly where |x| > _TINY: 1/_TINY rounds to inf, 1/nextafter(_TINY, 1) does not
 
 # The range rules of _reject.  NaN fails only the two-sided ones: a one-sided rule leaves it to the finite test.
 _IN_RANGE = {
     "> 0": lambda v: not v <= 0.0,
     ">= 0": lambda v: not v < 0.0,
+    "> 2**-1024": lambda v: not v <= _TINY,
     "> 1": lambda v: not v <= 1.0,
     "in (0, 1)": lambda v: 0.0 < v < 1.0,
     "in (0, 1]": lambda v: 0.0 < v <= 1.0,

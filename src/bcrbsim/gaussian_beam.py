@@ -11,7 +11,7 @@ import math
 from itertools import compress
 from typing import NamedTuple
 
-from .errors import _INF, UnstableCavityError, _reject
+from .errors import _INF, _TINY, UnstableCavityError, _reject
 from .ray_matrix import CavityGeometry, TransferMatrix, _over, _require_mirror_radius, _stable, round_trip
 
 
@@ -76,7 +76,7 @@ def propagate_spot(omega1: float, rho1: float, L1: float, wavelength: float) -> 
     omega3^2 = omega1^2 [(1 + L1/rho1)^2 + (L1 lambda / (pi omega1^2))^2];
     exact identity omega3 == omega1 at L1 = 0.
     """
-    if not (0.0 < omega1 < _INF and -_INF < rho1 < _INF and rho1 != 0.0 and 0.0 <= L1 < _INF
+    if not (0.0 < omega1 < _INF and _TINY < abs(rho1) < _INF and 0.0 <= L1 < _INF
             and 0.0 < wavelength < _INF):
         _check_propagation(omega1, rho1, L1, wavelength)
     return _propagated(omega1, rho1, L1, wavelength)

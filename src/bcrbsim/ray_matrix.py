@@ -20,16 +20,19 @@ from functools import partial
 from itertools import starmap
 from typing import Callable, NamedTuple
 
-from .errors import _INF, InvalidElementError, SingularConfigurationError, _column, _reject, _rows, _walk
+from .errors import _INF, _TINY, InvalidElementError, SingularConfigurationError, _column, _reject, _rows, _walk
 
 
 def _require_mirror_radius(name: str, value) -> None:
-    # value is a radius, or a column (list) of them, which is checked at once and walked only if a cell is 0.
+    # A radius is nonzero, and |radius| > 2**-1024, so that 1/radius is finite.  value is a radius, or a column
+    # (list) of them, which is checked at once by its least magnitude and walked only if that fails.
     if type(value) is list:
-        if 0.0 in value:
+        if value and not min(map(abs, value)) > _TINY:
             _walk(partial(_require_mirror_radius, name), value)
     elif value == 0:
         raise InvalidElementError(f"{name} must be nonzero (use |rho| >= 1e9 for near-flat), got {value!r}")
+    elif abs(value) <= _TINY:
+        _reject(InvalidElementError, (f"|{name}|", abs(value), "> 2**-1024"))
 
 
 class RayVector(NamedTuple):
@@ -132,6 +135,8 @@ class CavityGeometry:
                 ("wavelength", self.wavelength, "> 0"))
         _require_mirror_radius("rho1", self.rho1)
         _require_mirror_radius("rho2", self.rho2)
+        _reject(InvalidElementError, ("f_gain", self.f_gain, "> 2**-1024"),
+                ("magnification", self.magnification, "> 2**-1024"))
 
     @property
     def f2(self) -> float:

@@ -98,9 +98,13 @@ def _complain(message: str, strict: bool) -> None:
 def _number(path: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{path}: expected a number, got {value!r}")
-    if not math.isfinite(float(value)):
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
         raise ScenarioError(f"{path}: must be finite, got {value!r}")
-    return float(value)
+    return number
 
 
 def _string(path: str, value) -> str:

@@ -404,7 +404,8 @@ def _points(s: Scenario, link: LinkBudgetParams, system: str, inputs: dict) -> t
     the rest of _chain each take whole columns and check each one once, so the
     program stops at the first stage that fails anywhere, with the message of
     that stage's first bad row.  A stage whose inputs do not vary computes one
-    cell.  A varying mirror radius is checked here, as a rising one can cross 0.
+    cell.  A varying mirror radius is checked here, as a rising one can cross 0
+    or pass within 2**-1024 of it.
     """
     for name in inputs.keys() & {"rho1", "rho2"}:
         _require_mirror_radius(name, inputs[name])
@@ -432,24 +433,6 @@ def operating_point(s: Scenario, system: str = "bcrb",
     point = dict(zip(("d", "p_in", "mu") + tuple(name for name, _ in _POINT_COLUMNS), (g.d, p_in, mu, *cells)))
     point["stable"] = bool(point["stable"])
     return point
-
-
-def _scenario_metadata(s: Scenario, link: LinkBudgetParams) -> dict:
-    # The scenario file's keys in its order, a section's as section.key (model_choices as model.), then the N used.
-    meta: dict = {}
-    for section, value in scenario_to_dict(s).items():
-        prefix = "model" if section == "model_choices" else section
-        meta.update({f"{prefix}.{k}": v for k, v in value.items()} if type(value) is dict else {section: value})
-    return {**meta, "model.loss_scale_effective": link.loss_scale}
-
-
-def _dataset(figure_id: str, s: Scenario, link: LinkBudgetParams,
-             columns: Sequence[str], grid: list[float], outputs: Sequence, extra_meta: dict) -> FigureDataset:
-    meta = {"figure_id": figure_id}
-    meta.update(extra_meta)
-    meta.update(_scenario_metadata(s, link))
-    return FigureDataset(figure_id=figure_id, columns=tuple(columns), cells=(grid, *outputs),
-                         n_rows=len(grid), metadata=meta)
 
 
 def _fmt(value: float) -> str:
@@ -576,6 +559,30 @@ FIGURE_IDS = tuple(_FIGURES)
 _KEY_SUFFIX = {"m": "_m", "W": "_w"}
 
 
+def _tabulate(figure_id: str, s: Optional[Scenario], axis: tuple, suffix: str, build: Callable) -> FigureDataset:
+    """The dataset over the grid of axis (variable, unit, lo, hi, samples): generate_figure's and run_sweep's.
+
+    build(s, link) gives (headers, series, meta), as a figure builder does.  The metadata is figure_id,
+    sweep.variable, sweep.lo and sweep.hi (their keys ending in suffix) and sweep.samples, then meta, then
+    the scenario file's keys in its order, a section's as section.key (model_choices as model.), and the N used.
+    """
+    if s is None:
+        s = default_scenario()
+    link = resolve_link_params(s)
+    variable, unit, lo, hi, samples = axis
+    headers, series, meta = build(s, link)
+    grid = _grid(lo, hi, samples)
+    cells = (grid, *series(grid))
+    meta = {"figure_id": figure_id, "sweep.variable": variable, f"sweep.lo{suffix}": lo,
+            f"sweep.hi{suffix}": hi, "sweep.samples": samples, **meta}
+    for section, value in scenario_to_dict(s).items():
+        prefix = "model" if section == "model_choices" else section
+        meta.update({f"{prefix}.{k}": v for k, v in value.items()} if type(value) is dict else {section: value})
+    meta["model.loss_scale_effective"] = link.loss_scale
+    return FigureDataset(figure_id=figure_id, columns=(f"{variable} [{unit}]", *headers), cells=cells,
+                         n_rows=len(grid), metadata=meta)
+
+
 def generate_figure(figure_id: str, s: Optional[Scenario] = None, *,
                     m_values: Sequence[float] = (2.5, 3.5, 5.0),
                     d_values: Sequence[float] = (10.0, 20.0, 30.0, 40.0),
@@ -588,18 +595,10 @@ def generate_figure(figure_id: str, s: Optional[Scenario] = None, *,
     """
     if figure_id not in _FIGURES:
         raise ValueError(f"unknown figure id {figure_id!r}; expected one of {FIGURE_IDS}")
-    if s is None:
-        s = default_scenario()
-    link = resolve_link_params(s)
-    (variable, unit, lo, hi, samples), build = _FIGURES[figure_id]
-    headers, series, meta = build(s, link, m_values=m_values, d_values=d_values,
-                                  p_in_values=p_in_values, mu_values=mu_values)
-    grid = _grid(lo, hi, samples)
-    suffix = _KEY_SUFFIX.get(unit, "")
-    grid_meta = {"sweep.variable": variable, f"sweep.lo{suffix}": lo, f"sweep.hi{suffix}": hi,
-                 "sweep.samples": samples}
-    return _dataset(figure_id, s, link, [f"{variable} [{unit}]", *headers], grid, series(grid),
-                    {**grid_meta, **meta})
+    axis, build = _FIGURES[figure_id]
+    return _tabulate(figure_id, s, axis, _KEY_SUFFIX.get(axis[1], ""),
+                     partial(build, m_values=m_values, d_values=d_values, p_in_values=p_in_values,
+                             mu_values=mu_values))
 
 
 _SWEEP_UNITS = {
@@ -618,6 +617,15 @@ _POINT_COLUMNS = (
 )
 
 
+def _sweep(variable: str, system: str, s: Scenario, link: LinkBudgetParams):
+    # run_sweep's builder: the _POINT_COLUMNS of _points over {variable: grid}.
+    def series(grid: list) -> tuple:
+        if variable in _GEOMETRY_FIELDS:
+            replace(s.geometry, **{variable: grid[0]})
+        return _points(s, link, system, {variable: grid})
+    return [f"{name} [{unit}]" for name, unit in _POINT_COLUMNS], series, {"sweep.system": system}
+
+
 def run_sweep(spec: SweepSpec, s: Optional[Scenario] = None) -> FigureDataset:
     """Sweep one scalar parameter; each row is operating_point at its grid value, by _points over {variable: grid}.
 
@@ -625,17 +633,8 @@ def run_sweep(spec: SweepSpec, s: Optional[Scenario] = None) -> FigureDataset:
     >= 0 rule that holds there holds at every point.  A stage (a round-trip element or partial product
     too) whose inputs do not vary computes one cell, which every row shares.
     """
-    if s is None:
-        s = default_scenario()
     variable = spec.variable
     if variable not in _SWEEP_UNITS:
         raise ValueError(f"unknown sweep variable {variable!r}; expected one of {sorted(_SWEEP_UNITS)}")
-    link = resolve_link_params(s)
-    grid = _grid(spec.lo, spec.hi, spec.samples)
-    if variable in _GEOMETRY_FIELDS:
-        replace(s.geometry, **{variable: grid[0]})
-    outputs = _points(s, link, spec.system, {variable: grid})
-    columns = [f"{variable} [{_SWEEP_UNITS[variable]}]"] + [f"{name} [{unit}]" for name, unit in _POINT_COLUMNS]
-    extra = {"sweep.variable": variable, "sweep.lo": spec.lo, "sweep.hi": spec.hi,
-             "sweep.samples": spec.samples, "sweep.system": spec.system}
-    return _dataset(f"sweep_{variable}", s, link, columns, grid, outputs, extra)
+    return _tabulate(f"sweep_{variable}", s, (variable, _SWEEP_UNITS[variable], spec.lo, spec.hi, spec.samples),
+                     "", partial(_sweep, variable, spec.system))

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bcrbsim import SweepSpec, run_sweep
+from bcrbsim import CavityGeometry, SweepSpec, run_sweep
 from bcrbsim.cli import _BLOCK, _blocks, run_command
 from bcrbsim.ray_matrix import _LAYOUTS
 from bcrbsim.scenario import _KEYS, _number
@@ -425,6 +425,40 @@ class TestConfigHandling:
         config.write_text(json.dumps({"geometry": {"bogus_mm": 1}}))
         code, out, err = run(capsys, "--strict", "--config", str(config), "stability")
         assert code == 1
+
+
+class TestDistanceFlag:
+    POINT_COMMANDS = ["stability", "spot", "power", "comms"]
+
+    @pytest.mark.parametrize("d", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_bad_distance_is_the_geometry_error_on_every_command(self, capsys, d):
+        # --d replaces the scenario's d before a command runs, so it is checked as the geometry's d, once.
+        with pytest.raises(ValueError) as info:
+            CavityGeometry(d=d)
+        outcomes = {run(capsys, command, f"--d={d!r}") for command in self.POINT_COMMANDS}
+        assert outcomes == {(1, "", f"error: {info.value}\n")}
+
+    @pytest.mark.parametrize("command", POINT_COMMANDS)
+    def test_bad_config_is_reported_before_a_bad_distance(self, tmp_path, capsys, command):
+        config = tmp_path / "s.json"
+        config.write_text(json.dumps({"geometry": {"d_m": "far"}}))
+        code, out, err = run(capsys, "--config", str(config), command, "--d=-1.0")
+        assert (code, out, err) == (1, "", "error: geometry.d_m: expected a number, got 'far'\n")
+
+
+class TestConfigValuesThatOverflow:
+    @pytest.mark.parametrize("scenario, message", [
+        ({"geometry": {"d_m": 10 ** 400}}, f"geometry.d_m: must be finite, got {10 ** 400!r}"),
+        ({"pump_input_power_w": -10 ** 400}, f"pump_input_power_w: must be finite, got {-10 ** 400!r}"),
+        ({"geometry": {"magnification": 5e-324}}, "geometry: magnification must be > 2**-1024, got 5e-324"),
+        ({"geometry": {"rho1_mm": -1e-308}}, "geometry: |rho1| must be > 2**-1024, got 1e-311"),
+    ])
+    @pytest.mark.parametrize("command", ["stability", "spot", "power", "comms"])
+    def test_exit_1_naming_the_value(self, tmp_path, capsys, scenario, message, command):
+        # A huge integer once escaped as OverflowError; a reciprocal that overflows once gave a NaN round trip.
+        config = tmp_path / "s.json"
+        config.write_text(json.dumps(scenario))
+        assert run(capsys, "--config", str(config), command) == (1, "", f"error: {message}\n")
 
 
 class TestUsage:

@@ -155,7 +155,19 @@ def test_mirror_radius_column_names_the_first_zero(place, zero):
     with pytest.raises(InvalidElementError, match=re.escape(f"rho1 must be nonzero (use |rho| >= 1e9 for near-flat), "
                                                             f"got {zero!r}")):
         _require_mirror_radius("rho1", column)
-    _require_mirror_radius("rho1", [-0.88, 5e-324, -1e300])
+    _require_mirror_radius("rho1", [-0.88, math.nextafter(2.0 ** -1024, 1.0), -1e300])
+
+
+@pytest.mark.parametrize("place", list(PLACES))
+@pytest.mark.parametrize("tiny", [5e-324, -5e-324, 1e-310, 2.0 ** -1024])
+def test_mirror_radius_column_names_the_first_radius_whose_reciprocal_overflows(place, tiny):
+    # The least magnitude of the column is checked once; a NaN before the tiny cell does not hide it.
+    column = [-0.88] * ROWS
+    column[PLACES[place]] = tiny
+    message = f"InvalidElementError: |rho1| must be > 2**-1024, got {abs(tiny)!r}"
+    assert _message(_require_mirror_radius, "rho1", column) == _message(_require_mirror_radius, "rho1", tiny) == message
+    assert _message(_require_mirror_radius, "rho1", [math.nan, *column]) == message
+    _require_mirror_radius("rho1", [math.nan, -0.88])
 
 
 @pytest.mark.parametrize("system", ["bcrb", "original"])

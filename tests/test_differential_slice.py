@@ -1,7 +1,8 @@
 """A fixed slice of tools/differential.py's edge cases, pinned by the outcomes in differential_slice.json.
 
 Every STRIDE[family]-th case of each family (cli, sweep, point, search, scenario) runs
-in this process, through the script's run_cases.  An outcome is a command's
+in this process, through the script's run_cases.  The help family is left out: argparse
+words its help differently from one Python version to the next.  An outcome is a command's
 exit code and the digests of its stdout, stderr and written file, or the
 digest of a point's or a search's result, or the class and message of the
 error, plus the number of records logged under `bcrbsim`.  So a change to any

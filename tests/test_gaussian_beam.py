@@ -156,6 +156,9 @@ class TestPropagateSpot:
             propagate_spot(1e-3, 0.0, 1e-3, 1e-6)
         with pytest.raises(ValueError, match="L1 must be >= 0"):
             propagate_spot(1e-3, 0.0, -1e-3, 1e-6)
+        # So does a radius whose reciprocal overflows, which CavityGeometry rejects too.
+        with pytest.raises(InvalidElementError, match=re.escape("|rho1| must be > 2**-1024, got 1e-310")):
+            propagate_spot(1e-3, -1e-310, 0.0, 1e-6)
 
 
 class TestCavitySpotRadii:

@@ -279,6 +279,22 @@ class TestGeometryValidation:
         with pytest.raises(InvalidElementError):
             CavityGeometry(**kwargs)
 
+    @pytest.mark.parametrize("field, value", [("rho1", 1e-310), ("rho1", -5e-324), ("rho2", 2.0 ** -1024),
+                                              ("rho2", -1e-309), ("f_gain", 1e-311), ("magnification", 5e-324)])
+    def test_a_value_whose_reciprocal_overflows_names_field_and_value(self, field, value):
+        # 1/value is inf, so the round trip would be NaN; a radius is named by its magnitude.
+        assert abs(1.0 / value) == math.inf
+        with pytest.raises(InvalidElementError) as info:
+            CavityGeometry(**{field: value})
+        name = f"|{field}|" if field.startswith("rho") else field
+        assert str(info.value) == f"{name} must be > 2**-1024, got {abs(value)!r}"
+
+    @pytest.mark.parametrize("field", ["rho1", "rho2", "f_gain", "magnification"])
+    def test_the_least_value_with_a_finite_reciprocal_is_accepted(self, field):
+        least = math.nextafter(2.0 ** -1024, 1.0)
+        assert 1.0 / least < math.inf
+        assert getattr(CavityGeometry(**{field: least}), field) == least
+
     def test_zero_gaps_allowed(self):
         g = CavityGeometry(L1=0.0, L2=0.0)
         assert g.L1 == 0.0 and g.L2 == 0.0

@@ -113,6 +113,14 @@ class TestValidation:
         with pytest.raises(ScenarioError, match=re.escape(f"geometry.d_m: must be finite, got {value!r}")):
             load_scenario(write(tmp_path, '{"geometry": {"d_m": %s}}' % token))
 
+    @pytest.mark.parametrize("section, key", [("geometry", "d_m"), ("", "pump_input_power_w")])
+    @pytest.mark.parametrize("value", [10 ** 400, -10 ** 400])
+    def test_integers_beyond_the_float_range_rejected_by_path(self, tmp_path, section, key, value):
+        # float() of such a JSON integer raises OverflowError, which is no ScenarioError.
+        path = f"{section}.{key}" if section else key
+        with pytest.raises(ScenarioError, match=re.escape(f"{path}: must be finite, got {value!r}")):
+            load_scenario(write(tmp_path, {section: {key: value}} if section else {key: value}))
+
     def test_scenario_level_check(self, tmp_path):
         with pytest.raises(ScenarioError, match=re.escape("pump_input_power must be >= 0, got -1.0")):
             load_scenario(write(tmp_path, {"pump_input_power_w": -1}))

@@ -13,6 +13,7 @@ import pytest
 from bcrbsim import (
     CavityGeometry,
     InfeasibleSearchError,
+    InvalidElementError,
     LinkBudgetParams,
     NoStableRegionError,
     SweepSpec,
@@ -655,6 +656,20 @@ class TestRunSweep:
     def test_unknown_variable(self):
         with pytest.raises(ValueError):
             run_sweep(SweepSpec(variable="bogus", lo=0.0, hi=1.0, samples=3))
+
+    @pytest.mark.parametrize("system", ["bcrb", "original"])
+    @pytest.mark.parametrize("variable, lo, hi", [("rho1", 5e-324, 1.0), ("rho1", -1e-308, 1.2e-308),
+                                                  ("rho2", -2e-308, 1e-308), ("f_gain", 1e-311, 1.0),
+                                                  ("magnification", 5e-324, 6.0)])
+    def test_a_cell_whose_reciprocal_overflows_is_rejected(self, variable, lo, hi, system):
+        # Its round trip was NaN, read as unstable.  The error is the geometry's, for the first such cell:
+        # grid[0] for a rising f_gain or magnification, anywhere in a rho1 or rho2 column.
+        grid = sweep_search._grid(lo, hi, 3)
+        tiny = next(x for x in grid if abs(x) <= 2.0 ** -1024)
+        with pytest.raises(InvalidElementError) as info:
+            CavityGeometry(**{variable: tiny})
+        with pytest.raises(InvalidElementError, match=re.escape(str(info.value))):
+            run_sweep(SweepSpec(variable, lo, hi, 3, system))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -21,8 +21,14 @@ prints one JSON line per case.  The cases are:
   at d = 0.5 m on IDENTITY_PREFIX, whose answer lies where huge caps round
   the receiver mirror's D to 1;
 - scenario: each of the 27 numeric keys of the scenario file, alone, over
-  VALUES, through `--config`, for every command: each figure id, and a
-  3-sample d sweep.
+  VALUES and then HUGE, through `--config`, for every command: each figure
+  id, and a 3-sample d sweep;
+- help: `--help` of the top parser and of each command in COMMANDS.  It is
+  left out of the tier-1 slice, as argparse words its help differently
+  from one Python version to the next.
+
+The cases run with COLUMNS=80, so that argparse wraps its text alike on
+every terminal.
 
 A command's outcome is its exit code, the sha256 of its stdout, its stderr
 and the file it wrote, whose name its stdout gives (or the class and message
@@ -49,8 +55,9 @@ from collections import Counter, defaultdict
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from functools import partial
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from pathlib import Path
+from unittest.mock import patch
 
 MAX = sys.float_info.max
 # Zeros of both signs, the least subnormal, the normal limits, the extremes, the non-finite values, and a few
@@ -71,6 +78,9 @@ EDGES = (8.675236063708757, 11.324763936291243)
 CAPS = sorted({value for value in VALUES if 0.0 < value < math.inf} | {4.51e15}
               | {edge + k * math.ulp(edge) for edge in EDGES for k in (0, 1, 4, 16)})
 CONFIG = "scenario.json"
+# An integer beyond the float range, which a JSON file can hold; the scenario family only.
+HUGE = 10 ** 400
+COMMANDS = ("stability", "spot", "power", "comms", "calibrate", "figure", "sweep")
 
 
 def _digest(data: bytes) -> str:
@@ -96,9 +106,10 @@ def _sweep_cases(variables):
 def _scenario_cases(keys, figure_ids):
     # [section.key, value, *command] and the --config text that sets just that key to that value, for every
     # command with the arguments it needs and no others: each figure, and a sweep, write their default path.
+    # HUGE comes after VALUES, so that the VALUES cases keep their indices.
     commands = [["stability"], ["spot"], ["power"], ["comms"], ["calibrate"], *(["figure", f] for f in figure_ids),
                 ["sweep", "--variable", "d", "--lo=1.0", "--hi=250.0", "--samples=3"]]
-    for k, value, argv in product(keys, VALUES, commands):
+    for k, value, argv in chain(product(keys, VALUES, commands), product(keys, [HUGE], commands)):
         raw = {k.section: {k.key: value}} if k.section else {k.key: value}
         yield [f"{k.section}.{k.key}" if k.section else k.key, repr(value), *argv], json.dumps(raw)
 
@@ -107,9 +118,9 @@ def run_cases(select=lambda family, index: True):
     """Yield [family, case, outcome] for each selected case, with bcrbsim imported as it stands.
 
     select(family, index) picks cases by their index within their family.
-    The commands run in a temporary working directory, and the records logged
-    under `bcrbsim` are counted, not shown; both are restored when the cases
-    are done.
+    The commands run in a temporary working directory with COLUMNS=80, and the
+    records logged under `bcrbsim` are counted, not shown; all three are
+    restored when the cases are done.
     """
     import bcrbsim
     from bcrbsim.cli import _VARIABLE_ALIASES, run_command
@@ -169,9 +180,10 @@ def run_cases(select=lambda family, index: True):
         "search": (([*name, repr(cap)], partial(call, search, cap)) for (name, search), cap in product(searches, CAPS)),
         "scenario": ((case, partial(command, case[2:], config))
                      for case, config in _scenario_cases([k for k in _KEYS if k.check is _number], FIGURE_IDS)),
+        "help": ((argv, partial(command, argv)) for argv in [["--help"], *([c, "--help"] for c in COMMANDS)]),
     }
     cwd, propagate = os.getcwd(), log.propagate
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, patch.dict(os.environ, COLUMNS="80"):
         os.chdir(tmp)
         log.addHandler(handler)
         log.propagate = False
