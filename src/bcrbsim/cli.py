@@ -33,8 +33,8 @@ from .sweep_search import (
     FIGURE_IDS,
     FigureDataset,
     SweepSpec,
-    _chain,
     _first_band,
+    _points,
     calibrate_loss_scale,
     generate_figure,
     operating_point,
@@ -138,8 +138,8 @@ def _cmd_power(s: Scenario, args) -> int:
     p_in = args.p_in if args.p_in is not None else s.pump_input_power
     mu = args.mu if args.mu is not None else s.receiver.split_ratio
     link = resolve_link_params(s)
-    loss, point = _chain(s, link, args.system)
-    delta_t, p_beam, p_out = point(loss(), p_in, mu)
+    delta_t, p_beam, p_out = _points(s, link, args.system, {"p_in": p_in, "mu": mu},
+                                     ("delta_t", "beam_power", "pv_output"))
     _emit("d", s.geometry.d, "m")
     _emit("P_in", p_in, "W")
     _emit("mu", mu, "-")

@@ -222,14 +222,11 @@ def load_scenario(path, strict: bool = False) -> Scenario:
     """Load and validate a scenario file; empty file means all defaults."""
     import json  # only a --config run reads a file
 
-    text = Path(path).read_text(encoding="utf-8")
-    if text.strip() == "":
-        raw = {}
-    else:
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+        raw = json.loads(text) if text.strip() else {}
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, an integer past int's digit limit, deep nesting
+        raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
     return scenario_from_dict(raw, strict=strict)
 
 

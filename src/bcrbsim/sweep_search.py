@@ -1,14 +1,16 @@
 """Model chain, boundary searches, loss-model calibration, and figure datasets.
 
-The link model is written once and every caller reads it from here.  A point
-is the cavity part (one round trip, its stability and spot radii, from
-gaussian_beam._cavity) plus the chain from plain floats: the power branch
-(aperture loss -> beam power -> floor at 0 -> PV output), then the data branch
-(APD signal -> shot/thermal noise -> spectral efficiency).  operating_point
-evaluates one point and run_sweep the same program over a grid; the
-power-only figures and the CLI `power` command stop the chain after the power
-branch, because the data branch needs a positive total noise, which a dark,
-cold receiver lacks at zero signal.
+The link model is written once, in _points, and every caller reads it from
+there.  A point is the cavity part (one round trip, its stability and spot
+radii, from gaussian_beam._cavity) plus the chain from plain floats: the power
+branch (aperture loss -> beam power -> floor at 0 -> PV output), then the data
+branch (APD signal -> shot/thermal noise -> spectral efficiency).  _points runs
+only the stages that the outputs asked of it read, and computes the cavity and
+the loss once for a whole series of p_in/mu settings.  operating_point is one
+point of it, run_sweep a grid, and the chain figures and the CLI `power`
+command ask it for their columns; asking for power outputs only never runs the
+data branch, which needs a positive total noise, which a dark, cold receiver
+lacks at zero signal.
 
 Stability bands are exact: the round trip's entries are affine in d
 (ray_matrix._affine), so band edges are roots found in closed form.
@@ -364,56 +366,58 @@ def resolve_link_params(s: Scenario) -> LinkBudgetParams:
     return replace(s.link, loss_scale=n)
 
 
-def _chain(s: Scenario, link: LinkBudgetParams, system: str, data: bool = False) -> tuple[Callable, Callable]:
-    """The model chain downstream of the cavity, in two stages split by what they read: (loss, point).
-
-    The aperture, the receiver and its thermal noise are read once.  Both take
-    columns (a list, or one float for every row), defaulting to the scenario's
-    (loss_scale to link.loss_scale), and give columns.  loss(d, wavelength,
-    loss_scale) is delta_t, once for all its p_in or mu series; point(delta_t,
-    p_in, mu) gives the power branch (delta_t, beam_power, pv_output); later
-    stages see the beam power floored at 0, by beam_power's clamp.  With data,
-    the data branch follows: (data_signal, shot_noise, thermal_noise,
-    total_noise, spectral_efficiency).  Each step, the floor and the noise sum
-    included, is its link_budget or comms function called on columns, each
-    check made once per column; data_signal's is _data_signal, for a mu column.
-    """
-    g, rx, choices = s.geometry, s.receiver, s.model_choices
-    b, clamp, thermal = effective_aperture(g, system), choices.clamp_negative_power, thermal_noise(rx)
-
-    def loss(d=g.d, wavelength=g.wavelength, loss_scale=link.loss_scale):
-        return transmission_loss(d, b, wavelength, loss_scale)
-
-    def point(delta_t, p_in=s.pump_input_power, mu=rx.split_ratio) -> tuple:
-        p_beam = beam_power(p_in, delta_t, link, clamp)
-        floor = p_beam if clamp else beam_power(p_in, delta_t, link)
-        power = (delta_t, p_beam, pv_output(floor, mu, link, clamp))
-        if not data:
-            return power
-        p_data = _data_signal(floor, rx.responsivity, mu)
-        total = total_noise(p_data, rx)
-        return power + (p_data, shot_noise(p_data, rx), thermal, total,
-                        spectral_efficiency(p_data, total, choices.log_base))
-    return loss, point
+# The model chain's outputs with their units, in its order: the cavity cells, the power branch, the data branch.
+_POINT_COLUMNS = (
+    ("stable", "-"), ("stability_product", "-"), ("omega1", "m"), ("omega2", "m"),
+    ("omega3", "m"), ("delta_t", "-"), ("beam_power", "W"), ("pv_output", "W"),
+    ("data_signal", "a.u."), ("shot_noise", "a.u.^2"), ("thermal_noise", "a.u.^2"),
+    ("total_noise", "a.u.^2"), ("spectral_efficiency", "bit/s/Hz"),
+)
+_NAMES = tuple(name for name, _ in _POINT_COLUMNS)
+_POWER, _DATA = _NAMES.index("delta_t"), _NAMES.index("data_signal")
 
 
-def _points(s: Scenario, link: LinkBudgetParams, system: str, inputs: dict) -> tuple:
-    """The _POINT_COLUMNS cells as columns over the columns (lists, or floats) in inputs, and s's and link's values.
+def _points(s: Scenario, link: LinkBudgetParams, system: str, inputs: dict, names: Sequence[str] = _NAMES,
+            series: Sequence[dict] = ({},)) -> list:
+    """The columns of names (of _POINT_COLUMNS) for each entry of series in turn.
 
-    The round trip (ray_matrix._round_trip_over), _cavity, the aperture loss and
-    the rest of _chain each take whole columns and check each one once, so the
-    program stops at the first stage that fails anywhere, with the message of
-    that stage's first bad row.  A stage whose inputs do not vary computes one
-    cell.  A varying mirror radius is checked here, as a rising one can cross 0
-    or pass within 2**-1024 of it.
+    inputs maps variables to columns (lists, or floats), and s and link give the rest; a series entry
+    may replace p_in and mu.  Only the stages that names read run, in the program's order: the layout
+    check; once for all entries, the cavity (for the first five names: ray_matrix._round_trip_over, then
+    _cavity) and the aperture loss; then per entry, the power branch (the next three) and the data
+    branch (the rest).  The PV output and the data branch see the beam power floored at 0, by
+    beam_power's clamp.  Each stage takes whole columns and checks each one once, so the program stops
+    at the first stage that fails anywhere, with the message of that stage's first bad row.  A stage
+    whose inputs do not vary computes one cell.  A varying mirror radius is checked here, as a rising
+    one can cross 0 or pass within 2**-1024 of it.
     """
     for name in inputs.keys() & {"rho1", "rho2"}:
         _require_mirror_radius(name, inputs[name])
+    ranks = [_NAMES.index(name) for name in names]
+    power, data, cells = max(ranks) >= _POWER, max(ranks) >= _DATA, [None] * len(_NAMES)
     column = {**vars(s.geometry), "p_in": s.pump_input_power, "mu": s.receiver.split_ratio,
               "loss_scale": link.loss_scale, **inputs}.__getitem__
-    loss, point = _chain(s, link, system, data=True)
-    cavity = _cavity(_round_trip_over(system, column), column("wavelength"), column("rho1"), column("L1"))
-    return cavity + point(loss(column("d"), column("wavelength"), column("loss_scale")), column("p_in"), column("mu"))
+    rx, clamp, b = s.receiver, s.model_choices.clamp_negative_power, effective_aperture(s.geometry, system)
+    if min(ranks) < _POWER:
+        cells[:_POWER] = _cavity(_round_trip_over(system, column), column("wavelength"), column("rho1"),
+                                 column("L1"))
+    if power:
+        cells[_POWER] = transmission_loss(column("d"), b, column("wavelength"), column("loss_scale"))
+    thermal = thermal_noise(rx) if data else None
+    out = []
+    for entry in series:
+        p_in, mu = entry.get("p_in", column("p_in")), entry.get("mu", column("mu"))
+        if power:
+            p_beam = beam_power(p_in, cells[_POWER], link, clamp)
+            floor = p_beam if clamp else beam_power(p_in, cells[_POWER], link)
+            cells[_POWER + 1:_DATA] = p_beam, pv_output(floor, mu, link, clamp)
+        if data:
+            p_data = _data_signal(floor, rx.responsivity, mu)
+            total = total_noise(p_data, rx)
+            cells[_DATA:] = (p_data, shot_noise(p_data, rx), thermal, total,
+                             spectral_efficiency(p_data, total, s.model_choices.log_base))
+        out.extend(cells[i] for i in ranks)
+    return out
 
 
 def operating_point(s: Scenario, system: str = "bcrb",
@@ -430,7 +434,7 @@ def operating_point(s: Scenario, system: str = "bcrb",
     p_in = s.pump_input_power if p_in is None else p_in
     mu = s.receiver.split_ratio if mu is None else mu
     cells = _points(s, resolve_link_params(s), system, {"d": g.d, "p_in": p_in, "mu": mu})
-    point = dict(zip(("d", "p_in", "mu") + tuple(name for name, _ in _POINT_COLUMNS), (g.d, p_in, mu, *cells)))
+    point = dict(zip(("d", "p_in", "mu") + _NAMES, (g.d, p_in, mu, *cells)))
     point["stable"] = bool(point["stable"])
     return point
 
@@ -447,8 +451,8 @@ def _series(key: str, values: Sequence[float]) -> dict:
 
 # Each figure builder returns its series column headers, a series(grid)
 # function giving each series as a column (a list) over the grid, and its own
-# metadata.  The chain figures evaluate each series as one column, as run_sweep
-# does; the search figures search at each grid value, through _per_point.
+# metadata.  The chain figures read each series as one column of _points,
+# run_sweep's engine; the search figures search at each grid value, through _per_point.
 # Grid-independent constants come from the _FIGURES table.  The search figures build the
 # round-trip prefix, which reads neither d nor rho2, once per magnification (fig9 and fig10
 # as one column over their grid), and check each series value once, at its first cell: the
@@ -461,23 +465,21 @@ def _per_point(cells: Callable[[object], list], rows: Iterable) -> list:
 
 def _fig6(s: Scenario, link: LinkBudgetParams, **_):
     # Spot radius on the gain module and beam power vs distance, both systems, as run_sweep's d columns.
+    # omega3 raises where the cavity is unstable, where _points would give NaN.
     g = s.geometry
-    stages = [_chain(s, link, system) for system in ("bcrb", "original")]
 
     def series(d: list) -> list:
         column = {**vars(g), "d": d}.__getitem__
-        return ([_spots(_round_trip_over(system, column), g)[2] for system in ("bcrb", "original")]
-                + [point(loss(d))[1] for loss, point in stages])
+        omega3 = [_spots(_round_trip_over(system, column), g)[2] for system in ("bcrb", "original")]
+        return omega3 + [_points(s, link, system, {"d": d}, ("beam_power",))[0] for system in ("bcrb", "original")]
     return (["omega3_bcrb [m]", "omega3_original [m]", "beam_power_bcrb [W]", "beam_power_original [W]"],
             series, {"sweep.p_in_w": s.pump_input_power})
 
 
 def _fig7(s: Scenario, link: LinkBudgetParams, **_):
     # Beam power and pump-to-beam efficiency vs input power at the reference distance.
-    stages = [(point, loss()) for loss, point in (_chain(s, link, system) for system in ("bcrb", "original"))]
-
     def series(p_in: list) -> list:
-        powers = [point(delta_t, p_in)[1] for point, delta_t in stages]
+        powers = [_points(s, link, system, {"p_in": p_in}, ("beam_power",))[0] for system in ("bcrb", "original")]
         return powers + [[power / x for power, x in zip(column, p_in)] for column in powers]
     return (["beam_power_bcrb [W]", "beam_power_original [W]", "efficiency_bcrb [-]", "efficiency_original [-]"],
             series, {"sweep.d_m": s.geometry.d})
@@ -522,23 +524,16 @@ def _chain_figure(s: Scenario, link: LinkBudgetParams, *, column: str, p_in_valu
                   mu_values: Sequence[float], label: Optional[str] = None, p_in: Optional[float] = None,
                   mu: Optional[float] = None, **_):
     # The chain output column of _POINT_COLUMNS vs distance, headed label (default: column).  The row
-    # fixes p_in or mu, and each value of the other is one series.  _POINT_COLUMNS gives the output's
-    # place in the chain's point, its unit, and whether it needs the data branch.
-    names, units = zip(*_POINT_COLUMNS)
-    k = names.index(column)
-    loss, point = _chain(s, link, "bcrb", data=k > names.index("pv_output"))
-    index, unit = k - names.index("delta_t"), units[k]
+    # fixes p_in or mu, and each value of the other is one series of _points, which share its loss.
+    unit = dict(_POINT_COLUMNS)[column]
     if mu is None:
         tag, key, values, fixed = "mu", "mu", mu_values, {"sweep.p_in_w": p_in}
-        pairs = [(p_in, value) for value in values]
+        settings = [{"p_in": p_in, "mu": value} for value in values]
     else:
         tag, key, values, fixed = "Pin", "p_in_w", p_in_values, {"sweep.mu": mu}
-        pairs = [(float(value), mu) for value in values]
-
-    def series(d: list) -> list:
-        delta_t = loss(d)
-        return [point(delta_t, p_in, mu)[index] for p_in, mu in pairs]
-    return [f"{label or column}_{tag}{_fmt(v)} [{unit}]" for v in values], series, {**fixed, **_series(key, values)}
+        settings = [{"p_in": float(value), "mu": mu} for value in values]
+    return ([f"{label or column}_{tag}{_fmt(v)} [{unit}]" for v in values],
+            lambda d: _points(s, link, "bcrb", {"d": d}, (column,), settings), {**fixed, **_series(key, values)})
 
 
 # figure id -> (grid axis (variable, unit, lo, hi, samples), builder with its constants)
@@ -609,17 +604,10 @@ _SWEEP_UNITS = {
 
 _GEOMETRY_FIELDS = {f.name for f in fields(CavityGeometry)}
 
-_POINT_COLUMNS = (
-    ("stable", "-"), ("stability_product", "-"), ("omega1", "m"), ("omega2", "m"),
-    ("omega3", "m"), ("delta_t", "-"), ("beam_power", "W"), ("pv_output", "W"),
-    ("data_signal", "a.u."), ("shot_noise", "a.u.^2"), ("thermal_noise", "a.u.^2"),
-    ("total_noise", "a.u.^2"), ("spectral_efficiency", "bit/s/Hz"),
-)
-
 
 def _sweep(variable: str, system: str, s: Scenario, link: LinkBudgetParams):
     # run_sweep's builder: the _POINT_COLUMNS of _points over {variable: grid}.
-    def series(grid: list) -> tuple:
+    def series(grid: list) -> list:
         if variable in _GEOMETRY_FIELDS:
             replace(s.geometry, **{variable: grid[0]})
         return _points(s, link, system, {variable: grid})

@@ -420,6 +420,17 @@ class TestConfigHandling:
         code, out, err = run(capsys, "--config", str(config), "stability")
         assert code == 1
 
+    @pytest.mark.parametrize("data", [b'{"geometry": {"d_m": 1' + b"0" * 5000 + b"}}",
+                                      b'{"geometry": ' + b"[" * 3000 + b"]" * 3000 + b"}", b"\xff\xfe{}"],
+                             ids=["digit_limit", "deep_nesting", "not_utf8"])
+    def test_unparseable_config_names_the_file_exit_1(self, tmp_path, capsys, data):
+        # A digit-limit, recursion or UTF-8 error in the file is reported as invalid JSON, not as a traceback.
+        config = tmp_path / "s.json"
+        config.write_bytes(data)
+        code, out, err = run(capsys, "--config", str(config), "power")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {config}: not valid JSON (") and err.count("\n") == 1
+
     def test_strict_unknown_key_exit_1(self, tmp_path, capsys):
         config = tmp_path / "s.json"
         config.write_text(json.dumps({"geometry": {"bogus_mm": 1}}))

@@ -1,10 +1,10 @@
 """A fixed slice of tools/differential.py's edge cases, pinned by the outcomes in differential_slice.json.
 
-Every STRIDE[family]-th case of each family (cli, sweep, point, search, scenario) runs
+Every STRIDE[family]-th case of each family (cli, sweep, point, search, scenario, figure) runs
 in this process, through the script's run_cases.  The help family is left out: argparse
 words its help differently from one Python version to the next.  An outcome is a command's
 exit code and the digests of its stdout, stderr and written file, or the
-digest of a point's or a search's result, or the class and message of the
+digest of a point's, a search's or a figure's result, or the class and message of the
 error, plus the number of records logged under `bcrbsim`.  So a change to any
 of these outputs or messages fails here, naming each changed case.  When the
 change is meant, re-record the file with
@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 RECORDED = Path(__file__).with_name("differential_slice.json")
-STRIDE = {"cli": 19, "sweep": 13, "point": 131, "search": 1, "scenario": 19}
+STRIDE = {"cli": 19, "sweep": 13, "point": 131, "search": 1, "scenario": 19, "figure": 1}
 
 
 def _run_cases():

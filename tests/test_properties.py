@@ -1,5 +1,6 @@
 """Property-based tests over the acceptance suite's sampling ranges."""
 
+import inspect
 import math
 import re
 import sys
@@ -26,6 +27,7 @@ from bcrbsim import (
     data_signal,
     default_scenario,
     effective_aperture,
+    generate_figure,
     is_stable,
     load_scenario,
     max_spot_over_range,
@@ -49,8 +51,8 @@ from bcrbsim.cli import _BLOCK, format_dataset_csv
 from bcrbsim.gaussian_beam import _spots
 from bcrbsim.ray_matrix import (_MIRROR, _affine, _close, _focus, _layout, _product, _shift, round_trip,
                                 round_trip_prefix)
-from bcrbsim.sweep_search import (_SWEEP_UNITS, FigureDataset, _distance_bands, _grid, _require_cap, _roots,
-                                  _stable_at, stability_bands)
+from bcrbsim.sweep_search import (_FIGURES, _SWEEP_UNITS, FigureDataset, _distance_bands, _grid, _require_cap,
+                                  _roots, _stable_at, stability_bands)
 
 
 def signed(lo, hi):
@@ -204,6 +206,66 @@ def test_sweep_rows_are_operating_points(variable, system, clamp, data, geometry
         # operating_point evaluates the same row at one point.
         points = [operating_point(s, system, **{variable: value}) for value in grid]
         assert [repr((value, *map(float, list(point.values())[3:]))) for value, point in zip(grid, points)] == want
+
+
+def _point_row(figure_id, s, x, meta, p_in_values, mu_values):
+    """A chain figure's row at grid value x, with each series cell read from operating_point."""
+    if figure_id == "fig6":
+        points = [operating_point(s, system, d=x) for system in ("bcrb", "original")]
+        return (x, *[point["omega3"] for point in points], *[point["beam_power"] for point in points])
+    if figure_id == "fig7":
+        powers = [operating_point(s, system, p_in=x)["beam_power"] for system in ("bcrb", "original")]
+        return (x, *powers, *[power / x for power in powers])
+    if "sweep.mu" in meta:
+        series = [(float(value), meta["sweep.mu"]) for value in p_in_values]
+    else:
+        series = [(meta["sweep.p_in_w"], value) for value in mu_values]
+    output = "pv_output" if figure_id == "fig11" else "spectral_efficiency"
+    return (x, *[operating_point(s, "bcrb", d=x, p_in=p_in, mu=mu)[output] for p_in, mu in series])
+
+
+CHAIN_FIGURES = ["fig6", "fig7", "fig11", "fig12", "fig13"]
+# The reference design with the fields drawn that keep fig6's cavity stable over most of GEOMETRIES' ranges;
+# a geometry of GEOMETRIES is unstable somewhere on fig6's grid almost always.
+NEAR_REFERENCE = st.builds(CavityGeometry, rho2=st.floats(0.3, 50.0), f1=st.floats(2e-3, 0.05),
+                           magnification=st.floats(0.5, 5.0), L1=st.floats(0.0, 0.01), L2=st.floats(0.0, 0.3),
+                           wavelength=st.floats(500e-9, 1600e-9))
+
+
+@pytest.mark.parametrize("figure_id", CHAIN_FIGURES)
+def test_chain_figure_cells_are_operating_points(figure_id):
+    # Every cell of a chain figure, over its whole grid and every series, is operating_point's cell at
+    # its grid value and series value; 3,718 cells in all.
+    defaults = {name: inspect.signature(generate_figure).parameters[name].default
+                for name in ("p_in_values", "mu_values")}
+    ds = generate_figure(figure_id)
+    assert [repr(row) for row in ds.rows] == [repr(_point_row(figure_id, default_scenario(), row[0], ds.metadata,
+                                                              **defaults)) for row in ds.rows]
+
+
+@pytest.mark.parametrize("figure_id", CHAIN_FIGURES)
+@settings(max_examples=20, deadline=None)
+@given(geometry=st.one_of(NEAR_REFERENCE, GEOMETRIES), clamp=st.booleans(), p_in=SWEEP_VALUES["p_in"], data=st.data(),
+       p_in_values=st.lists(SWEEP_VALUES["p_in"], min_size=1, max_size=3),
+       mu_values=st.lists(SWEEP_VALUES["mu"], min_size=1, max_size=3))
+def test_chain_figure_rows_are_operating_points(figure_id, geometry, clamp, p_in, data, p_in_values, mu_values):
+    # A few rows of each chain figure, over the scenario ranges and series values, equal operating_point's
+    # cells by repr.  fig6 alone reads the cavity: its omega3 raises at the first unstable grid point of the
+    # first layout that has one, where operating_point gives NaN.
+    s = replace(default_scenario(), geometry=geometry, pump_input_power=p_in,
+                model_choices=ModelChoices(clamp_negative_power=clamp))
+    try:
+        ds = generate_figure(figure_id, s, p_in_values=p_in_values, mu_values=mu_values)
+    except UnstableCavityError as exc:
+        assert figure_id == "fig6"
+        _, _, lo, hi, samples = _FIGURES[figure_id][0]
+        products = [point["stability_product"] for system in ("bcrb", "original") for d in _grid(lo, hi, samples)
+                    for point in [operating_point(s, system, d=d)] if not point["stable"]]
+        assert str(exc) == f"round trip unstable: a*d = {products[0]!r} outside (0, 1)"
+        return
+    for i in sorted(set(data.draw(st.lists(st.integers(0, ds.n_rows - 1), min_size=1, max_size=3)))):
+        row = ds.rows[i]
+        assert repr(row) == repr(_point_row(figure_id, s, row[0], ds.metadata, p_in_values, mu_values))
 
 
 def _scanned_max_spot(g, d_lo, d_hi, samples):

@@ -84,6 +84,28 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="not valid JSON"):
             load_scenario(write(tmp_path, "{distance: 3"))
 
+    def test_json_error_message(self, tmp_path):
+        path = write(tmp_path, "{distance: 3")
+        cause = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+        with pytest.raises(ScenarioError, match=f"^{re.escape(f'{path}: not valid JSON ({cause})')}$"):
+            load_scenario(path)
+
+    # Files that json cannot parse without a JSONDecodeError: an integer past int's digit limit, nesting past
+    # the recursion limit, and a byte that is not UTF-8.  The text is written as it stands, as json.dumps
+    # refuses such an integer.
+    UNPARSEABLE = [
+        (b'{"geometry": {"d_m": 1' + b"0" * 5000 + b"}}", "Exceeds the limit (4300 digits) for integer string"),
+        (b'{"geometry": ' + b"[" * 3000 + b"]" * 3000 + b"}", "maximum recursion depth exceeded"),
+        (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0"),
+    ]
+
+    @pytest.mark.parametrize("data, cause", UNPARSEABLE, ids=["digit_limit", "deep_nesting", "not_utf8"])
+    def test_unparseable_file_is_a_scenario_error_naming_the_file(self, tmp_path, data, cause):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(data)
+        with pytest.raises(ScenarioError, match=f"^{re.escape(f'{path}: not valid JSON (')}.*{re.escape(cause)}"):
+            load_scenario(path)
+
     def test_root_must_be_object(self, tmp_path):
         with pytest.raises(ScenarioError):
             load_scenario(write(tmp_path, "[1, 2, 3]"))

@@ -33,6 +33,7 @@ from bcrbsim import (
     transmission_loss,
 )
 from bcrbsim import sweep_search
+from bcrbsim.cli import run_command
 from bcrbsim.ray_matrix import round_trip, round_trip_prefix
 from bcrbsim.sweep_search import (
     ANCHOR_BEAM_POWER,
@@ -787,6 +788,31 @@ class TestRunSweep:
         assert len(run_sweep(SweepSpec(variable, lo, hi, 11, system), default_scenario()).rows) == 11
         cavity = cavity_bcrb if system == "bcrb" else cavity_original
         assert [cells[name] for name in stages] == [[11 if cavity else 1], [1, 11 if loss else 1], [11 if power else 1]]
+
+    # figure id -> the cells of each call of transmission_loss (the calibration's, then one per layout), of
+    # beam_power (one per layout and series) and of spectral_efficiency.
+    FIGURE_STAGES = {
+        "fig6": ([1, 91, 91], [91, 91], []),
+        "fig7": ([1, 1, 1], [151, 151], []),
+        "fig11": ([1, 250], [250] * 3, []),
+        "fig12": ([1, 250], [250] * 5, [250] * 5),
+        "fig13": ([1, 250], [250] * 3, [250] * 3),
+    }
+
+    @pytest.mark.parametrize("figure_id", sorted(FIGURE_STAGES))
+    def test_chain_figures_run_only_the_stages_their_outputs_read(self, monkeypatch, figure_id):
+        # The engine runs each stage that the figure's outputs read once, sharing the loss across the series
+        # (fig12: one 250-cell column for its five mu series), and no other: only fig6 reads the cavity (its
+        # omega3, through gaussian_beam), and only the spectral efficiency figures run the data branch.
+        stages = ("_cavity", "transmission_loss", "beam_power", "spectral_efficiency")
+        cells = self.count_cells(monkeypatch, *stages)
+        generate_figure(figure_id)
+        assert [cells[name] for name in stages] == [[], *self.FIGURE_STAGES[figure_id]]
+
+    def test_cli_power_runs_only_the_power_branch(self, monkeypatch, capsys):
+        cells = self.count_cells(monkeypatch, "_cavity", "transmission_loss", "beam_power", "spectral_efficiency")
+        assert run_command(["power"]) == 0
+        assert cells == {"_cavity": [], "transmission_loss": [1, 1], "beam_power": [1], "spectral_efficiency": []}
 
     @pytest.mark.parametrize("variable, lo, hi", [("rho2", 1.0, 50.0), ("magnification", 1.5, 6.0),
                                                   ("p_in", 150.0, 300.0), ("wavelength", 500e-9, 1500e-9)])

@@ -23,6 +23,8 @@ prints one JSON line per case.  The cases are:
 - scenario: each of the 27 numeric keys of the scenario file, alone, over
   VALUES and then HUGE, through `--config`, for every command: each figure
   id, and a 3-sample d sweep;
+- figure: `generate_figure` for each figure id, in the four scenarios of
+  point, with each of the series arguments FIGURE_SERIES;
 - help: `--help` of the top parser and of each command in COMMANDS.  It is
   left out of the tier-1 slice, as argparse words its help differently
   from one Python version to the next.
@@ -32,10 +34,10 @@ every terminal.
 
 A command's outcome is its exit code, the sha256 of its stdout, its stderr
 and the file it wrote, whose name its stdout gives (or the class and message
-of an exception that escaped run_command); a point's or a search's is the
-sha256 of the result's repr, or the error's class and message.  Each outcome
-also counts the records logged under `bcrbsim`.  The script exits 0 when
-every case matches, 1 otherwise.  Standard library only.
+of an exception that escaped run_command); a point's, a search's or a
+figure's is the sha256 of the result's repr, or the error's class and
+message.  Each outcome also counts the records logged under `bcrbsim`.  The
+script exits 0 when every case matches, 1 otherwise.  Standard library only.
 tests/test_differential_slice.py runs a fixed slice of the cases in process,
 through run_cases, against recorded outcomes.
 """
@@ -81,6 +83,12 @@ CONFIG = "scenario.json"
 # An integer beyond the float range, which a JSON file can hold; the scenario family only.
 HUGE = 10 ** 400
 COMMANDS = ("stability", "spot", "power", "comms", "calibrate", "figure", "sweep")
+# The series arguments of generate_figure: its defaults, the golden suite's SERIES, each of VALUES as a one-value
+# series for all four arguments, and integer series.
+SERIES_KEYS = ("m_values", "d_values", "p_in_values", "mu_values")
+FIGURE_SERIES = [{}, dict(zip(SERIES_KEYS, [(2.0, 4.25), (12.5, 35.0), (180.0, 260.0), (0.3, 0.75)])),
+                 *({key: (value,) for key in SERIES_KEYS} for value in VALUES),
+                 {"p_in_values": (200, 250), "mu_values": (0, 1)}]
 
 
 def _digest(data: bytes) -> str:
@@ -180,6 +188,9 @@ def run_cases(select=lambda family, index: True):
         "search": (([*name, repr(cap)], partial(call, search, cap)) for (name, search), cap in product(searches, CAPS)),
         "scenario": ((case, partial(command, case[2:], config))
                      for case, config in _scenario_cases([k for k in _KEYS if k.check is _number], FIGURE_IDS)),
+        "figure": (([name, figure_id, repr(series)], partial(call, partial(bcrbsim.generate_figure, **series),
+                                                               figure_id, scenario))
+                   for (name, scenario), figure_id, series in product(scenarios.items(), FIGURE_IDS, FIGURE_SERIES)),
         "help": ((argv, partial(command, argv)) for argv in [["--help"], *([c, "--help"] for c in COMMANDS)]),
     }
     cwd, propagate = os.getcwd(), log.propagate
